@@ -230,3 +230,222 @@ def test_report_includes_tool_version_and_timestamp():
     text = serialize_report(ReportDocument(payload=make_eval(), invocation={}))
     assert '"tool_version"' in text
     assert '"timestamp"' in text
+
+
+# Exact report texts: the JSON keys of each payload body are the field names
+# of its result type, so any change to a field name or to float, infinity or
+# enum formatting shows up here.
+GOLDEN_SELECTION = """\
+{
+  "invocation": {
+    "command": "x",
+    "d": 2
+  },
+  "payload": {
+    "body": {
+      "d_requested": 2,
+      "method": "csufs_naive",
+      "scores": {
+        "cs": [
+          0.1,
+          "inf",
+          0.3333333333333333
+        ],
+        "d": [
+          0.1,
+          0.3333333333333333,
+          5e-324
+        ],
+        "k_used": 2,
+        "mu": [
+          "-inf",
+          0.0,
+          1e+308
+        ],
+        "v": [
+          1e+308,
+          5e-324,
+          1.2345678901234567
+        ]
+      },
+      "selected": [
+        0,
+        2
+      ]
+    },
+    "kind": "selection"
+  },
+  "timestamp": "2026-01-01T00:00:00+00:00",
+  "tool_version": "0.1.0"
+}
+"""
+
+GOLDEN_EVALUATION = """\
+{
+  "invocation": {
+    "command": "x",
+    "d": 2
+  },
+  "payload": {
+    "body": {
+      "mean_acc": 0.98,
+      "mean_nmi": 0.915,
+      "method": "max_variance",
+      "n_features_used": 3,
+      "per_seed": [
+        [
+          0,
+          0.96,
+          0.83
+        ],
+        [
+          1,
+          1.0,
+          1.0
+        ]
+      ]
+    },
+    "kind": "evaluation"
+  },
+  "timestamp": "2026-01-01T00:00:00+00:00",
+  "tool_version": "0.1.0"
+}
+"""
+
+GOLDEN_SWEEP = """\
+{
+  "invocation": {
+    "command": "x",
+    "d": 2
+  },
+  "payload": {
+    "body": {
+      "cells": [
+        {
+          "d": 2,
+          "k": 1,
+          "report": {
+            "mean_acc": 0.98,
+            "mean_nmi": 0.915,
+            "method": "max_variance",
+            "n_features_used": 3,
+            "per_seed": [
+              [
+                0,
+                0.96,
+                0.83
+              ],
+              [
+                1,
+                1.0,
+                1.0
+              ]
+            ]
+          }
+        },
+        {
+          "d": 4,
+          "k": 1,
+          "report": {
+            "mean_acc": 0.98,
+            "mean_nmi": 0.915,
+            "method": "max_variance",
+            "n_features_used": 3,
+            "per_seed": [
+              [
+                0,
+                0.96,
+                0.83
+              ],
+              [
+                1,
+                1.0,
+                1.0
+              ]
+            ]
+          }
+        }
+      ],
+      "d_values": [
+        2,
+        4
+      ],
+      "k_values": [
+        1
+      ],
+      "method": "csufs_naive"
+    },
+    "kind": "sweep"
+  },
+  "timestamp": "2026-01-01T00:00:00+00:00",
+  "tool_version": "0.1.0"
+}
+"""
+
+GOLDEN_BENCH = """\
+{
+  "invocation": {
+    "command": "x",
+    "d": 2
+  },
+  "payload": {
+    "body": {
+      "grid": [
+        {
+          "agreement": true,
+          "k": 3,
+          "m": 5,
+          "n": 100,
+          "naive_seconds": 0.125,
+          "optimized_seconds": 0.005,
+          "speedup": 25.0
+        }
+      ],
+      "repetitions": 3
+    },
+    "kind": "bench"
+  },
+  "timestamp": "2026-01-01T00:00:00+00:00",
+  "tool_version": "0.1.0"
+}
+"""
+
+
+def make_golden_selection():
+    scores = FeatureScores(
+        d=np.array([0.1, 1.0 / 3.0, 5e-324]),
+        v=np.array([1e308, 2.0**-1074, 1.2345678901234567]),
+        cs=np.array([0.1, math.inf, 1.0 / 3.0]),
+        mu=np.array([-math.inf, 0.0, 1e308]),
+        k_used=2,
+    )
+    return SelectionResult(selected=np.array([0, 2]), scores=scores, method=Method.CSUFS_NAIVE, d_requested=2)
+
+
+@pytest.mark.parametrize(
+    "payload_maker, expected",
+    [
+        (make_golden_selection, GOLDEN_SELECTION),
+        (make_eval, GOLDEN_EVALUATION),
+        (make_sweep, GOLDEN_SWEEP),
+        (make_bench, GOLDEN_BENCH),
+    ],
+)
+def test_serialized_report_matches_golden_text(payload_maker, expected):
+    doc = ReportDocument(
+        payload=payload_maker(),
+        invocation={"command": "x", "d": 2},
+        tool_version="0.1.0",
+        timestamp="2026-01-01T00:00:00+00:00",
+    )
+    text = serialize_report(doc)
+    assert text == expected
+    assert parse_report(text) == doc
+
+
+def test_codec_rejects_unknown_kind_and_payload_type():
+    text = serialize_report(ReportDocument(payload=make_eval(), invocation={}))
+    with pytest.raises(ValueError, match="unknown report kind"):
+        parse_report(text.replace('"kind": "evaluation"', '"kind": "histogram"'))
+    with pytest.raises(TypeError, match="unsupported payload type"):
+        serialize_report(ReportDocument(payload={"selected": [0]}, invocation={}))
