@@ -13,7 +13,7 @@ from .scoring import knn_distance_sums
 AGREEMENT_RTOL = 1e-9
 
 
-@dataclass(eq=False)
+@dataclass
 class BenchCell:
     """One benchmark grid point: timings plus the agreement verdict."""
 
@@ -25,21 +25,8 @@ class BenchCell:
     speedup: float
     agreement: bool
 
-    def __eq__(self, other):
-        if not isinstance(other, BenchCell):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.m == other.m
-            and self.k == other.k
-            and self.naive_seconds == other.naive_seconds
-            and self.optimized_seconds == other.optimized_seconds
-            and self.speedup == other.speedup
-            and self.agreement == other.agreement
-        )
 
-
-@dataclass(eq=False)
+@dataclass
 class BenchReport:
     grid: list[BenchCell]
     repetitions: int
@@ -47,11 +34,6 @@ class BenchReport:
     @property
     def all_agree(self) -> bool:
         return all(cell.agreement for cell in self.grid)
-
-    def __eq__(self, other):
-        if not isinstance(other, BenchReport):
-            return NotImplemented
-        return self.grid == other.grid and self.repetitions == other.repetitions
 
 
 def _median_time(fn, reps: int):

@@ -47,8 +47,15 @@ def parse_seed_list(spec: str) -> tuple[int, ...]:
     return tuple(out)
 
 
+def positive_int(spec: str) -> int:
+    value = int(spec)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def parse_grid(spec: str) -> tuple[int, ...]:
-    """Accepts "start:stop:step" (stop included when aligned) or comma lists."""
+    """Accepts "start:stop:step" (stop included when aligned) or comma lists of positive ints."""
     spec = spec.strip()
     if ":" in spec:
         parts = spec.split(":")
@@ -62,6 +69,8 @@ def parse_grid(spec: str) -> tuple[int, ...]:
         values = tuple(int(p) for p in spec.split(",") if p.strip())
     if not values:
         raise argparse.ArgumentTypeError(f"empty grid {spec!r}")
+    if min(values) < 1:
+        raise argparse.ArgumentTypeError(f"grid values must be positive integers, got {spec!r}")
     return values
 
 
@@ -92,8 +101,8 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_selection_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--method", choices=METHOD_CHOICES, default="csufs", help="selector to run")
-    p.add_argument("--d", type=int, default=None, help="number of features to keep (csufs and maxvar)")
-    p.add_argument("--k", type=int, default=DEFAULT_K, help="neighbor count for csufs scoring")
+    p.add_argument("--d", type=positive_int, default=None, help="number of features to keep (csufs and maxvar)")
+    p.add_argument("--k", type=positive_int, default=DEFAULT_K, help="neighbor count for csufs scoring")
     p.add_argument("--mode", choices=MODES, default="optimized", help="csufs distance kernel")
     p.add_argument("--threads", type=int, default=1, help="worker threads for per-feature scoring")
 
@@ -113,8 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p_eval)
     _add_selection_flags(p_eval)
     p_eval.add_argument("--seeds", type=parse_seed_list, default=DEFAULT_SEEDS, help='seed list, e.g. "0..9" or "1,5,7"')
-    p_eval.add_argument("--clusters", type=int, default=None, help="cluster count (default: class count of the labels)")
-    p_eval.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER, help="k-means iteration cap")
+    p_eval.add_argument("--clusters", type=positive_int, default=None, help="cluster count (default: class count of the labels)")
+    p_eval.add_argument("--max-iter", type=positive_int, default=DEFAULT_MAX_ITER, help="k-means iteration cap")
     p_eval.add_argument("--conv-tol", type=float, default=DEFAULT_CONV_TOL, help="k-means relative objective tolerance")
     p_eval.add_argument("--output", type=Path, default=None, help="write an evaluation report here")
     p_eval.set_defaults(func=cmd_evaluate)
@@ -126,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--d-grid", type=parse_grid, required=True, help='feature counts, "20:200:20" or "5,10,20"')
     p_sweep.add_argument("--k-grid", type=parse_grid, required=True, help='neighbor counts, "5:30:5" or "1,3,5"')
     p_sweep.add_argument("--seeds", type=parse_seed_list, default=DEFAULT_SEEDS, help='seed list, e.g. "0..9"')
-    p_sweep.add_argument("--clusters", type=int, default=None, help="cluster count (default: class count of the labels)")
+    p_sweep.add_argument("--clusters", type=positive_int, default=None, help="cluster count (default: class count of the labels)")
     p_sweep.add_argument("--threads", type=int, default=1, help="worker threads for per-feature scoring")
     p_sweep.add_argument("--output", type=Path, required=True, help="write the sweep report here (flat CSV lands beside it)")
     p_sweep.set_defaults(func=cmd_sweep)
@@ -134,8 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="time the naive kernel against the optimized one")
     p_bench.add_argument("--n-list", type=parse_int_list, required=True, help='sample counts, e.g. "2000,4000,20000"')
     p_bench.add_argument("--m", type=int, default=50, help="feature count of the benchmark matrices")
-    p_bench.add_argument("--k", type=int, default=DEFAULT_K, help="neighbor count")
-    p_bench.add_argument("--reps", type=int, default=3, help="repetitions per cell; the median is reported")
+    p_bench.add_argument("--k", type=positive_int, default=DEFAULT_K, help="neighbor count")
+    p_bench.add_argument("--reps", type=positive_int, default=3, help="repetitions per cell; the median is reported")
     p_bench.add_argument("--seed", type=int, default=0, help="seed for the uniform benchmark matrices")
     p_bench.add_argument("--threads", type=int, default=1, help="worker threads (timings default to single-threaded)")
     p_bench.add_argument("--output", type=Path, default=None, help="write a bench report here")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -109,6 +109,16 @@ class LabelVector:
         return int(self.labels.size)
 
 
+def _fields_equal(self, other):
+    """Dataclass equality for results holding arrays: arrays compare by shape and values."""
+    if not isinstance(other, type(self)):
+        return NotImplemented
+    return all(
+        np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+        for a, b in ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+    )
+
+
 @dataclass(eq=False)
 class FeatureScores:
     """Per-feature distance sums, variances, means and compactness scores.
@@ -141,16 +151,7 @@ class FeatureScores:
         """All feature indices by ascending score; ties fall to the lower index."""
         return np.lexsort((np.arange(self.n_features), self.cs))
 
-    def __eq__(self, other):
-        if not isinstance(other, FeatureScores):
-            return NotImplemented
-        return (
-            self.k_used == other.k_used
-            and np.array_equal(self.d, other.d)
-            and np.array_equal(self.v, other.v)
-            and np.array_equal(self.cs, other.cs)
-            and np.array_equal(self.mu, other.mu)
-        )
+    __eq__ = _fields_equal
 
 
 @dataclass(eq=False)
@@ -170,12 +171,4 @@ class SelectionResult:
     def __len__(self) -> int:
         return int(self.selected.size)
 
-    def __eq__(self, other):
-        if not isinstance(other, SelectionResult):
-            return NotImplemented
-        return (
-            np.array_equal(self.selected, other.selected)
-            and self.scores == other.scores
-            and self.method is other.method
-            and self.d_requested == other.d_requested
-        )
+    __eq__ = _fields_equal

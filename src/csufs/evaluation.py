@@ -38,7 +38,7 @@ class EvalConfig:
             raise ValueError(f"n_clusters must be positive, got {self.n_clusters}")
 
 
-@dataclass(eq=False)
+@dataclass
 class EvalReport:
     """Per-seed and averaged clustering agreement for one feature subset."""
 
@@ -51,17 +51,6 @@ class EvalReport:
     def __post_init__(self):
         self.per_seed = [(int(s), float(a), float(m)) for s, a, m in self.per_seed]
         self.method = Method(self.method)
-
-    def __eq__(self, other):
-        if not isinstance(other, EvalReport):
-            return NotImplemented
-        return (
-            self.per_seed == other.per_seed
-            and self.mean_acc == other.mean_acc
-            and self.mean_nmi == other.mean_nmi
-            and self.n_features_used == other.n_features_used
-            and self.method is other.method
-        )
 
 
 def evaluate_selection(
@@ -98,19 +87,14 @@ def evaluate_selection(
     )
 
 
-@dataclass(eq=False)
+@dataclass
 class SweepCell:
     d: int
     k: int
     report: EvalReport
 
-    def __eq__(self, other):
-        if not isinstance(other, SweepCell):
-            return NotImplemented
-        return self.d == other.d and self.k == other.k and self.report == other.report
 
-
-@dataclass(eq=False)
+@dataclass
 class SweepReport:
     """Evaluation grid over feature counts d and neighbor counts k."""
 
@@ -124,16 +108,6 @@ class SweepReport:
             if cell.d == d and cell.k == k:
                 return cell.report
         raise KeyError((d, k))
-
-    def __eq__(self, other):
-        if not isinstance(other, SweepReport):
-            return NotImplemented
-        return (
-            self.method is other.method
-            and self.d_values == other.d_values
-            and self.k_values == other.k_values
-            and self.cells == other.cells
-        )
 
 
 def sweep(

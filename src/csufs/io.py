@@ -1,29 +1,35 @@
 """CSV ingestion and report-document round-tripping.
 
-Reports are JSON trees written atomically (temp file, then rename). Floats
-are emitted with Python's shortest round-trip repr so parsing a report
-reproduces every value bit for bit; infinities travel as the string tokens
-"inf" and "-inf" since JSON has no literal for them.
+Reports are JSON trees written atomically (temp file, then rename). A
+payload body is keyed by the field names of its result dataclass, so one
+encoder and one decoder, steered by the type annotations, serve every
+report kind. Floats are emitted with Python's shortest round-trip repr so
+parsing a report reproduces every value bit for bit; infinities travel as
+the string tokens "inf" and "-inf" since JSON has no literal for them.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import os
 import tempfile
+import typing
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from enum import Enum
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 
 from ._version import __version__
-from .bench import BenchCell, BenchReport
-from .data import FeatureScores, LabelVector, Method, SelectionResult, validate_dataset
+from .bench import BenchReport
+from .data import LabelVector, SelectionResult, validate_dataset
 from .errors import EmptyMatrix, LabelColumnMissing, ParseError, RaggedRows
-from .evaluation import EvalReport, SweepCell, SweepReport
+from .evaluation import EvalReport, SweepReport
 
 
 def load_csv(path, has_header: bool = False, label_column: int | str | None = None):
@@ -104,10 +110,16 @@ def _canonical_labels(tokens: list[str]) -> LabelVector:
 
 
 def write_matrix_csv(path, values, header=None) -> None:
-    """Plain CSV dump of a matrix, floats at full round-trip precision."""
+    """Plain CSV dump of a matrix, floats at full round-trip precision.
+
+    Header names are quoted only where CSV needs it (a comma, quote or line
+    break inside a name), so the file reads back with load_csv.
+    """
     lines = []
     if header is not None:
-        lines.append(",".join(str(h) for h in header))
+        buf = StringIO()
+        csv.writer(buf).writerow(header)
+        lines.append(buf.getvalue().removesuffix("\r\n"))
     for row in np.asarray(values):
         lines.append(",".join(repr(float(x)) for x in row))
     _atomic_write_text(Path(path), "\n".join(lines) + "\n")
@@ -132,7 +144,10 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-@dataclass(eq=False)
+_KINDS = {"selection": SelectionResult, "evaluation": EvalReport, "sweep": SweepReport, "bench": BenchReport}
+
+
+@dataclass
 class ReportDocument:
     """Envelope persisting one result payload with provenance fields."""
 
@@ -143,169 +158,47 @@ class ReportDocument:
 
     @property
     def kind(self) -> str:
-        return _kind_of(self.payload)
-
-    def __eq__(self, other):
-        if not isinstance(other, ReportDocument):
-            return NotImplemented
-        return (
-            self.payload == other.payload
-            and self.invocation == other.invocation
-            and self.tool_version == other.tool_version
-            and self.timestamp == other.timestamp
-        )
+        for kind, cls in _KINDS.items():
+            if isinstance(self.payload, cls):
+                return kind
+        raise TypeError(f"unsupported payload type {type(self.payload).__name__}")
 
 
-def _kind_of(payload) -> str:
-    if isinstance(payload, SelectionResult):
-        return "selection"
-    if isinstance(payload, EvalReport):
-        return "evaluation"
-    if isinstance(payload, SweepReport):
-        return "sweep"
-    if isinstance(payload, BenchReport):
-        return "bench"
-    raise TypeError(f"unsupported payload type {type(payload).__name__}")
+def _encode(value):
+    """JSON tree of a result: dataclasses become dicts keyed by field name."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_encode(item) for item in value]
+    if isinstance(value, float):
+        if math.isnan(value):
+            raise ValueError("reports never carry NaN")
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
+    return value
 
 
-def _float_out(x: float):
-    x = float(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if math.isnan(x):
-        raise ValueError("reports never carry NaN")
-    return x
-
-
-def _float_in(v) -> float:
-    if v == "inf":
-        return math.inf
-    if v == "-inf":
-        return -math.inf
-    return float(v)
-
-
-def _floats_out(arr) -> list:
-    return [_float_out(x) for x in np.asarray(arr).tolist()]
-
-
-def _floats_in(values) -> np.ndarray:
-    return np.array([_float_in(v) for v in values], dtype=np.float64)
-
-
-def _scores_to_dict(scores: FeatureScores) -> dict:
-    return {
-        "d": _floats_out(scores.d),
-        "v": _floats_out(scores.v),
-        "cs": _floats_out(scores.cs),
-        "mu": _floats_out(scores.mu),
-        "k_used": scores.k_used,
-    }
-
-
-def _scores_from_dict(obj: dict) -> FeatureScores:
-    return FeatureScores(
-        d=_floats_in(obj["d"]),
-        v=_floats_in(obj["v"]),
-        cs=_floats_in(obj["cs"]),
-        mu=_floats_in(obj["mu"]),
-        k_used=obj["k_used"],
-    )
-
-
-def _eval_to_dict(report: EvalReport) -> dict:
-    return {
-        "per_seed": [[s, _float_out(a), _float_out(m)] for s, a, m in report.per_seed],
-        "mean_acc": _float_out(report.mean_acc),
-        "mean_nmi": _float_out(report.mean_nmi),
-        "n_features_used": report.n_features_used,
-        "method": report.method.value,
-    }
-
-
-def _eval_from_dict(obj: dict) -> EvalReport:
-    return EvalReport(
-        per_seed=[(int(s), _float_in(a), _float_in(m)) for s, a, m in obj["per_seed"]],
-        mean_acc=_float_in(obj["mean_acc"]),
-        mean_nmi=_float_in(obj["mean_nmi"]),
-        n_features_used=int(obj["n_features_used"]),
-        method=Method(obj["method"]),
-    )
-
-
-def _payload_to_dict(payload) -> dict:
-    kind = _kind_of(payload)
-    if kind == "selection":
-        body = {
-            "selected": [int(i) for i in payload.selected],
-            "d_requested": payload.d_requested,
-            "method": payload.method.value,
-            "scores": _scores_to_dict(payload.scores),
-        }
-    elif kind == "evaluation":
-        body = _eval_to_dict(payload)
-    elif kind == "sweep":
-        body = {
-            "method": payload.method.value,
-            "d_values": list(payload.d_values),
-            "k_values": list(payload.k_values),
-            "cells": [{"d": c.d, "k": c.k, "report": _eval_to_dict(c.report)} for c in payload.cells],
-        }
-    else:
-        body = {
-            "repetitions": payload.repetitions,
-            "grid": [
-                {
-                    "n": c.n,
-                    "m": c.m,
-                    "k": c.k,
-                    "naive_seconds": _float_out(c.naive_seconds),
-                    "optimized_seconds": _float_out(c.optimized_seconds),
-                    "speedup": _float_out(c.speedup),
-                    "agreement": c.agreement,
-                }
-                for c in payload.grid
-            ],
-        }
-    return {"kind": kind, "body": body}
-
-
-def _payload_from_dict(obj: dict):
-    kind = obj["kind"]
-    body = obj["body"]
-    if kind == "selection":
-        return SelectionResult(
-            selected=np.array(body["selected"], dtype=np.int64),
-            scores=_scores_from_dict(body["scores"]),
-            method=Method(body["method"]),
-            d_requested=int(body["d_requested"]),
-        )
-    if kind == "evaluation":
-        return _eval_from_dict(body)
-    if kind == "sweep":
-        return SweepReport(
-            method=Method(body["method"]),
-            d_values=[int(d) for d in body["d_values"]],
-            k_values=[int(k) for k in body["k_values"]],
-            cells=[SweepCell(d=int(c["d"]), k=int(c["k"]), report=_eval_from_dict(c["report"])) for c in body["cells"]],
-        )
-    if kind == "bench":
-        return BenchReport(
-            grid=[
-                BenchCell(
-                    n=int(c["n"]),
-                    m=int(c["m"]),
-                    k=int(c["k"]),
-                    naive_seconds=_float_in(c["naive_seconds"]),
-                    optimized_seconds=_float_in(c["optimized_seconds"]),
-                    speedup=_float_in(c["speedup"]),
-                    agreement=bool(c["agreement"]),
-                )
-                for c in body["grid"]
-            ],
-            repetitions=int(body["repetitions"]),
-        )
-    raise ValueError(f"unknown report kind {kind!r}")
+def _decode(hint, tree):
+    """Rebuild a value of the annotated type `hint` from its JSON tree."""
+    if dataclasses.is_dataclass(hint):
+        hints = typing.get_type_hints(hint)
+        return hint(**{f.name: _decode(hints[f.name], tree[f.name]) for f in dataclasses.fields(hint)})
+    args = typing.get_args(hint)
+    if type(None) in args:
+        return None if tree is None else _decode(args[0], tree)
+    origin = typing.get_origin(hint)
+    if origin is list:
+        return [_decode(args[0], item) for item in tree]
+    if origin is tuple:
+        return tuple(_decode(arg, item) for arg, item in zip(args, tree))
+    if hint is np.ndarray:
+        return np.array([float(item) if isinstance(item, str) else item for item in tree])
+    # float() also reads the "inf"/"-inf" tokens; Enum types rebuild from .value
+    return hint(tree)
 
 
 def serialize_report(doc: ReportDocument) -> str:
@@ -314,15 +207,18 @@ def serialize_report(doc: ReportDocument) -> str:
         "tool_version": doc.tool_version,
         "timestamp": doc.timestamp,
         "invocation": doc.invocation,
-        "payload": _payload_to_dict(doc.payload),
+        "payload": {"kind": doc.kind, "body": _encode(doc.payload)},
     }
     return json.dumps(tree, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def parse_report(text: str) -> ReportDocument:
     tree = json.loads(text)
+    kind = tree["payload"]["kind"]
+    if kind not in _KINDS:
+        raise ValueError(f"unknown report kind {kind!r}")
     return ReportDocument(
-        payload=_payload_from_dict(tree["payload"]),
+        payload=_decode(_KINDS[kind], tree["payload"]["body"]),
         invocation=tree["invocation"],
         tool_version=tree["tool_version"],
         timestamp=tree["timestamp"],

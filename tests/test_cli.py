@@ -173,6 +173,32 @@ def test_bench_reports_agreement(tmp_path, capsys):
     assert all(cell.agreement for cell in doc.payload.grid)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["select", "--d", "0"],
+        ["select", "--d", "-1"],
+        ["select", "--d", "2", "--k", "0"],
+        ["evaluate", "--d", "2", "--clusters", "0"],
+        ["evaluate", "--d", "2", "--max-iter", "0"],
+        ["sweep", "--d-grid", "0,2", "--k-grid", "1"],
+        ["sweep", "--d-grid", "2", "--k-grid", "0:2:1"],
+        ["sweep", "--d-grid", "2", "--k-grid", "1", "--clusters", "0"],
+        ["bench", "--n-list", "50", "--reps", "0"],
+        ["bench", "--n-list", "50", "--k", "0"],
+    ],
+)
+def test_nonpositive_counts_are_flag_misuse(labeled_csv, tmp_path, capsys, argv):
+    if argv[0] != "bench":
+        argv = argv + ["--input", str(labeled_csv), "--label-col", "class"]
+    if argv[0] == "sweep":
+        argv = argv + ["--output", str(tmp_path / "sweep.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "positive" in err
+    assert "Traceback" not in err
+
+
 def test_no_subcommand_is_flag_misuse(capsys):
     assert main([]) == 2
 

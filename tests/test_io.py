@@ -226,6 +226,15 @@ def test_write_matrix_csv_round_trips_values(tmp_path):
     assert ds.values.tobytes() == np.asfortranarray(values).tobytes()
 
 
+def test_write_matrix_csv_quotes_header_names_only_where_needed(tmp_path):
+    path = tmp_path / "w.csv"
+    header = ["a", "b,c", 'say "d"']
+    write_matrix_csv(path, np.array([[1.0, 2.0, 3.0]]), header=header)
+    assert path.read_text().splitlines()[0] == 'a,"b,c","say ""d"""'
+    ds, _ = load_csv(path, has_header=True)
+    assert ds.feature_names == tuple(header)
+
+
 def test_report_includes_tool_version_and_timestamp():
     text = serialize_report(ReportDocument(payload=make_eval(), invocation={}))
     assert '"tool_version"' in text
