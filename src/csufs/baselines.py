@@ -8,15 +8,12 @@ import numpy as np
 
 from .data import Dataset, FeatureScores, Method, SelectionResult
 from .preprocess import normalize_samples
-from .scoring import feature_variance
+from .scoring import feature_variances
 
 
 def _variance_scores(X: Dataset) -> FeatureScores:
     m = X.n_features
-    v = np.empty(m)
-    mu = np.empty(m)
-    for r in range(m):
-        v[r], mu[r] = feature_variance(X.feature(r))
+    v, mu = feature_variances(X)
     return FeatureScores(d=np.zeros(m), v=v, cs=np.zeros(m), mu=mu, k_used=None)
 
 

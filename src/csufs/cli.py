@@ -54,6 +54,13 @@ def positive_int(spec: str) -> int:
     return value
 
 
+def nonnegative_float(spec: str) -> float:
+    value = float(spec)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative number, got {spec}")
+    return value
+
+
 def parse_grid(spec: str) -> tuple[int, ...]:
     """Accepts "start:stop:step" (stop included when aligned) or comma lists of positive ints."""
     spec = spec.strip()
@@ -104,7 +111,6 @@ def _add_selection_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d", type=positive_int, default=None, help="number of features to keep (csufs and maxvar)")
     p.add_argument("--k", type=positive_int, default=DEFAULT_K, help="neighbor count for csufs scoring")
     p.add_argument("--mode", choices=MODES, default="optimized", help="csufs distance kernel")
-    p.add_argument("--threads", type=int, default=1, help="worker threads for per-feature scoring")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -124,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--seeds", type=parse_seed_list, default=DEFAULT_SEEDS, help='seed list, e.g. "0..9" or "1,5,7"')
     p_eval.add_argument("--clusters", type=positive_int, default=None, help="cluster count (default: class count of the labels)")
     p_eval.add_argument("--max-iter", type=positive_int, default=DEFAULT_MAX_ITER, help="k-means iteration cap")
-    p_eval.add_argument("--conv-tol", type=float, default=DEFAULT_CONV_TOL, help="k-means relative objective tolerance")
+    p_eval.add_argument("--conv-tol", type=nonnegative_float, default=DEFAULT_CONV_TOL, help="k-means relative objective tolerance")
     p_eval.add_argument("--output", type=Path, default=None, help="write an evaluation report here")
     p_eval.set_defaults(func=cmd_evaluate)
 
@@ -136,17 +142,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--k-grid", type=parse_grid, required=True, help='neighbor counts, "5:30:5" or "1,3,5"')
     p_sweep.add_argument("--seeds", type=parse_seed_list, default=DEFAULT_SEEDS, help='seed list, e.g. "0..9"')
     p_sweep.add_argument("--clusters", type=positive_int, default=None, help="cluster count (default: class count of the labels)")
-    p_sweep.add_argument("--threads", type=int, default=1, help="worker threads for per-feature scoring")
     p_sweep.add_argument("--output", type=Path, required=True, help="write the sweep report here (flat CSV lands beside it)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_bench = sub.add_parser("bench", help="time the naive kernel against the optimized one")
     p_bench.add_argument("--n-list", type=parse_int_list, required=True, help='sample counts, e.g. "2000,4000,20000"')
-    p_bench.add_argument("--m", type=int, default=50, help="feature count of the benchmark matrices")
+    p_bench.add_argument("--m", type=positive_int, default=50, help="feature count of the benchmark matrices")
     p_bench.add_argument("--k", type=positive_int, default=DEFAULT_K, help="neighbor count")
     p_bench.add_argument("--reps", type=positive_int, default=3, help="repetitions per cell; the median is reported")
     p_bench.add_argument("--seed", type=int, default=0, help="seed for the uniform benchmark matrices")
-    p_bench.add_argument("--threads", type=int, default=1, help="worker threads (timings default to single-threaded)")
     p_bench.add_argument("--output", type=Path, default=None, help="write a bench report here")
     p_bench.set_defaults(func=cmd_bench)
     return parser
@@ -180,7 +184,7 @@ def _run_selection(X, args: argparse.Namespace):
     if args.method == "maxvar":
         return select_max_variance(X, args.d)
     cfg = ScoringConfig(k=args.k, mode=args.mode)
-    return csufs(X, args.d, cfg, threads=args.threads)
+    return csufs(X, args.d, cfg)
 
 
 def cmd_select(args: argparse.Namespace) -> int:
@@ -229,7 +233,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         n_clusters=args.clusters if args.clusters is not None else labels.n_classes,
         seeds=args.seeds,
     )
-    report = sweep(X, labels, method, args.d_grid, args.k_grid, cfg, threads=args.threads)
+    report = sweep(X, labels, method, args.d_grid, args.k_grid, cfg)
     write_report(ReportDocument(payload=report, invocation=_invocation(args)), args.output)
     flat_path = args.output.with_name(args.output.stem + "_flat.csv")
     lines = ["d,k,mean_acc,mean_nmi"]
@@ -243,7 +247,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    report = run_benchmark(args.n_list, args.m, args.k, reps=args.reps, seed=args.seed, threads=args.threads)
+    report = run_benchmark(args.n_list, args.m, args.k, reps=args.reps, seed=args.seed)
     if not report.all_agree:
         bad = [cell.n for cell in report.grid if not cell.agreement]
         print(f"error: kernel outputs disagree at n={bad}; timings withheld", file=sys.stderr)

@@ -36,6 +36,8 @@ class EvalConfig:
             raise ValueError("seeds must be non-empty")
         if self.n_clusters < 1:
             raise ValueError(f"n_clusters must be positive, got {self.n_clusters}")
+        if not self.conv_tol >= 0:  # NaN included: like a negative, it never stops a run
+            raise ValueError(f"conv_tol must be non-negative, got {self.conv_tol}")
 
 
 @dataclass
@@ -117,7 +119,6 @@ def sweep(
     d_values,
     k_values,
     cfg: EvalConfig,
-    threads: int = 1,
 ) -> SweepReport:
     """One evaluation per (d, k) grid cell.
 
@@ -136,7 +137,7 @@ def sweep(
         mode = "naive" if method is Method.CSUFS_NAIVE else "optimized"
         Xn = normalize_samples(X_raw)
         for k in k_values:
-            scores = score_all_features(Xn, ScoringConfig(k=k, mode=mode), threads=threads)
+            scores = score_all_features(Xn, ScoringConfig(k=k, mode=mode))
             ranking = scores.ranking()
             for d in d_values:
                 report = evaluate_selection(X_raw, ranking[: min(d, m)], truth, cfg, method=method)

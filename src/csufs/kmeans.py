@@ -78,6 +78,8 @@ def kmeans_fit(
         raise ValueError(f"n_clusters must be positive, got {n_clusters}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be positive, got {max_iter}")
+    if not conv_tol >= 0:  # NaN included: like a negative, it never fires
+        raise ValueError(f"conv_tol must be non-negative, got {conv_tol}")
     if n < n_clusters:
         raise TooFewSamples(f"{n} samples cannot fill {n_clusters} clusters")
     rng = np.random.default_rng(seed)

@@ -7,16 +7,17 @@ divided by the feature's variance. Selection keeps the lowest scores.
 
 Two interchangeable kernels compute the distance sums. The naive kernel
 forms every pairwise distance per sample and fully sorts each distance
-list, which costs O(n^2 log n) per feature. The optimized kernel sorts the
-feature once in descending order; in a sorted vector a sample's k nearest
-values can only occupy the k positions on either side, so at most 2k
-candidate distances per sample are formed, for O(n log n + n k log k).
+list, which costs O(n^2 log n) per feature. The window kernel sorts blocks
+of columns once; in sorted order a sample's k nearest values fill a
+contiguous window, j below it and k - j above, so its sum is the minimum
+over j of the summed gaps to j positions below plus k - j above. That is
+k shifted subtractions and k + 1 elementwise minimums per block, for
+O(n (log n + k)) per feature and no per-feature Python loop.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,11 +31,12 @@ DEFAULT_VARIANCE_TOL = 1e-12
 
 MODES = ("optimized", "naive")
 
-# cap on elements in one pairwise-distance block. 16 MB blocks stay cache
-# friendly and, more importantly, give every n the same per-block footprint,
-# so timings scale with the arithmetic rather than with where the working
-# set happens to fall relative to the cache
+# caps on one block: pairwise distances for the naive kernel (16 MB); sorted
+# values for the window kernel, whose working set is about k + 5 times that
+# (a longer column is a block of its own). Every n gets the same per-block
+# footprint, so timings follow the arithmetic rather than the cache
 _BLOCK_ELEMENTS = 2_000_000
+_WINDOW_BLOCK_ELEMENTS = 32_768
 
 
 @dataclass
@@ -86,19 +88,28 @@ def _naive_per_sample(f: np.ndarray, k: int) -> np.ndarray:
     return sums
 
 
-def _window_per_sample(f: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-position kNN sums and candidate counts on a descending copy of f."""
-    n = f.size
-    g = np.sort(f)[::-1].copy()
-    cand = np.full((n, 2 * k), np.inf)  # inf pads offsets that fall off an end
+def _window_per_sample(s: np.ndarray, k: int) -> np.ndarray:
+    """Per-position kNN sums of an (n, c) Fortran-order block of ascending
+    columns, same shape and order. Steps run on the flat buffer, so gaps near
+    a column's end reach into the next one; +inf overwrites them, as those
+    positions lack neighbors on that side, and no minimum picks +inf."""
+    n, c = s.shape
+    flat = s.ravel(order="F")
+    size = flat.size
+    above = np.zeros((k + 1, size))  # above[t]: summed gaps to the t positions above
+    below = np.zeros(size)
+    work = np.empty(size)
     for t in range(1, k + 1):
-        gap = g[: n - t] - g[t:]  # descending order keeps every gap >= 0
-        cand[: n - t, t - 1] = gap  # to the t-th following position
-        cand[t:, k + t - 1] = gap  # to the t-th preceding position
-    counts = np.isfinite(cand).sum(axis=1)
-    cand.sort(axis=1)
-    sums = cand[:, :k].sum(axis=1)
-    return sums, counts
+        np.subtract(flat[t:], flat[:-t], out=above[t, : size - t])
+        above[t, : size - t] += above[t - 1, : size - t]
+        above[t].reshape(c, n)[:, n - t :] = np.inf
+    best = above[k].copy()
+    for j in range(1, k + 1):  # j neighbors below, k - j above
+        np.subtract(flat[j:], flat[:-j], out=work[j:])
+        below[j:] += work[j:]
+        below.reshape(c, n)[:, :j] = np.inf
+        np.minimum(best, np.add(below, above[k - j], out=work), out=best)
+    return best.reshape(c, n).T
 
 
 def knn_distance_sum_naive(f, k: int) -> float:
@@ -107,22 +118,18 @@ def knn_distance_sum_naive(f, k: int) -> float:
     For every sample all n-1 distances to the other samples are formed and
     fully sorted before the k smallest are accumulated.
     """
-    f = _as_feature(f)
-    _require_kernel_args(f.size, k)
-    return float(_naive_per_sample(f, k).sum())
+    return float(knn_distance_sums(_as_feature(f)[:, np.newaxis], k, mode="naive")[0])
 
 
 def knn_distance_sum_sorted(f, k: int) -> float:
     """Summed k-nearest-neighbor distances via the sorted-window kernel.
 
-    Returns the same value as knn_distance_sum_naive. The input is left
-    untouched; the kernel works on a descending-sorted copy and only forms
-    distances to the k positions on either side of each sample.
+    Matches knn_distance_sum_naive exactly on integer-valued data and
+    within a relative 1e-9 otherwise. The input is left untouched; the
+    kernel works on a sorted copy and only forms distances to the k
+    positions on either side of each sample.
     """
-    f = _as_feature(f)
-    _require_kernel_args(f.size, k)
-    sums, _ = _window_per_sample(f, k)
-    return float(sums.sum())
+    return float(knn_distance_sums(_as_feature(f)[:, np.newaxis], k)[0])
 
 
 @dataclass(eq=False)
@@ -148,15 +155,14 @@ def knn_distance_trace(f, k: int, mode: str = "optimized") -> KernelTrace:
         sums = _naive_per_sample(f, k)
         counts = np.full(n, n - 1, dtype=np.int64)
         return KernelTrace(float(sums.sum()), sums, counts)
-    pos_sums, pos_counts = _window_per_sample(f, k)
-    # position p in the descending order belongs to original sample order[p];
+    # position p in the sorted order belongs to original sample order[p];
     # tied values give identical sums, so the stable tie order is harmless
-    order = np.argsort(-f, kind="stable")
-    sums = np.empty(n)
-    counts = np.empty(n, dtype=np.int64)
-    sums[order] = pos_sums
-    counts[order] = pos_counts
-    return KernelTrace(float(pos_sums.sum()), sums, counts)
+    order = np.argsort(f, kind="stable")
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    pos_sums = _window_per_sample(f[order, np.newaxis], k)[:, 0]
+    counts = np.minimum(pos, k) + np.minimum(n - 1 - pos, k)
+    return KernelTrace(float(pos_sums.sum()), pos_sums[pos], counts)
 
 
 def feature_variance(f) -> tuple[float, float]:
@@ -180,42 +186,25 @@ def compactness_score(d_r: float, v_r: float, variance_tol: float = DEFAULT_VARI
     return float("inf")
 
 
-def score_all_features(X: Dataset, cfg: ScoringConfig | None = None, threads: int = 1) -> FeatureScores:
-    """Score every feature of an (already normalized) dataset.
+def feature_variances(X: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """feature_variance of every column at once, bit for bit: each column of
+    the column-major matrix is reduced as one contiguous run."""
+    mu = X.values.mean(axis=0)
+    return np.square(X.values - mu).mean(axis=0), mu
 
-    The result is identical whatever the thread count: features are scored
-    independently and written into preallocated per-index slots.
-    """
+
+def score_all_features(X: Dataset, cfg: ScoringConfig | None = None) -> FeatureScores:
+    """Score every feature of an (already normalized) dataset."""
     cfg = cfg or ScoringConfig()
-    n, m = X.n_samples, X.n_features
-    _require_kernel_args(n, cfg.k)
-    kernel = knn_distance_sum_naive if cfg.mode == "naive" else knn_distance_sum_sorted
-    d = np.empty(m)
-    v = np.empty(m)
-    mu = np.empty(m)
-    cs = np.empty(m)
-
-    def score_one(r: int) -> None:
-        f = X.feature(r)
-        d[r] = kernel(f, cfg.k)
-        v[r], mu[r] = feature_variance(f)
-        cs[r] = compactness_score(d[r], v[r], cfg.variance_tol)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(score_one, range(m)))
-    else:
-        for r in range(m):
-            score_one(r)
+    d = knn_distance_sums(X.values, cfg.k, cfg.mode)
+    v, mu = feature_variances(X)
+    cs = np.divide(d, v, out=np.full_like(d, np.inf), where=v > cfg.variance_tol)
     return FeatureScores(d=d, v=v, cs=cs, mu=mu, k_used=cfg.k)
 
 
-def knn_distance_sums(values: np.ndarray, k: int, mode: str = "optimized", threads: int = 1) -> np.ndarray:
-    """Distance-sum vector over all columns of a bare matrix.
-
-    Thin per-column wrapper used by the benchmark harness; values must be
-    finite, shaped (n, m).
-    """
+def knn_distance_sums(values: np.ndarray, k: int, mode: str = "optimized") -> np.ndarray:
+    """Distance-sum vector over all columns of a bare (n, m) matrix of finite
+    values; the naive mode runs one column at a time."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     values = np.asarray(values, dtype=np.float64)
@@ -223,18 +212,14 @@ def knn_distance_sums(values: np.ndarray, k: int, mode: str = "optimized", threa
         raise ValueError("values must be a 2-D matrix")
     n, m = values.shape
     _require_kernel_args(n, k)
-    kernel = knn_distance_sum_naive if mode == "naive" else knn_distance_sum_sorted
+    if mode == "naive":
+        return np.array([_naive_per_sample(np.ascontiguousarray(values[:, r]), k).sum() for r in range(m)])
     out = np.empty(m)
-
-    def one(r: int) -> None:
-        out[r] = kernel(np.ascontiguousarray(values[:, r]), k)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one, range(m)))
-    else:
-        for r in range(m):
-            one(r)
+    step = max(1, _WINDOW_BLOCK_ELEMENTS // n)
+    for lo in range(0, m, step):
+        block = np.array(values[:, lo : lo + step], order="F")
+        block.sort(axis=0)
+        out[lo : lo + step] = _window_per_sample(block, k).sum(axis=0)
     return out
 
 
@@ -253,9 +238,9 @@ def select_features(scores: FeatureScores, d: int, method: Method = Method.CSUFS
     return SelectionResult(selected=order[: min(d, m)], scores=scores, method=method, d_requested=d)
 
 
-def csufs(X_raw: Dataset, d: int, cfg: ScoringConfig | None = None, threads: int = 1) -> SelectionResult:
+def csufs(X_raw: Dataset, d: int, cfg: ScoringConfig | None = None) -> SelectionResult:
     """Full selection pipeline: normalize samples, score, rank, cut at d."""
     cfg = cfg or ScoringConfig()
-    scores = score_all_features(normalize_samples(X_raw), cfg, threads=threads)
+    scores = score_all_features(normalize_samples(X_raw), cfg)
     method = Method.CSUFS_NAIVE if cfg.mode == "naive" else Method.CSUFS_OPTIMIZED
     return select_features(scores, d, method=method)

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from csufs import Method, read_report
+from csufs import Method, read_report, run_benchmark
 from csufs.cli import main, parse_grid, parse_seed_list
 from helpers import make_two_class_data
 
@@ -186,6 +186,8 @@ def test_bench_reports_agreement(tmp_path, capsys):
         ["sweep", "--d-grid", "2", "--k-grid", "1", "--clusters", "0"],
         ["bench", "--n-list", "50", "--reps", "0"],
         ["bench", "--n-list", "50", "--k", "0"],
+        ["bench", "--n-list", "50", "--m", "0"],
+        ["bench", "--n-list", "50", "--m", "-1"],
     ],
 )
 def test_nonpositive_counts_are_flag_misuse(labeled_csv, tmp_path, capsys, argv):
@@ -197,6 +199,28 @@ def test_nonpositive_counts_are_flag_misuse(labeled_csv, tmp_path, capsys, argv)
     err = capsys.readouterr().err
     assert "positive" in err
     assert "Traceback" not in err
+
+
+def test_run_benchmark_rejects_nonpositive_m():
+    with pytest.raises(ValueError, match="m must be positive"):
+        run_benchmark([50], m=0, k=3)
+
+
+def test_negative_conv_tol_is_flag_misuse(labeled_csv, capsys):
+    code = main(
+        ["evaluate", "--input", str(labeled_csv), "--label-col", "class", "--d", "2", "--conv-tol", "-1"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert "non-negative" in err
+    assert "Traceback" not in err
+
+
+def test_threads_flag_is_gone(labeled_csv, capsys):
+    code = main(["select", "--input", str(labeled_csv), "--label-col", "class", "--d", "2", "--threads", "2"])
+    assert code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 def test_no_subcommand_is_flag_misuse(capsys):

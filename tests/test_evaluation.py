@@ -81,6 +81,12 @@ def test_seed_list_must_be_nonempty():
         EvalConfig(n_clusters=2, seeds=())
 
 
+def test_negative_conv_tol_rejected():
+    with pytest.raises(ValueError, match="conv_tol"):
+        EvalConfig(n_clusters=2, conv_tol=-1e-4)
+    assert EvalConfig(n_clusters=2, conv_tol=0.0).conv_tol == 0.0
+
+
 def test_sweep_covers_full_grid(clustered_dataset):
     X, truth = clustered_dataset
     cfg = EvalConfig(n_clusters=2, seeds=(0, 1))

@@ -104,3 +104,12 @@ def test_conv_tol_stops_early():
     loose = kmeans_fit(X, 3, seed=1, conv_tol=0.5)
     tight = kmeans_fit(X, 3, seed=1, conv_tol=1e-12)
     assert loose.n_iter <= tight.n_iter
+
+
+def test_negative_conv_tol_rejected():
+    X = np.random.default_rng(0).normal(size=(20, 2))
+    with pytest.raises(ValueError, match="conv_tol"):
+        kmeans_fit(X, 2, seed=0, conv_tol=-1.0)
+    with pytest.raises(ValueError, match="conv_tol"):
+        kmeans_fit(X, 2, seed=0, conv_tol=float("nan"))
+    assert kmeans_fit(X, 2, seed=0, conv_tol=0.0).n_iter >= 1

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import csufs.scoring as scoring
 from csufs import (
     KTooLarge,
     TooFewSamples,
     knn_distance_sum_naive,
     knn_distance_sum_sorted,
+    knn_distance_sums,
     knn_distance_trace,
 )
 from helpers import knn_sum_oracle, knn_sum_oracle_py
@@ -189,3 +191,44 @@ def test_trace_orders_follow_original_samples():
     naive = knn_distance_trace(f, 1, mode="naive")
     assert np.array_equal(fast.per_sample, naive.per_sample)
     assert fast.total == naive.total == float(naive.per_sample.sum())
+
+
+def oracle_sums(X, k):
+    return np.array([knn_sum_oracle(X[:, r], k) for r in range(X.shape[1])])
+
+
+def check_matrix_kernel(X_int, X_real, k):
+    """Integer-valued columns must match the oracle exactly, real ones within 1e-9."""
+    for mode in ("optimized", "naive"):
+        assert knn_distance_sums(X_int, k, mode=mode).tolist() == oracle_sums(X_int, k).tolist()
+        np.testing.assert_allclose(knn_distance_sums(X_real, k, mode=mode), oracle_sums(X_real, k), rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize(
+    "budget, n, m",
+    [
+        (64, 100, 3),  # n above the budget: every block is one column
+        (64, 16, 8),  # four columns per block, two full blocks
+        (64, 20, 7),  # three columns per block, partial last block
+    ],
+)
+def test_knn_distance_sums_block_shapes_match_oracle(monkeypatch, budget, n, m):
+    monkeypatch.setattr(scoring, "_WINDOW_BLOCK_ELEMENTS", budget)
+    rng = np.random.default_rng(n * m)
+    X_int = rng.integers(-4, 5, (n, m)).astype(np.float64)  # many duplicate values
+    X_int[:, 1] = 3.0  # a constant column
+    X_real = rng.normal(0.0, 10.0, (n, m))
+    X_real[: n // 2, 0] = X_real[0, 0]  # half the column tied
+    for k in (1, 3, n - 1):
+        check_matrix_kernel(X_int, X_real, k)
+    assert knn_distance_sums(X_int, 2)[1] == 0.0
+
+
+def test_knn_distance_sums_default_budget_match_oracle():
+    rng = np.random.default_rng(8)
+    # short columns: many per block and a partial last block
+    n, m = 40, 2 * (scoring._WINDOW_BLOCK_ELEMENTS // 40) + 5
+    check_matrix_kernel(rng.integers(-20, 21, (n, m)).astype(np.float64), rng.normal(size=(n, m)), 4)
+    # one column longer than the budget forms a block of its own
+    f = rng.integers(-1000, 1001, (scoring._WINDOW_BLOCK_ELEMENTS + 1, 1)).astype(np.float64)
+    assert knn_distance_sums(f, 3)[0] == knn_sum_oracle(f[:, 0], 3)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import csufs.scoring as scoring
 from csufs import (
     FeatureScores,
     Method,
@@ -14,6 +15,7 @@ from csufs import (
     normalize_samples,
     score_all_features,
     select_features,
+    select_max_variance,
     validate_dataset,
 )
 from helpers import knn_sum_oracle
@@ -78,12 +80,46 @@ def test_modes_agree_on_random_matrix():
     assert np.array_equal(fast.mu, slow.mu)
 
 
-def test_threaded_scoring_bit_identical():
-    rng = np.random.default_rng(5)
-    X = validate_dataset(rng.normal(size=(60, 16)))
-    serial = score_all_features(X, ScoringConfig(k=3), threads=1)
-    threaded = score_all_features(X, ScoringConfig(k=3), threads=4)
-    assert serial == threaded
+@pytest.mark.parametrize(
+    "budget, n, m",
+    [
+        (50, 60, 4),  # n above the budget: every block is one column
+        (50, 10, 10),  # five columns per block, two full blocks
+        (50, 12, 9),  # four columns per block, partial last block
+    ],
+)
+def test_score_all_features_matches_oracle_column_by_column(monkeypatch, budget, n, m):
+    monkeypatch.setattr(scoring, "_WINDOW_BLOCK_ELEMENTS", budget)
+    rng = np.random.default_rng(budget + n)
+    values = rng.normal(0.0, 3.0, (n, m))
+    values[:, 0] = rng.integers(-3, 4, n)  # integer-valued with duplicates
+    values[:, 2] = -1.5  # constant
+    X = validate_dataset(values)
+    for k in (1, 4, n - 1):
+        scores = score_all_features(X, ScoringConfig(k=k))
+        for r in range(m):
+            f = X.feature(r)
+            expected = knn_sum_oracle(f, k)
+            if r in (0, 2):
+                assert scores.d[r] == expected
+            else:
+                assert abs(scores.d[r] - expected) <= 1e-9 * expected
+            assert (scores.v[r], scores.mu[r]) == feature_variance(f)
+            assert scores.cs[r] == compactness_score(scores.d[r], scores.v[r])
+        assert math.isinf(scores.cs[2])
+
+
+@pytest.mark.parametrize("n, m", [(1, 3), (2, 5), (9, 4), (130, 17), (3000, 3)])
+def test_matrix_variances_bit_identical_to_feature_variance(n, m):
+    rng = np.random.default_rng(n + m)
+    X = validate_dataset(rng.normal(size=(n, m)) * rng.uniform(0.1, 50.0, m) + rng.normal(0.0, 20.0, m))
+    Xn = normalize_samples(X)
+    per_column = [feature_variance(Xn.feature(r)) for r in range(m)]
+    by_variance = select_max_variance(X, m).scores
+    assert list(zip(by_variance.v, by_variance.mu)) == per_column
+    if n >= 2:
+        scores = score_all_features(Xn, ScoringConfig(k=1))
+        assert list(zip(scores.v, scores.mu)) == per_column
 
 
 def test_knn_distance_sums_matches_oracle():
