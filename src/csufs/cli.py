@@ -15,7 +15,7 @@ from .bench import run_benchmark
 from .data import Method
 from .errors import CsufsError, LabelColumnMissing
 from .evaluation import DEFAULT_SEEDS, EvalConfig, evaluate_selection, sweep
-from .io import ReportDocument, load_csv, write_matrix_csv, write_report
+from .io import ReportDocument, _atomic_write_text, load_csv, write_matrix_csv, write_report
 from .kmeans import DEFAULT_CONV_TOL, DEFAULT_MAX_ITER
 from .preprocess import normalize_samples
 from .scoring import DEFAULT_K, MODES, ScoringConfig, csufs
@@ -239,7 +239,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     lines = ["d,k,mean_acc,mean_nmi"]
     for cell in report.cells:
         lines.append(f"{cell.d},{cell.k},{cell.report.mean_acc!r},{cell.report.mean_nmi!r}")
-    flat_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _atomic_write_text(flat_path, "\n".join(lines) + "\n")
     print(f"swept {len(report.cells)} cells ({len(report.d_values)} d values x {len(report.k_values)} k values)")
     print(f"report: {args.output}")
     print(f"flat csv: {flat_path}")

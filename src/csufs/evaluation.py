@@ -61,18 +61,22 @@ def evaluate_selection(
     truth: LabelVector,
     cfg: EvalConfig,
     method: Method = Method.ALL_FEATURES,
+    *,
+    normalized: Dataset | None = None,
 ) -> EvalReport:
     """Cluster the selected columns once per seed and score against truth.
 
     The matrix is sample-normalized before columns are taken, matching the
-    preprocessing the selectors apply. `method` only labels the report.
+    preprocessing the selectors apply. A caller that already holds
+    normalize_samples(X_raw) passes it as `normalized`, as sweep does, so a
+    grid normalizes once. `method` only labels the report.
     """
     indices = np.asarray(selected, dtype=np.int64)
     if indices.ndim != 1 or indices.size == 0:
         raise ValueError("selected must be a non-empty 1-D index list")
     if len(truth) != X_raw.n_samples:
         raise LengthMismatch(f"{len(truth)} labels for {X_raw.n_samples} samples")
-    Xn = normalize_samples(X_raw)
+    Xn = normalize_samples(X_raw) if normalized is None else normalized
     sub = np.ascontiguousarray(Xn.values[:, indices])
     per_seed: list[tuple[int, float, float]] = []
     for seed in cfg.seeds:
@@ -124,7 +128,8 @@ def sweep(
 
     Feature scoring runs once per k and every d reuses that ranking, since
     selections are prefixes of the full score order. Selectors that ignore
-    k are ranked once and their per-d reports are shared across k.
+    k are ranked once and their per-d reports are shared across k. The
+    matrix is normalized once and every cell clusters columns of that copy.
     """
     method = Method(method)
     d_values = [int(d) for d in d_values]
@@ -132,15 +137,15 @@ def sweep(
     if not d_values or not k_values:
         raise ValueError("d_values and k_values must be non-empty")
     m = X_raw.n_features
+    Xn = normalize_samples(X_raw)
     cells: list[SweepCell] = []
     if method in (Method.CSUFS_OPTIMIZED, Method.CSUFS_NAIVE):
         mode = "naive" if method is Method.CSUFS_NAIVE else "optimized"
-        Xn = normalize_samples(X_raw)
         for k in k_values:
             scores = score_all_features(Xn, ScoringConfig(k=k, mode=mode))
             ranking = scores.ranking()
             for d in d_values:
-                report = evaluate_selection(X_raw, ranking[: min(d, m)], truth, cfg, method=method)
+                report = evaluate_selection(X_raw, ranking[: min(d, m)], truth, cfg, method=method, normalized=Xn)
                 cells.append(SweepCell(d=d, k=k, report=report))
     else:
         if method is Method.MAX_VARIANCE:
@@ -152,6 +157,6 @@ def sweep(
             for d in d_values:
                 d_eff = m if method is Method.ALL_FEATURES else min(d, m)
                 if d_eff not in by_d:
-                    by_d[d_eff] = evaluate_selection(X_raw, ranking[:d_eff], truth, cfg, method=method)
+                    by_d[d_eff] = evaluate_selection(X_raw, ranking[:d_eff], truth, cfg, method=method, normalized=Xn)
                 cells.append(SweepCell(d=d, k=k, report=by_d[d_eff]))
     return SweepReport(method=method, d_values=d_values, k_values=k_values, cells=cells)

@@ -17,6 +17,7 @@ import math
 import os
 import tempfile
 import typing
+import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
@@ -39,7 +40,51 @@ def load_csv(path, has_header: bool = False, label_column: int | str | None = No
     column by 0-based index or by header name. Label tokens that all parse
     as numbers are canonicalized numerically (so "1" and "1.0" coincide),
     otherwise as strings. Blank lines are skipped.
+
+    The body is parsed in one np.loadtxt pass. loadtxt reads a strict
+    subset of the cells float() reads, to the same bits, so whenever it
+    rejects the file, or the file has no data rows or a header of the
+    wrong width, the cell-by-cell reader runs instead: it reads what
+    loadtxt refuses (quoted cells, "1_0", non-ASCII digits, string labels)
+    and reports every error with its row, column or line. loadtxt has no
+    csv field-size limit, so a cell over 131072 characters loads rather
+    than raising csv.Error.
     """
+    path = Path(path)
+    parsed = _parse_vectorized(path, has_header)
+    if parsed is None:
+        return _load_csv_cells(path, has_header, label_column)
+    header, table = parsed
+    label_idx, feature_cols = _split_columns(label_column, header, table.shape[1])
+    labels = None
+    if label_idx is not None:
+        labels = LabelVector.from_raw(table[:, label_idx])
+        table = np.delete(table, label_idx, axis=1)
+    names = [header[j] for j in feature_cols] if header is not None else None
+    return validate_dataset(table, names), labels
+
+
+def _parse_vectorized(path: Path, has_header: bool):
+    """(header, float table) of a CSV in one np.loadtxt pass, or None when
+    the cell-by-cell reader must decide: loadtxt rejected a cell or a row,
+    there are no data rows, or the header width differs from the rows'."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        header = None
+        if has_header:
+            header = next(([cell.strip() for cell in row] for row in csv.reader(fh) if row), None)
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                table = np.loadtxt(fh, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+        except ValueError:
+            return None
+    if table.size == 0 or (header is not None and len(header) != table.shape[1]):
+        return None
+    return header, table
+
+
+def _load_csv_cells(path, has_header: bool = False, label_column: int | str | None = None):
+    """load_csv's reference reader: csv.reader rows and float() per cell."""
     path = Path(path)
     header: list[str] | None = None
     rows: list[list[str]] = []
@@ -63,13 +108,7 @@ def load_csv(path, has_header: bool = False, label_column: int | str | None = No
     if header is not None and len(header) != width:
         raise RaggedRows(f"header has {len(header)} fields, data rows have {width}")
 
-    label_idx = None
-    if label_column is not None:
-        label_idx = _resolve_label_column(label_column, header, width)
-    feature_cols = [j for j in range(width) if j != label_idx]
-    if not feature_cols:
-        raise EmptyMatrix("no feature columns left after removing the label column")
-
+    label_idx, feature_cols = _split_columns(label_column, header, width)
     matrix = np.empty((len(rows), len(feature_cols)))
     for i, row in enumerate(rows):
         for jj, j in enumerate(feature_cols):
@@ -84,6 +123,17 @@ def load_csv(path, has_header: bool = False, label_column: int | str | None = No
     if label_idx is not None:
         labels = _canonical_labels([row[label_idx].strip() for row in rows])
     return validate_dataset(matrix, names), labels
+
+
+def _split_columns(label_column, header, width: int) -> tuple[int | None, list[int]]:
+    """The label column's index (None without one) and the feature columns."""
+    label_idx = None
+    if label_column is not None:
+        label_idx = _resolve_label_column(label_column, header, width)
+    feature_cols = [j for j in range(width) if j != label_idx]
+    if not feature_cols:
+        raise EmptyMatrix("no feature columns left after removing the label column")
+    return label_idx, feature_cols
 
 
 def _resolve_label_column(label_column, header, width: int) -> int:

@@ -150,6 +150,19 @@ def test_sweep_writes_report_and_flat_csv(labeled_csv, tmp_path):
         assert 0.0 <= float(nmi) <= 1.0
 
 
+
+def test_sweep_flat_csv_written_atomically(labeled_csv, tmp_path):
+    out_path = tmp_path / "sweep.json"
+    code = main(
+        ["sweep", "--input", str(labeled_csv), "--label-col", "class",
+         "--d-grid", "2,4", "--k-grid", "1,2", "--seeds", "0", "--output", str(out_path)]
+    )
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "sweep.json", "sweep_flat.csv"]
+    cells = read_report(out_path).payload.cells
+    expected = ["d,k,mean_acc,mean_nmi"] + [f"{c.d},{c.k},{c.report.mean_acc!r},{c.report.mean_nmi!r}" for c in cells]
+    assert (tmp_path / "sweep_flat.csv").read_bytes() == ("\n".join(expected) + "\n").encode()
+
 def test_sweep_empty_grid_is_flag_misuse(labeled_csv, tmp_path, capsys):
     code = main(
         ["sweep", "--input", str(labeled_csv), "--label-col", "class",

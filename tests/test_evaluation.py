@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+import csufs
+import csufs.evaluation
 from csufs import (
     EvalConfig,
     LabelVector,
     LengthMismatch,
     Method,
+    ScoringConfig,
     evaluate_selection,
     kmeans,
     normalize_samples,
@@ -150,3 +153,24 @@ def test_sweep_reruns_identical(clustered_dataset):
     a = sweep(X, truth, Method.CSUFS_OPTIMIZED, [2, 4], [2, 3], cfg)
     b = sweep(X, truth, Method.CSUFS_OPTIMIZED, [2, 4], [2, 3], cfg)
     assert a == b
+
+
+@pytest.mark.parametrize("method", [Method.CSUFS_OPTIMIZED, Method.ALL_FEATURES])
+def test_sweep_normalizes_once_and_matches_per_cell_evaluation(clustered_dataset, monkeypatch, method):
+    X, truth = clustered_dataset
+    cfg = EvalConfig(n_clusters=2, seeds=(0, 1))
+    calls = []
+
+    def counting(X_raw):
+        calls.append(X_raw)
+        return normalize_samples(X_raw)
+
+    monkeypatch.setattr(csufs.evaluation, "normalize_samples", counting)
+    swept = sweep(X, truth, method, [2, 4], [2, 3], cfg)
+    assert len(calls) == 1
+    for cell in swept.cells:
+        if method is Method.ALL_FEATURES:
+            selected = np.arange(X.n_features)
+        else:
+            selected = csufs.csufs(X, cell.d, ScoringConfig(k=cell.k)).selected
+        assert cell.report == evaluate_selection(X, selected, truth, cfg, method=method)

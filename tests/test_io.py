@@ -1,8 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import csufs.io
 from csufs import (
     BenchCell,
     BenchReport,
@@ -25,6 +29,7 @@ from csufs import (
     write_matrix_csv,
     write_report,
 )
+from csufs.io import _load_csv_cells
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -126,6 +131,125 @@ def test_blank_lines_skipped(tmp_path):
     path = write(tmp_path, "1,2\n\n3,4\n")
     ds, _ = load_csv(path)
     assert ds.n_samples == 2
+
+
+def test_header_only_file_rejected_without_a_warning(tmp_path):
+    path = write(tmp_path, "a,b\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EmptyMatrix):
+            load_csv(path, has_header=True)
+
+
+def test_single_column_file_loads_as_one_feature(tmp_path):
+    path = write(tmp_path, "1.5\n-2\n3e2\n")
+    ds, labels = load_csv(path)
+    assert labels is None
+    assert ds.values.shape == (3, 1)
+    assert np.array_equal(ds.values[:, 0], [1.5, -2.0, 300.0])
+
+
+def test_cell_over_csv_field_limit_loads(tmp_path):
+    # the one input the cell-by-cell reader rejects (with csv.Error) and load_csv reads
+    path = write(tmp_path, "1," + "0" * 140000 + "1\n2,3\n")
+    ds, _ = load_csv(path)
+    assert np.array_equal(ds.values, [[1.0, 1.0], [2.0, 3.0]])
+
+
+def spy_on_cell_reader(monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return _load_csv_cells(*args, **kwargs)
+
+    monkeypatch.setattr(csufs.io, "_load_csv_cells", spy)
+    return calls
+
+
+def test_numeric_file_skips_the_cell_reader(tmp_path, monkeypatch):
+    calls = spy_on_cell_reader(monkeypatch)
+    path = write(tmp_path, "a,class\r\n0.1,1\r\n\r\n2,1.0\r\n3,2\r\n")
+    ds, labels = load_csv(path, has_header=True, label_column="class")
+    assert calls == []
+    assert ds.feature_names == ("a",)
+    assert np.array_equal(labels.labels, [0, 0, 1])
+
+
+def test_string_labels_load_through_the_cell_reader(tmp_path, monkeypatch):
+    calls = spy_on_cell_reader(monkeypatch)
+    path = write(tmp_path, "a,b,class\n1,2,x\n3,4,y\n5,6,x\n")
+    ds, labels = load_csv(path, has_header=True, label_column="class")
+    assert len(calls) == 1
+    assert np.array_equal(ds.values, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    assert np.array_equal(labels.labels, [0, 1, 0])
+    assert labels.n_classes == 2
+
+
+# Cells the cell-by-cell reader parses like any number but np.loadtxt
+# refuses, and cells both refuse; each pushes load_csv onto the fallback.
+FLOAT_ONLY_CELLS = st.sampled_from(['"1"', "1_0", "\uff11", '" 2.5"'])
+BAD_CELLS = st.sampled_from(["x", "", "0x10", "1 2", "#1"])
+NUMBER_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from([" 1.5 ", "+.5", "5.", "-0.0", "1E3", "\t2", "5e-324", "1e+308", "-Infinity", "nan"]),
+)
+LABEL_CELLS = st.sampled_from(["1", "1.0", "2", "-0.0", "0", "2e0"])
+STRING_LABEL_CELLS = st.sampled_from(["a", "b", "1", "1.0"])
+HEADER_NAMES = st.sampled_from(["a", '"a,b"', " c ", "class", "f0"])
+
+
+@st.composite
+def csv_files(draw):
+    """(text, has_header, label_column): numeric CSV text, with each kind of
+    dirt switched on in about one file of four: cells that only float()
+    reads or that nothing reads, ragged rows and headers, whitespace-only
+    lines, "#"-prefixed lines and string labels."""
+    some = st.sampled_from([False, False, False, True])
+    odd_cells, ragged, gap_lines, comments, string_labels = (draw(some) for _ in range(5))
+    width = draw(st.integers(1, 4))
+    label_at = draw(st.none() | st.integers(0, width - 1))
+    labels = STRING_LABEL_CELLS if string_labels else LABEL_CELLS
+    cells = st.one_of(NUMBER_CELLS, NUMBER_CELLS, FLOAT_ONLY_CELLS, BAD_CELLS) if odd_cells else NUMBER_CELLS
+    lines = []
+    has_header = draw(st.booleans())
+    if has_header:
+        lines.append(",".join(draw(st.lists(HEADER_NAMES, min_size=width, max_size=width + 1 if ragged else width))))
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t"]) if gap_lines else st.just("")))
+        row_width = width + (draw(st.sampled_from([0] * 6 + [-1, 1])) if ragged else 0)
+        row = ",".join(draw(labels if j == label_at else cells) for j in range(row_width))
+        lines.append(("#" if comments and draw(st.booleans()) else "") + row)
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r"])) for line in lines)
+    label_column = label_at
+    if label_at is not None and has_header and draw(st.booleans()):
+        label_column = draw(HEADER_NAMES).strip().strip('"')
+    return text, has_header, label_column
+
+
+def load_outcome(loader, path, has_header, label_column):
+    try:
+        ds, labels = loader(path, has_header=has_header, label_column=label_column)
+    except Exception as exc:
+        return type(exc), str(exc), [getattr(exc, key, None) for key in ("row", "col", "token")]
+    return (
+        ds.values.shape,
+        ds.values.tobytes(),
+        ds.feature_names,
+        None if labels is None else (labels.labels.tolist(), labels.n_classes),
+    )
+
+
+@settings(deadline=None, max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(csv_files())
+def test_load_csv_matches_cell_reader(tmp_path, case):
+    text, has_header, label_column = case
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    expected = load_outcome(_load_csv_cells, path, has_header, label_column)
+    assert load_outcome(load_csv, path, has_header, label_column) == expected
 
 
 def make_selection():
