@@ -23,6 +23,7 @@ from .errors import (
     KTooLarge,
     LabelColumnMissing,
     LengthMismatch,
+    MalformedCsv,
     NonFiniteEntry,
     ParseError,
     RaggedRows,
@@ -92,6 +93,7 @@ __all__ = [
     "LabelColumnMissing",
     "LabelVector",
     "LengthMismatch",
+    "MalformedCsv",
     "Method",
     "NonFiniteEntry",
     "ParseError",

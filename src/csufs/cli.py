@@ -28,7 +28,7 @@ class UsageError(Exception):
 
 
 def parse_seed_list(spec: str) -> tuple[int, ...]:
-    """Accepts "0..9", "3", or comma lists mixing both forms."""
+    """Accepts "0..9", "3", or comma lists mixing both forms; seeds are non-negative."""
     out: list[int] = []
     for part in spec.split(","):
         part = part.strip()
@@ -44,6 +44,8 @@ def parse_seed_list(spec: str) -> tuple[int, ...]:
             out.append(int(part))
     if not out:
         raise argparse.ArgumentTypeError(f"empty seed list {spec!r}")
+    if min(out) < 0:
+        raise argparse.ArgumentTypeError(f"seeds must be non-negative, got {min(out)}")
     return tuple(out)
 
 

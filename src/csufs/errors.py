@@ -40,5 +40,10 @@ class RaggedRows(CsufsError):
     pass
 
 
+class MalformedCsv(CsufsError):
+    """A line the csv module cannot split into fields, such as one holding
+    a field over its size limit."""
+
+
 class LabelColumnMissing(CsufsError):
     pass

@@ -34,6 +34,8 @@ class EvalConfig:
         self.seeds = tuple(int(s) for s in self.seeds)
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be non-negative, got {min(self.seeds)}")
         if self.n_clusters < 1:
             raise ValueError(f"n_clusters must be positive, got {self.n_clusters}")
         if not self.conv_tol >= 0:  # NaN included: like a negative, it never stops a run

@@ -29,7 +29,7 @@ import numpy as np
 from ._version import __version__
 from .bench import BenchReport
 from .data import LabelVector, SelectionResult, validate_dataset
-from .errors import EmptyMatrix, LabelColumnMissing, ParseError, RaggedRows
+from .errors import EmptyMatrix, LabelColumnMissing, MalformedCsv, ParseError, RaggedRows
 from .evaluation import EvalReport, SweepReport
 
 
@@ -47,8 +47,9 @@ def load_csv(path, has_header: bool = False, label_column: int | str | None = No
     wrong width, the cell-by-cell reader runs instead: it reads what
     loadtxt refuses (quoted cells, "1_0", non-ASCII digits, string labels)
     and reports every error with its row, column or line. loadtxt has no
-    csv field-size limit, so a cell over 131072 characters loads rather
-    than raising csv.Error.
+    csv field-size limit, so a cell over 131072 characters loads where
+    loadtxt reads the file; on the cell-by-cell path it raises
+    MalformedCsv.
     """
     path = Path(path)
     parsed = _parse_vectorized(path, has_header)
@@ -71,7 +72,7 @@ def _parse_vectorized(path: Path, has_header: bool):
     with path.open(newline="", encoding="utf-8") as fh:
         header = None
         if has_header:
-            header = next(([cell.strip() for cell in row] for row in csv.reader(fh) if row), None)
+            header = next(([cell.strip() for cell in row] for _, row in _csv_rows(fh)), None)
         try:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
@@ -90,15 +91,12 @@ def _load_csv_cells(path, has_header: bool = False, label_column: int | str | No
     rows: list[list[str]] = []
     line_nums: list[int] = []
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row:
-                continue
+        for line_num, row in _csv_rows(fh):
             if has_header and header is None:
                 header = [cell.strip() for cell in row]
                 continue
             rows.append(row)
-            line_nums.append(reader.line_num)
+            line_nums.append(line_num)
     if not rows:
         raise EmptyMatrix(f"no data rows in {path}")
     width = len(rows[0])
@@ -123,6 +121,18 @@ def _load_csv_cells(path, has_header: bool = False, label_column: int | str | No
     if label_idx is not None:
         labels = _canonical_labels([row[label_idx].strip() for row in rows])
     return validate_dataset(matrix, names), labels
+
+
+def _csv_rows(fh):
+    """(line number, fields) of each non-blank csv row of fh; a line the csv
+    module rejects raises MalformedCsv naming it."""
+    reader = csv.reader(fh)
+    try:
+        for row in reader:
+            if row:
+                yield reader.line_num, row
+    except csv.Error as exc:
+        raise MalformedCsv(f"line {reader.line_num}: {exc}") from None
 
 
 def _split_columns(label_column, header, width: int) -> tuple[int | None, list[int]]:

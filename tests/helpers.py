@@ -35,6 +35,13 @@ def acc_bruteforce_matched(s_labels, r_labels, c_s, c_r):
     table = np.zeros((size, size), dtype=int)
     for a, b in zip(s_labels, r_labels):
         table[a, b] += 1
+    return assignment_bruteforce_total(table)
+
+
+def assignment_bruteforce_total(table):
+    """Largest sum of one entry per row and column of a square table,
+    found by trying every permutation."""
+    size = len(table)
     best = 0
     for perm in itertools.permutations(range(size)):
         best = max(best, sum(table[perm[j], j] for j in range(size)))

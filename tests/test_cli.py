@@ -1,8 +1,13 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import csufs
 from csufs import Method, read_report, run_benchmark
 from csufs.cli import main, parse_grid, parse_seed_list
 from helpers import make_two_class_data
@@ -253,3 +258,35 @@ def test_select_reports_are_deterministic(labeled_csv, tmp_path):
     b = read_report(b_path)
     assert a.payload == b.payload
     assert a.invocation != b.invocation  # output paths differ
+
+
+@pytest.mark.parametrize("seeds", ["-1", "-2..3"])
+def test_negative_seed_is_flag_misuse(labeled_csv, capsys, seeds):
+    code = main(
+        ["evaluate", "--input", str(labeled_csv), "--label-col", "class", "--d", "2", f"--seeds={seeds}"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert "non-negative" in err
+    assert "Traceback" not in err
+
+
+def test_field_over_csv_limit_on_cell_reader_exits_one(tmp_path, capsys):
+    # the quoted first cell sends the file to the cell-by-cell reader,
+    # whose csv module refuses the 140001-character second cell
+    path = tmp_path / "big.csv"
+    path.write_text('"1",' + "1" * 140001 + "\n2,3\n", encoding="utf-8")
+    assert main(["select", "--input", str(path), "--d", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: MalformedCsv: line 1: field larger than field limit")
+    assert "Traceback" not in err
+
+
+def test_cli_import_loads_no_scipy():
+    # a fresh interpreter, so no other test's imports count
+    src = str(Path(csufs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = "import sys, csufs.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"

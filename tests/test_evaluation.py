@@ -84,6 +84,11 @@ def test_seed_list_must_be_nonempty():
         EvalConfig(n_clusters=2, seeds=())
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError, match="seeds must be non-negative"):
+        EvalConfig(n_clusters=2, seeds=(0, -1))
+
+
 def test_negative_conv_tol_rejected():
     with pytest.raises(ValueError, match="conv_tol"):
         EvalConfig(n_clusters=2, conv_tol=-1e-4)

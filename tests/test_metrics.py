@@ -11,7 +11,8 @@ from csufs import (
     entropy,
     normalized_mutual_information,
 )
-from helpers import acc_bruteforce_matched, random_labels
+from csufs.metrics import _max_assignment_total
+from helpers import acc_bruteforce_matched, assignment_bruteforce_total, random_labels
 
 
 def lv(values):
@@ -62,6 +63,46 @@ def test_acc_invariant_under_relabeling():
     base = clustering_accuracy(lv(s_raw), lv(r_raw))
     perm = rng.permutation(3)
     assert clustering_accuracy(lv(s_raw), lv(perm[r_raw])) == base
+
+
+def test_acc_matches_bruteforce_on_edge_tables():
+    # k=1, clusters fewer or more than classes (all-zero padded rows or
+    # columns), a label absent from the other vector (all-zero counts),
+    # and tables where several mappings reach the optimum
+    rng = np.random.default_rng(20)
+    cases = [([0, 0, 0], [0, 0, 0]), ([0, 1, 2, 0], [0, 0, 0, 0]), ([0, 0, 0, 0], [0, 1, 2, 3]),
+             ([0, 1, 0, 1], [0, 0, 1, 1]), ([0, 1, 2, 0, 1, 2], [0, 1, 2, 1, 2, 0])]
+    for _ in range(60):
+        n = int(rng.integers(1, 25))
+        c_s = int(rng.integers(1, min(n, 7) + 1))
+        c_r = int(rng.integers(1, min(n, 7) + 1))
+        cases.append((random_labels(rng, n, c_s), random_labels(rng, n, c_r)))
+    for s_raw, r_raw in cases:
+        s_raw, r_raw = np.asarray(s_raw), np.asarray(r_raw)
+        c_s, c_r = int(s_raw.max()) + 1, int(r_raw.max()) + 1
+        expected = acc_bruteforce_matched(s_raw, r_raw, c_s, c_r) / len(s_raw)
+        assert clustering_accuracy(lv(s_raw), lv(r_raw)) == expected
+
+
+def test_assignment_total_matches_bruteforce_with_zero_lines_and_ties():
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        size = int(rng.integers(1, 8))
+        table = rng.integers(0, 4, (size, size))  # small range: many tied optima
+        if size > 1 and rng.random() < 0.5:
+            table[rng.integers(size)] = 0
+            table[:, rng.integers(size)] = 0
+        assert _max_assignment_total(table) == assignment_bruteforce_total(table)
+
+
+def test_assignment_total_matches_scipy_on_larger_tables():
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(22)
+    for size in [8, 9, 12, 16, 23, 32, 47, 64]:
+        for high in (3, 1000):
+            table = rng.integers(0, high, (size, size))
+            rows, cols = scipy_optimize.linear_sum_assignment(table, maximize=True)
+            assert _max_assignment_total(table) == int(table[rows, cols].sum())
 
 
 def test_entropy_examples():
