@@ -54,7 +54,7 @@ from .metrics import (
     entropy,
     normalized_mutual_information,
 )
-from .preprocess import DEFAULT_ZERO_TOL, normalize_samples
+from .preprocess import DEFAULT_ZERO_TOL, NormalizedDataset, normalize_samples
 from .scoring import (
     DEFAULT_K,
     DEFAULT_VARIANCE_TOL,
@@ -96,6 +96,7 @@ __all__ = [
     "MalformedCsv",
     "Method",
     "NonFiniteEntry",
+    "NormalizedDataset",
     "ParseError",
     "RaggedRows",
     "ReportDocument",

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from .data import Dataset, FeatureScores, Method, SelectionResult
-from .preprocess import normalize_samples
-from .scoring import feature_variances
+from .preprocess import ensure_normalized
+from .scoring import _prefix_selection, feature_variances
 
 
 def _variance_scores(X: Dataset) -> FeatureScores:
@@ -28,23 +26,14 @@ def select_all(X: Dataset) -> SelectionResult:
     )
 
 
-def select_max_variance(X_raw: Dataset, d: int) -> SelectionResult:
+def select_max_variance(X: Dataset, d: int) -> SelectionResult:
     """The d largest-variance features of the sample-normalized matrix.
 
     Runs on the same normalized matrix the compactness selector scores, so
-    the two methods compare like for like. Ties fall to the lower index;
-    d > m clamps with a warning.
+    the two methods compare like for like: a NormalizedDataset is used as
+    it is, any other Dataset is normalized first. Ties fall to the lower
+    index; d > m clamps with a warning.
     """
-    if d < 1:
-        raise ValueError(f"d must be a positive integer, got {d}")
-    scores = _variance_scores(normalize_samples(X_raw))
-    m = scores.n_features
-    if d > m:
-        warnings.warn(f"requested d={d} features but only {m} exist; selecting all {m}", stacklevel=2)
-    order = np.lexsort((np.arange(m), -scores.v))
-    return SelectionResult(
-        selected=order[: min(d, m)],
-        scores=scores,
-        method=Method.MAX_VARIANCE,
-        d_requested=d,
-    )
+    scores = _variance_scores(ensure_normalized(X))
+    order = np.lexsort((np.arange(scores.n_features), -scores.v))
+    return _prefix_selection(order, scores, d, Method.MAX_VARIANCE)

@@ -56,6 +56,13 @@ def positive_int(spec: str) -> int:
     return value
 
 
+def nonnegative_int(spec: str) -> int:
+    value = int(spec)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def nonnegative_float(spec: str) -> float:
     value = float(spec)
     if not value >= 0:
@@ -87,6 +94,8 @@ def parse_int_list(spec: str) -> tuple[int, ...]:
     values = tuple(int(p) for p in spec.split(",") if p.strip())
     if not values:
         raise argparse.ArgumentTypeError(f"empty list {spec!r}")
+    if min(values) < 1:
+        raise argparse.ArgumentTypeError(f"values must be positive integers, got {spec!r}")
     return values
 
 
@@ -152,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--m", type=positive_int, default=50, help="feature count of the benchmark matrices")
     p_bench.add_argument("--k", type=positive_int, default=DEFAULT_K, help="neighbor count")
     p_bench.add_argument("--reps", type=positive_int, default=3, help="repetitions per cell; the median is reported")
-    p_bench.add_argument("--seed", type=int, default=0, help="seed for the uniform benchmark matrices")
+    p_bench.add_argument("--seed", type=nonnegative_int, default=0, help="seed for the uniform benchmark matrices")
     p_bench.add_argument("--output", type=Path, default=None, help="write a bench report here")
     p_bench.set_defaults(func=cmd_bench)
     return parser
@@ -179,21 +188,21 @@ def _load(args: argparse.Namespace, require_labels: bool = False):
 
 
 def _run_selection(X, args: argparse.Namespace):
-    if args.method == "all":
-        return select_all(X)
-    if args.d is None:
+    """X normalized, and the selection made on it; select_all reports the variances of the raw X."""
+    if args.method != "all" and args.d is None:
         raise UsageError(f"--d is required for method {args.method!r}")
+    Xn = normalize_samples(X)
+    if args.method == "all":
+        return Xn, select_all(X)
     if args.method == "maxvar":
-        return select_max_variance(X, args.d)
-    cfg = ScoringConfig(k=args.k, mode=args.mode)
-    return csufs(X, args.d, cfg)
+        return Xn, select_max_variance(Xn, args.d)
+    return Xn, csufs(Xn, args.d, ScoringConfig(k=args.k, mode=args.mode))
 
 
 def cmd_select(args: argparse.Namespace) -> int:
     X, _ = _load(args)
-    result = _run_selection(X, args)
+    Xn, result = _run_selection(X, args)
     if args.write_matrix is not None:
-        Xn = normalize_samples(X)
         header = [Xn.feature_names[i] for i in result.selected] if Xn.feature_names else None
         write_matrix_csv(args.write_matrix, Xn.values[:, result.selected], header=header)
     if args.output is not None:
@@ -205,14 +214,14 @@ def cmd_select(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     X, labels = _load(args, require_labels=True)
-    result = _run_selection(X, args)
+    Xn, result = _run_selection(X, args)
     cfg = EvalConfig(
         n_clusters=args.clusters if args.clusters is not None else labels.n_classes,
         seeds=args.seeds,
         max_iter=args.max_iter,
         conv_tol=args.conv_tol,
     )
-    report = evaluate_selection(X, result.selected, labels, cfg, method=result.method)
+    report = evaluate_selection(Xn, result.selected, labels, cfg, method=result.method)
     if args.output is not None:
         write_report(ReportDocument(payload=report, invocation=_invocation(args)), args.output)
     print(

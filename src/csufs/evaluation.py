@@ -6,12 +6,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import select_all, select_max_variance
+from .baselines import select_max_variance
 from .data import Dataset, LabelVector, Method
 from .errors import LengthMismatch
 from .kmeans import DEFAULT_CONV_TOL, DEFAULT_MAX_ITER, kmeans
 from .metrics import clustering_accuracy, normalized_mutual_information
-from .preprocess import normalize_samples
+from .preprocess import ensure_normalized
 from .scoring import ScoringConfig, score_all_features
 
 DEFAULT_SEEDS = tuple(range(10))
@@ -58,28 +58,25 @@ class EvalReport:
 
 
 def evaluate_selection(
-    X_raw: Dataset,
+    X: Dataset,
     selected,
     truth: LabelVector,
     cfg: EvalConfig,
     method: Method = Method.ALL_FEATURES,
-    *,
-    normalized: Dataset | None = None,
 ) -> EvalReport:
     """Cluster the selected columns once per seed and score against truth.
 
-    The matrix is sample-normalized before columns are taken, matching the
-    preprocessing the selectors apply. A caller that already holds
-    normalize_samples(X_raw) passes it as `normalized`, as sweep does, so a
-    grid normalizes once. `method` only labels the report.
+    Columns are taken from the sample-normalized matrix, matching the
+    preprocessing the selectors apply: a NormalizedDataset is used as it
+    is, any other Dataset is normalized first. `method` only labels the
+    report.
     """
     indices = np.asarray(selected, dtype=np.int64)
     if indices.ndim != 1 or indices.size == 0:
         raise ValueError("selected must be a non-empty 1-D index list")
-    if len(truth) != X_raw.n_samples:
-        raise LengthMismatch(f"{len(truth)} labels for {X_raw.n_samples} samples")
-    Xn = normalize_samples(X_raw) if normalized is None else normalized
-    sub = np.ascontiguousarray(Xn.values[:, indices])
+    if len(truth) != X.n_samples:
+        raise LengthMismatch(f"{len(truth)} labels for {X.n_samples} samples")
+    sub = np.ascontiguousarray(ensure_normalized(X).values[:, indices])
     per_seed: list[tuple[int, float, float]] = []
     for seed in cfg.seeds:
         found = kmeans(sub, cfg.n_clusters, seed, max_iter=cfg.max_iter, conv_tol=cfg.conv_tol)
@@ -119,7 +116,7 @@ class SweepReport:
 
 
 def sweep(
-    X_raw: Dataset,
+    X: Dataset,
     truth: LabelVector,
     method: Method,
     d_values,
@@ -128,37 +125,29 @@ def sweep(
 ) -> SweepReport:
     """One evaluation per (d, k) grid cell.
 
-    Feature scoring runs once per k and every d reuses that ranking, since
-    selections are prefixes of the full score order. Selectors that ignore
-    k are ranked once and their per-d reports are shared across k. The
-    matrix is normalized once and every cell clusters columns of that copy.
+    The matrix is normalized once, unless it is a NormalizedDataset. Features
+    are ranked once per k for csufs and once per grid otherwise; each d
+    takes a prefix of the ranking (ALL_FEATURES takes all of it). Cells that
+    select the same columns in the same order share one report.
     """
     method = Method(method)
     d_values = [int(d) for d in d_values]
     k_values = [int(k) for k in k_values]
     if not d_values or not k_values:
         raise ValueError("d_values and k_values must be non-empty")
-    m = X_raw.n_features
-    Xn = normalize_samples(X_raw)
+    Xn = ensure_normalized(X)
+    m = Xn.n_features
+    mode = {Method.CSUFS_OPTIMIZED: "optimized", Method.CSUFS_NAIVE: "naive"}.get(method)
+    ranking = select_max_variance(Xn, m).selected if method is Method.MAX_VARIANCE else np.arange(m)
+    reports: dict[tuple[int, ...], EvalReport] = {}
     cells: list[SweepCell] = []
-    if method in (Method.CSUFS_OPTIMIZED, Method.CSUFS_NAIVE):
-        mode = "naive" if method is Method.CSUFS_NAIVE else "optimized"
-        for k in k_values:
-            scores = score_all_features(Xn, ScoringConfig(k=k, mode=mode))
-            ranking = scores.ranking()
-            for d in d_values:
-                report = evaluate_selection(X_raw, ranking[: min(d, m)], truth, cfg, method=method, normalized=Xn)
-                cells.append(SweepCell(d=d, k=k, report=report))
-    else:
-        if method is Method.MAX_VARIANCE:
-            ranking = select_max_variance(X_raw, m).selected
-        else:
-            ranking = select_all(X_raw).selected
-        by_d: dict[int, EvalReport] = {}
-        for k in k_values:
-            for d in d_values:
-                d_eff = m if method is Method.ALL_FEATURES else min(d, m)
-                if d_eff not in by_d:
-                    by_d[d_eff] = evaluate_selection(X_raw, ranking[:d_eff], truth, cfg, method=method, normalized=Xn)
-                cells.append(SweepCell(d=d, k=k, report=by_d[d_eff]))
+    for k in k_values:
+        if mode is not None:
+            ranking = score_all_features(Xn, ScoringConfig(k=k, mode=mode)).ranking()
+        for d in d_values:
+            columns = ranking if method is Method.ALL_FEATURES else ranking[:d]
+            key = tuple(columns.tolist())
+            if key not in reports:
+                reports[key] = evaluate_selection(Xn, columns, truth, cfg, method=method)
+            cells.append(SweepCell(d=d, k=k, report=reports[key]))
     return SweepReport(method=method, d_values=d_values, k_values=k_values, cells=cells)

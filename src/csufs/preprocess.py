@@ -11,17 +11,21 @@ from .data import Dataset
 DEFAULT_ZERO_TOL = 1e-12
 
 
-def normalize_samples(X: Dataset, zero_tol: float = DEFAULT_ZERO_TOL) -> Dataset:
+class NormalizedDataset(Dataset):
+    """What normalize_samples returns; selectors, evaluate_selection and sweep use it as it is."""
+
+
+def normalize_samples(X: Dataset) -> NormalizedDataset:
     """Scale every sample (row) to unit Euclidean length.
 
-    Rows whose norm is at or below zero_tol pass through unchanged; a single
+    Rows with norm at most DEFAULT_ZERO_TOL pass through unchanged; a single
     dead row should not reject an otherwise usable matrix, so degenerate
     rows are only reported with a warning. The input Dataset is untouched.
     """
     vals = X.values
     norms = np.sqrt(np.einsum("ij,ij->i", vals, vals))
     out = np.array(vals, order="F")
-    live = norms > zero_tol
+    live = norms > DEFAULT_ZERO_TOL
     out[live] /= norms[live, np.newaxis]
     n_dead = int(out.shape[0] - live.sum())
     if n_dead:
@@ -30,4 +34,9 @@ def normalize_samples(X: Dataset, zero_tol: float = DEFAULT_ZERO_TOL) -> Dataset
             RuntimeWarning,
             stacklevel=2,
         )
-    return Dataset(out, X.feature_names)
+    return NormalizedDataset(out, X.feature_names)
+
+
+def ensure_normalized(X: Dataset) -> NormalizedDataset:
+    """X itself when it is already a NormalizedDataset, else normalize_samples(X)."""
+    return X if isinstance(X, NormalizedDataset) else normalize_samples(X)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import Dataset, FeatureScores, Method, SelectionResult
 from .errors import KTooLarge, TooFewSamples
-from .preprocess import normalize_samples
+from .preprocess import ensure_normalized
 
 DEFAULT_K = 5
 DEFAULT_VARIANCE_TOL = 1e-12
@@ -45,15 +45,12 @@ class ScoringConfig:
 
     k: int = DEFAULT_K
     mode: str = "optimized"
-    variance_tol: float = DEFAULT_VARIANCE_TOL
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be a positive integer, got {self.k}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.variance_tol <= 0:
-            raise ValueError("variance_tol must be positive")
 
 
 def _require_kernel_args(n: int, k: int) -> None:
@@ -175,13 +172,13 @@ def feature_variance(f) -> tuple[float, float]:
     return v, mu
 
 
-def compactness_score(d_r: float, v_r: float, variance_tol: float = DEFAULT_VARIANCE_TOL) -> float:
+def compactness_score(d_r: float, v_r: float) -> float:
     """Ratio of distance sum to variance; near-constant features score +inf.
 
     The +inf sentinel ranks constant features after every finite score, so
     they are picked last.
     """
-    if v_r > variance_tol:
+    if v_r > DEFAULT_VARIANCE_TOL:
         return d_r / v_r
     return float("inf")
 
@@ -198,7 +195,7 @@ def score_all_features(X: Dataset, cfg: ScoringConfig | None = None) -> FeatureS
     cfg = cfg or ScoringConfig()
     d = knn_distance_sums(X.values, cfg.k, cfg.mode)
     v, mu = feature_variances(X)
-    cs = np.divide(d, v, out=np.full_like(d, np.inf), where=v > cfg.variance_tol)
+    cs = np.divide(d, v, out=np.full_like(d, np.inf), where=v > DEFAULT_VARIANCE_TOL)
     return FeatureScores(d=d, v=v, cs=cs, mu=mu, k_used=cfg.k)
 
 
@@ -223,24 +220,29 @@ def knn_distance_sums(values: np.ndarray, k: int, mode: str = "optimized") -> np
     return out
 
 
+def _prefix_selection(order: np.ndarray, scores: FeatureScores, d: int, method: Method) -> SelectionResult:
+    """The first d entries of a full ranking. d > m clamps to all m with a
+    warning aimed at the line that called the public selector."""
+    if d < 1:
+        raise ValueError(f"d must be a positive integer, got {d}")
+    m = order.size
+    if d > m:
+        warnings.warn(f"requested d={d} features but only {m} exist; selecting all {m}", stacklevel=3)
+    return SelectionResult(selected=order[:d], scores=scores, method=method, d_requested=d)
+
+
 def select_features(scores: FeatureScores, d: int, method: Method = Method.CSUFS_OPTIMIZED) -> SelectionResult:
     """Pick the d lowest-scoring feature indices, in ascending score order.
 
     Ties fall to the lower feature index. Asking for more features than
     exist clamps to all of them with a warning.
     """
-    if d < 1:
-        raise ValueError(f"d must be a positive integer, got {d}")
-    m = scores.n_features
-    if d > m:
-        warnings.warn(f"requested d={d} features but only {m} exist; selecting all {m}", stacklevel=2)
-    order = scores.ranking()
-    return SelectionResult(selected=order[: min(d, m)], scores=scores, method=method, d_requested=d)
+    return _prefix_selection(scores.ranking(), scores, d, method)
 
 
-def csufs(X_raw: Dataset, d: int, cfg: ScoringConfig | None = None) -> SelectionResult:
-    """Full selection pipeline: normalize samples, score, rank, cut at d."""
+def csufs(X: Dataset, d: int, cfg: ScoringConfig | None = None) -> SelectionResult:
+    """Full selection pipeline: normalize samples (unless X is a NormalizedDataset), score, rank, cut at d."""
     cfg = cfg or ScoringConfig()
-    scores = score_all_features(normalize_samples(X_raw), cfg)
+    scores = score_all_features(ensure_normalized(X), cfg)
     method = Method.CSUFS_NAIVE if cfg.mode == "naive" else Method.CSUFS_OPTIMIZED
     return select_features(scores, d, method=method)

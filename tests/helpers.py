@@ -1,8 +1,29 @@
-"""Shared test oracles, written independently of the library kernels."""
+"""Shared test oracles, written independently of the library kernels, and a call counter."""
 
 import itertools
+import sys
 
 import numpy as np
+
+import csufs.preprocess
+
+
+def count_normalizations(monkeypatch):
+    """Wrap normalize_samples at every csufs module that binds it, so a call
+    from any of them counts; returns the list each call's input lands in."""
+    original = csufs.preprocess.normalize_samples
+    calls = []
+
+    def counting(X):
+        calls.append(X)
+        return original(X)
+
+    for name, module in list(sys.modules.items()):
+        if name == "csufs" or name.startswith("csufs."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counting)
+    return calls
 
 
 def knn_sum_oracle(f, k):

@@ -10,7 +10,7 @@ import pytest
 import csufs
 from csufs import Method, read_report, run_benchmark
 from csufs.cli import main, parse_grid, parse_seed_list
-from helpers import make_two_class_data
+from helpers import count_normalizations, make_two_class_data
 
 
 @pytest.fixture()
@@ -65,6 +65,17 @@ def test_select_writes_report_and_matrix(labeled_csv, tmp_path, capsys):
     matrix_lines = matrix_path.read_text().strip().splitlines()
     assert len(matrix_lines) == 81  # header plus 80 samples
     assert len(matrix_lines[1].split(",")) == 3
+
+
+@pytest.mark.parametrize("method", ["csufs", "maxvar", "all"])
+@pytest.mark.parametrize("command", ["select", "evaluate"])
+def test_select_and_evaluate_normalize_once(labeled_csv, tmp_path, monkeypatch, command, method):
+    calls = count_normalizations(monkeypatch)
+    argv = [command, "--input", str(labeled_csv), "--label-col", "class", "--method", method, "--d", "3"]
+    if command == "select":
+        argv += ["--write-matrix", str(tmp_path / "red.csv")]
+    assert main(argv) == 0
+    assert len(calls) == 1
 
 
 def test_select_all_method(labeled_csv, capsys):
@@ -206,6 +217,7 @@ def test_bench_reports_agreement(tmp_path, capsys):
         ["bench", "--n-list", "50", "--k", "0"],
         ["bench", "--n-list", "50", "--m", "0"],
         ["bench", "--n-list", "50", "--m", "-1"],
+        ["bench", "--n-list", "-5"],
     ],
 )
 def test_nonpositive_counts_are_flag_misuse(labeled_csv, tmp_path, capsys, argv):
@@ -260,11 +272,19 @@ def test_select_reports_are_deterministic(labeled_csv, tmp_path):
     assert a.invocation != b.invocation  # output paths differ
 
 
-@pytest.mark.parametrize("seeds", ["-1", "-2..3"])
-def test_negative_seed_is_flag_misuse(labeled_csv, capsys, seeds):
-    code = main(
-        ["evaluate", "--input", str(labeled_csv), "--label-col", "class", "--d", "2", f"--seeds={seeds}"]
-    )
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evaluate", "--d", "2", "--seeds=-1"],
+        ["evaluate", "--d", "2", "--seeds=-2..3"],
+        ["bench", "--n-list", "50", "--seed", "-1"],
+    ],
+    ids=["-1", "-2..3", "bench-seed"],
+)
+def test_negative_seed_is_flag_misuse(labeled_csv, capsys, argv):
+    if argv[0] != "bench":
+        argv = argv + ["--input", str(labeled_csv), "--label-col", "class"]
+    code = main(argv)
     assert code == 2
     err = capsys.readouterr().err
     assert "usage:" in err

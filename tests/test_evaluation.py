@@ -1,8 +1,9 @@
+import importlib
+
 import numpy as np
 import pytest
 
 import csufs
-import csufs.evaluation
 from csufs import (
     EvalConfig,
     LabelVector,
@@ -12,10 +13,11 @@ from csufs import (
     evaluate_selection,
     kmeans,
     normalize_samples,
+    select_max_variance,
     sweep,
     validate_dataset,
 )
-from helpers import make_two_class_data
+from helpers import count_normalizations, make_two_class_data
 
 
 @pytest.fixture(scope="module")
@@ -160,22 +162,55 @@ def test_sweep_reruns_identical(clustered_dataset):
     assert a == b
 
 
-@pytest.mark.parametrize("method", [Method.CSUFS_OPTIMIZED, Method.ALL_FEATURES])
+@pytest.mark.parametrize("method", [Method.CSUFS_OPTIMIZED, Method.ALL_FEATURES, Method.MAX_VARIANCE])
 def test_sweep_normalizes_once_and_matches_per_cell_evaluation(clustered_dataset, monkeypatch, method):
     X, truth = clustered_dataset
     cfg = EvalConfig(n_clusters=2, seeds=(0, 1))
-    calls = []
-
-    def counting(X_raw):
-        calls.append(X_raw)
-        return normalize_samples(X_raw)
-
-    monkeypatch.setattr(csufs.evaluation, "normalize_samples", counting)
+    calls = count_normalizations(monkeypatch)
     swept = sweep(X, truth, method, [2, 4], [2, 3], cfg)
     assert len(calls) == 1
     for cell in swept.cells:
         if method is Method.ALL_FEATURES:
             selected = np.arange(X.n_features)
+        elif method is Method.MAX_VARIANCE:
+            selected = select_max_variance(X, cell.d).selected
         else:
             selected = csufs.csufs(X, cell.d, ScoringConfig(k=cell.k)).selected
         assert cell.report == evaluate_selection(X, selected, truth, cfg, method=method)
+
+
+def test_sweep_clusters_each_distinct_selection_once(clustered_dataset, monkeypatch):
+    X, truth = clustered_dataset
+    cfg = EvalConfig(n_clusters=2, seeds=(0, 1))
+    d_values, k_values = [2, 4], [2, 3, 4]
+    selections = {(d, k): csufs.csufs(X, d, ScoringConfig(k=k)).selected for d in d_values for k in k_values}
+    distinct = {tuple(s.tolist()) for s in selections.values()}
+    assert len(distinct) < len(selections)  # some k values rank alike
+    kmeans_module = importlib.import_module("csufs.kmeans")
+    original, fits = kmeans_module.kmeans_fit, []
+
+    def counting(*args, **kwargs):
+        fits.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(kmeans_module, "kmeans_fit", counting)
+    swept = sweep(X, truth, Method.CSUFS_OPTIMIZED, d_values, k_values, cfg)
+    assert len(fits) == len(distinct) * len(cfg.seeds)
+    for cell in swept.cells:
+        expected = evaluate_selection(X, selections[cell.d, cell.k], truth, cfg, method=Method.CSUFS_OPTIMIZED)
+        assert cell.report == expected
+
+
+def test_normalized_input_is_used_as_it_is(clustered_dataset, monkeypatch):
+    X, truth = clustered_dataset
+    cfg = EvalConfig(n_clusters=2, seeds=(0, 1))
+    expected = (
+        evaluate_selection(X, np.arange(4), truth, cfg),
+        csufs.csufs(X, 3),
+        select_max_variance(X, 3),
+    )
+    Xn = normalize_samples(X)
+    calls = count_normalizations(monkeypatch)
+    got = (evaluate_selection(Xn, np.arange(4), truth, cfg), csufs.csufs(Xn, 3), select_max_variance(Xn, 3))
+    assert got == expected
+    assert calls == []

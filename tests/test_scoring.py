@@ -155,6 +155,14 @@ def test_select_clamps_with_warning():
     assert result.d_requested == 5
 
 
+def test_clamp_warning_points_at_the_selector_call():
+    X = validate_dataset([[1.0, 2.0], [3.0, 1.0]])
+    with pytest.warns(UserWarning) as record:
+        select_features(make_scores(cs=[0.5, 0.1]), 5)
+        select_max_variance(X, 9)
+    assert [w.filename for w in record] == [__file__, __file__]
+
+
 def test_select_rejects_nonpositive_d():
     with pytest.raises(ValueError):
         select_features(make_scores(cs=[0.5]), 0)
@@ -224,5 +232,3 @@ def test_scoring_config_validation():
         ScoringConfig(k=0)
     with pytest.raises(ValueError):
         ScoringConfig(mode="fastest")
-    with pytest.raises(ValueError):
-        ScoringConfig(variance_tol=0.0)
