@@ -187,34 +187,34 @@ def _load(args: argparse.Namespace, require_labels: bool = False):
     return load_csv(args.input, has_header=has_header, label_column=args.label_col)
 
 
-def _run_selection(X, args: argparse.Namespace):
-    """X normalized, and the selection made on it; select_all reports the variances of the raw X."""
+def _run_selection(args: argparse.Namespace, require_labels: bool = False):
+    """Normalized input, labels and selection; select_all reports the raw matrix's variances."""
+    X, labels = _load(args, require_labels)
     if args.method != "all" and args.d is None:
         raise UsageError(f"--d is required for method {args.method!r}")
-    Xn = normalize_samples(X)
-    if args.method == "all":
-        return Xn, select_all(X)
+    result = select_all(X) if args.method == "all" else None
+    X = normalize_samples(X)  # the raw matrix is released here
     if args.method == "maxvar":
-        return Xn, select_max_variance(Xn, args.d)
-    return Xn, csufs(Xn, args.d, ScoringConfig(k=args.k, mode=args.mode))
+        result = select_max_variance(X, args.d)
+    elif args.method == "csufs":
+        result = csufs(X, args.d, ScoringConfig(k=args.k, mode=args.mode))
+    return X, labels, result
 
 
 def cmd_select(args: argparse.Namespace) -> int:
-    X, _ = _load(args)
-    Xn, result = _run_selection(X, args)
+    Xn, _, result = _run_selection(args)
     if args.write_matrix is not None:
         header = [Xn.feature_names[i] for i in result.selected] if Xn.feature_names else None
         write_matrix_csv(args.write_matrix, Xn.values[:, result.selected], header=header)
     if args.output is not None:
         write_report(ReportDocument(payload=result, invocation=_invocation(args)), args.output)
-    print(f"method={result.method.value} selected {len(result)} of {X.n_features} features")
+    print(f"method={result.method.value} selected {len(result)} of {Xn.n_features} features")
     print("indices: " + " ".join(str(i) for i in result.selected))
     return 0
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    X, labels = _load(args, require_labels=True)
-    Xn, result = _run_selection(X, args)
+    Xn, labels, result = _run_selection(args, require_labels=True)
     cfg = EvalConfig(
         n_clusters=args.clusters if args.clusters is not None else labels.n_classes,
         seeds=args.seeds,
@@ -234,6 +234,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     X, labels = _load(args, require_labels=True)
+    X = normalize_samples(X)  # the raw matrix is released here
     if args.method == "csufs":
         method = Method.CSUFS_NAIVE if args.mode == "naive" else Method.CSUFS_OPTIMIZED
     elif args.method == "maxvar":
@@ -250,7 +251,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     lines = ["d,k,mean_acc,mean_nmi"]
     for cell in report.cells:
         lines.append(f"{cell.d},{cell.k},{cell.report.mean_acc!r},{cell.report.mean_nmi!r}")
-    _atomic_write_text(flat_path, "\n".join(lines) + "\n")
+    _atomic_write_text(flat_path, ["\n".join(lines) + "\n"])
     print(f"swept {len(report.cells)} cells ({len(report.d_values)} d values x {len(report.k_values)} k values)")
     print(f"report: {args.output}")
     print(f"flat csv: {flat_path}")

@@ -23,17 +23,17 @@ class Method(str, Enum):
 class Dataset:
     """Dense matrix of n samples (rows) by m features (columns).
 
-    Values are copied into a column-contiguous float64 array and frozen, so
-    a Dataset can be shared freely and per-feature column access is a
-    contiguous read-only view. Construction rejects empty matrices and
-    non-finite entries.
+    Takes and freezes the array it is handed when that is float64 and
+    column-contiguous, and converts anything else, so a Dataset can be shared
+    freely and per-feature column access is a contiguous read-only view.
+    Construction rejects empty matrices and non-finite entries.
     """
 
     values: np.ndarray
     feature_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64, order="F")
+        arr = np.asarray(self.values, dtype=np.float64, order="F")
         if arr.ndim != 2:
             raise ValueError(f"expected a 2-D matrix, got ndim={arr.ndim}")
         if arr.shape[0] == 0 or arr.shape[1] == 0:
@@ -66,11 +66,12 @@ class Dataset:
 def validate_dataset(values, feature_names=None) -> Dataset:
     """Check a raw matrix and wrap it as an immutable Dataset.
 
-    The input is copied, never mutated. Raises EmptyMatrix when either
-    dimension is zero and NonFiniteEntry (with row/col of the first bad
-    cell) when a value is NaN or infinite.
+    The one place a matrix from outside is copied: into a float64, column-
+    contiguous array the Dataset owns; the input is never mutated. Raises
+    EmptyMatrix when either dimension is zero and NonFiniteEntry (with
+    row/col of the first bad cell) when a value is NaN or infinite.
     """
-    return Dataset(np.asarray(values), feature_names)
+    return Dataset(np.array(values, dtype=np.float64, order="F"), feature_names)
 
 
 @dataclass(eq=False)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -52,10 +53,9 @@ def load_csv(path, has_header: bool = False, label_column: int | str | None = No
     MalformedCsv.
     """
     path = Path(path)
-    parsed = _parse_vectorized(path, has_header)
-    if parsed is None:
+    header, table = _parse_vectorized(path, has_header)  # no tuple keeps the parsed table alive
+    if table is None:
         return _load_csv_cells(path, has_header, label_column)
-    header, table = parsed
     label_idx, feature_cols = _split_columns(label_column, header, table.shape[1])
     labels = None
     if label_idx is not None:
@@ -66,8 +66,8 @@ def load_csv(path, has_header: bool = False, label_column: int | str | None = No
 
 
 def _parse_vectorized(path: Path, has_header: bool):
-    """(header, float table) of a CSV in one np.loadtxt pass, or None when
-    the cell-by-cell reader must decide: loadtxt rejected a cell or a row,
+    """(header, float table) of a CSV in one np.loadtxt pass; the table is None
+    when the cell-by-cell reader must decide: loadtxt rejected a cell or a row,
     there are no data rows, or the header width differs from the rows'."""
     with path.open(newline="", encoding="utf-8") as fh:
         header = None
@@ -78,9 +78,9 @@ def _parse_vectorized(path: Path, has_header: bool):
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
                 table = np.loadtxt(fh, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
         except ValueError:
-            return None
+            return header, None
     if table.size == 0 or (header is not None and len(header) != table.shape[1]):
-        return None
+        return header, None
     return header, table
 
 
@@ -170,27 +170,23 @@ def _canonical_labels(tokens: list[str]) -> LabelVector:
 
 
 def write_matrix_csv(path, values, header=None) -> None:
-    """Plain CSV dump of a matrix, floats at full round-trip precision.
-
-    Header names are quoted only where CSV needs it (a comma, quote or line
-    break inside a name), so the file reads back with load_csv.
-    """
-    lines = []
+    """Plain CSV dump of a matrix, floats at full round-trip precision, each
+    row formatted as it is written. Header names are quoted only where CSV
+    needs it (a comma, quote or line break inside a name), so the file reads
+    back with load_csv."""
+    head = StringIO()
     if header is not None:
-        buf = StringIO()
-        csv.writer(buf).writerow(header)
-        lines.append(buf.getvalue().removesuffix("\r\n"))
-    for row in np.asarray(values):
-        lines.append(",".join(repr(float(x)) for x in row))
-    _atomic_write_text(Path(path), "\n".join(lines) + "\n")
+        csv.writer(head, lineterminator="\n").writerow(header)
+    rows = (",".join(map(repr, row.tolist())) + "\n" for row in np.asarray(values))
+    _atomic_write_text(Path(path), itertools.chain([head.getvalue()], rows))
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
+def _atomic_write_text(path: Path, chunks: typing.Iterable[str]) -> None:
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent) if str(path.parent) else ".", prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -287,7 +283,7 @@ def parse_report(text: str) -> ReportDocument:
 
 def write_report(doc: ReportDocument, path) -> None:
     """Serialize and atomically persist a report document."""
-    _atomic_write_text(Path(path), serialize_report(doc))
+    _atomic_write_text(Path(path), [serialize_report(doc)])
 
 
 def read_report(path) -> ReportDocument:

@@ -42,7 +42,7 @@ def _plusplus_init(X: np.ndarray, n_clusters: int, rng: np.random.Generator) -> 
         else:
             idx = int(rng.integers(n))  # every point already sits on a center
         centers[c] = X[idx]
-        diff = X - centers[c]
+        np.subtract(X, centers[c], out=diff)
         d2 = np.minimum(d2, np.einsum("ij,ij->i", diff, diff))
     return centers
 

@@ -18,15 +18,19 @@ class NormalizedDataset(Dataset):
 def normalize_samples(X: Dataset) -> NormalizedDataset:
     """Scale every sample (row) to unit Euclidean length.
 
-    Rows with norm at most DEFAULT_ZERO_TOL pass through unchanged; a single
-    dead row should not reject an otherwise usable matrix, so degenerate
-    rows are only reported with a warning. The input Dataset is untouched.
+    One division by a per-row scale writes the array the result owns; the
+    input Dataset is untouched. Rows with norm at most DEFAULT_ZERO_TOL get
+    scale 1.0 and pass through unchanged; a single dead row should not reject
+    an otherwise usable matrix, so degenerate rows are only reported with a
+    warning. Rows whose squared norm overflows are first scaled down.
     """
     vals = X.values
     norms = np.sqrt(np.einsum("ij,ij->i", vals, vals))
-    out = np.array(vals, order="F")
     live = norms > DEFAULT_ZERO_TOL
-    out[live] /= norms[live, np.newaxis]
+    out = np.divide(vals, np.where(live, norms, 1.0)[:, np.newaxis], order="F")
+    huge = np.isinf(norms)
+    rows = vals[huge] / np.abs(vals[huge]).max(axis=1, keepdims=True)
+    out[huge] = rows / np.linalg.norm(rows, axis=1, keepdims=True)
     n_dead = int(out.shape[0] - live.sum())
     if n_dead:
         warnings.warn(

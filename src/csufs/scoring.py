@@ -187,7 +187,8 @@ def feature_variances(X: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """feature_variance of every column at once, bit for bit: each column of
     the column-major matrix is reduced as one contiguous run."""
     mu = X.values.mean(axis=0)
-    return np.square(X.values - mu).mean(axis=0), mu
+    dev = X.values - mu
+    return np.square(dev, out=dev).mean(axis=0), mu
 
 
 def score_all_features(X: Dataset, cfg: ScoringConfig | None = None) -> FeatureScores:

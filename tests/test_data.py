@@ -40,12 +40,29 @@ def test_validate_reports_first_non_finite_cell():
 
 
 def test_validate_never_mutates_input():
-    arr = np.array([[1.0, 2.0], [3.0, 4.0]])
-    before = arr.copy()
-    ds = validate_dataset(arr)
-    arr[0, 0] = 99.0  # the dataset must hold its own copy
-    assert np.array_equal(ds.values[0], before[0])
-    assert arr.flags.writeable
+    # the Fortran-order float64 array is the layout a Dataset takes without
+    # copying, so only validate_dataset's own copy keeps the caller's apart
+    for arr in (np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1.0, 2.0], [3.0, 4.0]], order="F")):
+        before = arr.copy()
+        ds = validate_dataset(arr)
+        arr[0, 0] = 99.0  # the dataset must hold its own copy
+        assert np.array_equal(ds.values[0], before[0])
+        assert arr.flags.writeable
+
+
+def test_dataset_takes_and_freezes_a_float64_fortran_array():
+    arr = np.array([[1.0, 2.0], [3.0, 4.0]], order="F")
+    ds = Dataset(arr)
+    assert ds.values is arr
+    assert not arr.flags.writeable
+
+
+def test_dataset_converts_any_other_layout_or_dtype():
+    for arr in (np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1, 2], [3, 4]], order="F")):
+        ds = Dataset(arr)
+        assert ds.values.dtype == np.float64 and ds.values.flags["F_CONTIGUOUS"]
+        assert not np.shares_memory(ds.values, arr)
+        assert arr.flags.writeable
 
 
 def test_dataset_values_are_frozen():

@@ -359,6 +359,23 @@ def test_write_matrix_csv_quotes_header_names_only_where_needed(tmp_path):
     assert ds.feature_names == tuple(header)
 
 
+def test_write_matrix_csv_hands_over_one_chunk_per_line(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(csufs.io, "_atomic_write_text", lambda path, chunks: seen.append(list(chunks)))
+    write_matrix_csv(tmp_path / "w.csv", np.array([[0.1, -0.0], [1e300, 2.0]]), header=["a", "b"])
+    assert seen == [["a,b\n", "0.1,-0.0\n", "1e+300,2.0\n"]]
+
+
+def test_failed_streaming_write_leaves_no_file(tmp_path):
+    def lines():
+        yield "1.0\n"
+        raise RuntimeError("formatting failed")
+
+    with pytest.raises(RuntimeError):
+        csufs.io._atomic_write_text(tmp_path / "w.csv", lines())
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_report_includes_tool_version_and_timestamp():
     text = serialize_report(ReportDocument(payload=make_eval(), invocation={}))
     assert '"tool_version"' in text

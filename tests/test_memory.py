@@ -1,0 +1,62 @@
+"""Peak traced memory of whole CLI commands, from CSV on disk to report on disk.
+
+A command holds at most two matrix-sized buffers at once: while loading,
+the parsed table and its one label-free copy; after that, the normalized
+matrix and at most one copy taken from it. The written matrix is streamed a
+row at a time. Each command's tracemalloc peak must stay within C times the
+feature matrix's bytes plus a small constant.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from csufs.cli import main
+
+N, M = 2600, 500  # 10.4 MB of float64 features
+MATRIX_BYTES = N * M * 8
+C = 2.25  # every command measures 2.14 here; a copy per stage measured 4.0, and 10.9 for all --write-matrix
+SLACK = 1 << 20
+
+
+@pytest.fixture(scope="module")
+def wide_csv(tmp_path_factory):
+    """Label column in the middle, so loading must copy the features out of the parsed table."""
+    rng = np.random.default_rng(11)
+    X = rng.uniform(-1.0, 1.0, (N, M)).round(4)
+    labels = rng.integers(0, 2, N)
+    mid = M // 2
+    names = [f"f{j}" for j in range(M)]
+    lines = [",".join(names[:mid] + ["class"] + names[mid:])]
+    for row, label in zip(X.tolist(), labels.tolist()):
+        cells = list(map(repr, row))
+        lines.append(",".join(cells[:mid] + [str(label)] + cells[mid:]))
+    path = tmp_path_factory.mktemp("memory") / "wide.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+COMMANDS = {
+    "select_csufs_write_matrix": ["select", "--d", "50", "--write-matrix", "reduced.csv"],
+    "select_maxvar": ["select", "--method", "maxvar", "--d", "50"],
+    "select_all_write_matrix": ["select", "--method", "all", "--write-matrix", "reduced.csv"],
+    "evaluate": ["evaluate", "--d", "20", "--seeds", "0"],
+    "sweep": ["sweep", "--d-grid", "10,20", "--k-grid", "5", "--seeds", "0"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_command_peak_stays_within_two_matrix_buffers(wide_csv, tmp_path, capsys, name):
+    argv = COMMANDS[name][:1] + ["--input", str(wide_csv), "--label-col", "class"] + COMMANDS[name][1:]
+    argv = [str(tmp_path / a) if a == "reduced.csv" else a for a in argv]
+    argv += ["--output", str(tmp_path / "report.json")]
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        assert main(argv) == 0, capsys.readouterr().err
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= C * MATRIX_BYTES + SLACK, f"peak {(peak - start) / MATRIX_BYTES:.2f}x the matrix"

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -31,6 +32,30 @@ def test_zero_row_passes_through_with_warning():
         ds = normalize_samples(validate_dataset([[0.0, 0.0], [3.0, 4.0]]))
     assert np.array_equal(ds.values[0], [0.0, 0.0])
     assert np.allclose(ds.values[1], [0.6, 0.8])
+
+
+def test_row_whose_squared_norm_overflows_comes_out_unit_length():
+    ds = normalize_samples(validate_dataset([[1e200, 1e200], [3.0, 4.0]]))
+    assert np.allclose(ds.values[0], [np.sqrt(0.5), np.sqrt(0.5)], rtol=1e-15, atol=0)
+    # rows with a finite norm keep the bits of a plain division by it
+    assert ds.values[1].tobytes() == (np.array([3.0, 4.0]) / 5.0).tobytes()
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    hnp.arrays(
+        dtype=np.float64,
+        shape=st.tuples(st.integers(1, 10), st.integers(1, 6)),
+        elements=st.floats(-1e308, 1e308, allow_nan=False, allow_infinity=False, width=64),
+    )
+)
+def test_rows_of_any_magnitude_come_out_unit_norm(raw):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        out = normalize_samples(validate_dataset(raw))
+    for i in range(raw.shape[0]):
+        if math.hypot(*raw[i]) > 1e-12:  # hypot never overflows
+            assert abs(math.hypot(*out.values[i]) - 1.0) <= 1e-12
 
 
 def test_input_not_mutated():
