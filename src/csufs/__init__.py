@@ -7,7 +7,6 @@ harness (matched accuracy and NMI against reference labels).
 """
 
 from ._version import __version__
-from .baselines import select_all, select_max_variance
 from .bench import BenchCell, BenchReport, run_benchmark
 from .data import (
     Dataset,
@@ -46,6 +45,7 @@ from .io import (
     serialize_report,
     write_matrix_csv,
     write_report,
+    write_sweep_csv,
 )
 from .kmeans import DEFAULT_CONV_TOL, DEFAULT_MAX_ITER, KMeansResult, kmeans, kmeans_fit
 from .metrics import (
@@ -68,7 +68,9 @@ from .scoring import (
     knn_distance_sums,
     knn_distance_trace,
     score_all_features,
+    select_all,
     select_features,
+    select_max_variance,
 )
 
 __all__ = [
@@ -133,4 +135,5 @@ __all__ = [
     "validate_dataset",
     "write_matrix_csv",
     "write_report",
+    "write_sweep_csv",
 ]

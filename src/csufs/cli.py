@@ -10,57 +10,73 @@ import argparse
 import sys
 from pathlib import Path
 
-from .baselines import select_all, select_max_variance
 from .bench import run_benchmark
 from .data import Method
 from .errors import CsufsError, LabelColumnMissing
 from .evaluation import DEFAULT_SEEDS, EvalConfig, evaluate_selection, sweep
-from .io import ReportDocument, _atomic_write_text, load_csv, write_matrix_csv, write_report
+from .io import ReportDocument, load_csv, write_matrix_csv, write_report, write_sweep_csv
 from .kmeans import DEFAULT_CONV_TOL, DEFAULT_MAX_ITER
 from .preprocess import normalize_samples
-from .scoring import DEFAULT_K, MODES, ScoringConfig, csufs
+from .scoring import DEFAULT_K, MODES, ScoringConfig, csufs, select_all, select_max_variance
 
 METHOD_CHOICES = ("csufs", "maxvar", "all")
+LIST_FORMS = "comma-separated n, lo..hi or start:stop:step"  # parse_seed_list and parse_grid
 
 
 class UsageError(Exception):
     """Bad flag combinations detected after argparse."""
 
 
-def parse_seed_list(spec: str) -> tuple[int, ...]:
-    """Accepts "0..9", "3", or comma lists mixing both forms; seeds are non-negative."""
-    out: list[int] = []
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if ".." in part:
-            lo_text, _, hi_text = part.partition("..")
-            lo, hi = int(lo_text), int(hi_text)
-            if hi < lo:
-                raise argparse.ArgumentTypeError(f"descending seed range {part!r}")
-            out.extend(range(lo, hi + 1))
-        else:
-            out.append(int(part))
-    if not out:
-        raise argparse.ArgumentTypeError(f"empty seed list {spec!r}")
-    if min(out) < 0:
-        raise argparse.ArgumentTypeError(f"seeds must be non-negative, got {min(out)}")
-    return tuple(out)
+def _int_type(minimum: int, name: str):
+    """argparse type: one integer of at least minimum (0 or 1)."""
+    word = "positive" if minimum else "non-negative"
+
+    def parse(spec: str) -> int:
+        value = int(spec)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be a {word} integer, got {value}")
+        return value
+
+    parse.__name__ = name  # argparse names the type in its "invalid value" message
+    return parse
 
 
-def positive_int(spec: str) -> int:
-    value = int(spec)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _int_list_type(minimum: int, name: str):
+    """argparse type: comma-separated items, each n, lo..hi (hi included) or
+    start:stop:step (stop included when the step lands on it); every value
+    at least minimum (0 or 1)."""
+    word = "positive" if minimum else "non-negative"
+
+    def parse(spec: str) -> tuple[int, ...]:
+        values: list[int] = []
+        for item in filter(None, (part.strip() for part in spec.split(","))):
+            if ".." in item:
+                lo, _, hi = item.partition("..")
+                span = range(int(lo), int(hi) + 1)
+            elif ":" in item:
+                bounds = [int(p) for p in item.split(":")]
+                if len(bounds) != 3 or bounds[2] < 1:
+                    raise argparse.ArgumentTypeError(f"{item!r} is not start:stop:step with a positive step")
+                span = range(bounds[0], bounds[1] + 1, bounds[2])
+            else:
+                span = [int(item)]
+            if not span:
+                raise argparse.ArgumentTypeError(f"empty range {item!r}")
+            values.extend(span)
+        if not values:
+            raise argparse.ArgumentTypeError(f"empty list {spec!r}")
+        if min(values) < minimum:
+            raise argparse.ArgumentTypeError(f"values must be {word} integers, got {min(values)}")
+        return tuple(values)
+
+    parse.__name__ = name
+    return parse
 
 
-def nonnegative_int(spec: str) -> int:
-    value = int(spec)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
-    return value
+positive_int = _int_type(1, "positive_int")
+nonnegative_int = _int_type(0, "nonnegative_int")
+parse_seed_list = _int_list_type(0, "parse_seed_list")
+parse_grid = _int_list_type(1, "parse_grid")
 
 
 def nonnegative_float(spec: str) -> float:
@@ -68,35 +84,6 @@ def nonnegative_float(spec: str) -> float:
     if not value >= 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative number, got {spec}")
     return value
-
-
-def parse_grid(spec: str) -> tuple[int, ...]:
-    """Accepts "start:stop:step" (stop included when aligned) or comma lists of positive ints."""
-    spec = spec.strip()
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise argparse.ArgumentTypeError(f"grid spec must be start:stop:step, got {spec!r}")
-        start, stop, step = (int(p) for p in parts)
-        if step <= 0:
-            raise argparse.ArgumentTypeError(f"grid step must be positive, got {step}")
-        values = tuple(range(start, stop + 1, step))
-    else:
-        values = tuple(int(p) for p in spec.split(",") if p.strip())
-    if not values:
-        raise argparse.ArgumentTypeError(f"empty grid {spec!r}")
-    if min(values) < 1:
-        raise argparse.ArgumentTypeError(f"grid values must be positive integers, got {spec!r}")
-    return values
-
-
-def parse_int_list(spec: str) -> tuple[int, ...]:
-    values = tuple(int(p) for p in spec.split(",") if p.strip())
-    if not values:
-        raise argparse.ArgumentTypeError(f"empty list {spec!r}")
-    if min(values) < 1:
-        raise argparse.ArgumentTypeError(f"values must be positive integers, got {spec!r}")
-    return values
 
 
 def parse_label_col(spec: str):
@@ -107,6 +94,7 @@ def parse_label_col(spec: str):
 
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
+    """Flags of every command that reads a CSV and runs a selector."""
     p.add_argument("--input", required=True, type=Path, help="CSV matrix, rows are samples")
     p.add_argument("--has-header", action="store_true", help="first line holds column names")
     p.add_argument(
@@ -115,13 +103,18 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
         default=None,
         help="label column, by 0-based index or header name (a name implies --has-header)",
     )
+    p.add_argument("--method", choices=METHOD_CHOICES, default="csufs", help="selector to run")
+    p.add_argument("--mode", choices=MODES, default="optimized", help="csufs distance kernel")
 
 
 def _add_selection_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--method", choices=METHOD_CHOICES, default="csufs", help="selector to run")
     p.add_argument("--d", type=positive_int, default=None, help="number of features to keep (csufs and maxvar)")
     p.add_argument("--k", type=positive_int, default=DEFAULT_K, help="neighbor count for csufs scoring")
-    p.add_argument("--mode", choices=MODES, default="optimized", help="csufs distance kernel")
+
+
+def _add_clustering_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seeds", type=parse_seed_list, default=DEFAULT_SEEDS, help=f'k-means seeds, {LIST_FORMS}; e.g. "0..9"')
+    p.add_argument("--clusters", type=positive_int, default=None, help="cluster count (default: class count of the labels)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -138,8 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="cluster a selected subset and score against labels")
     _add_data_flags(p_eval)
     _add_selection_flags(p_eval)
-    p_eval.add_argument("--seeds", type=parse_seed_list, default=DEFAULT_SEEDS, help='seed list, e.g. "0..9" or "1,5,7"')
-    p_eval.add_argument("--clusters", type=positive_int, default=None, help="cluster count (default: class count of the labels)")
+    _add_clustering_flags(p_eval)
     p_eval.add_argument("--max-iter", type=positive_int, default=DEFAULT_MAX_ITER, help="k-means iteration cap")
     p_eval.add_argument("--conv-tol", type=nonnegative_float, default=DEFAULT_CONV_TOL, help="k-means relative objective tolerance")
     p_eval.add_argument("--output", type=Path, default=None, help="write an evaluation report here")
@@ -147,17 +139,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="evaluate over a (d, k) grid")
     _add_data_flags(p_sweep)
-    p_sweep.add_argument("--method", choices=METHOD_CHOICES, default="csufs", help="selector to sweep")
-    p_sweep.add_argument("--mode", choices=MODES, default="optimized", help="csufs distance kernel")
-    p_sweep.add_argument("--d-grid", type=parse_grid, required=True, help='feature counts, "20:200:20" or "5,10,20"')
-    p_sweep.add_argument("--k-grid", type=parse_grid, required=True, help='neighbor counts, "5:30:5" or "1,3,5"')
-    p_sweep.add_argument("--seeds", type=parse_seed_list, default=DEFAULT_SEEDS, help='seed list, e.g. "0..9"')
-    p_sweep.add_argument("--clusters", type=positive_int, default=None, help="cluster count (default: class count of the labels)")
+    p_sweep.add_argument("--d-grid", type=parse_grid, required=True, help=f'feature counts, {LIST_FORMS}; e.g. "20:200:20"')
+    p_sweep.add_argument("--k-grid", type=parse_grid, required=True, help=f'neighbor counts, {LIST_FORMS}; e.g. "1,3,5"')
+    _add_clustering_flags(p_sweep)
     p_sweep.add_argument("--output", type=Path, required=True, help="write the sweep report here (flat CSV lands beside it)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_bench = sub.add_parser("bench", help="time the naive kernel against the optimized one")
-    p_bench.add_argument("--n-list", type=parse_int_list, required=True, help='sample counts, e.g. "2000,4000,20000"')
+    p_bench.add_argument("--n-list", type=parse_grid, required=True, help=f'sample counts, {LIST_FORMS}; e.g. "2000,4000"')
     p_bench.add_argument("--m", type=positive_int, default=50, help="feature count of the benchmark matrices")
     p_bench.add_argument("--k", type=positive_int, default=DEFAULT_K, help="neighbor count")
     p_bench.add_argument("--reps", type=positive_int, default=3, help="repetitions per cell; the median is reported")
@@ -168,15 +157,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _invocation(args: argparse.Namespace) -> dict:
+    """The parsed flags as JSON values; the handler function is left out."""
     out = {}
     for key, value in vars(args).items():
-        if key == "func" or callable(value):
-            continue
-        if isinstance(value, Path):
-            value = str(value)
-        elif isinstance(value, tuple):
-            value = list(value)
-        out[key] = value
+        if not callable(value):
+            out[key] = str(value) if isinstance(value, Path) else list(value) if isinstance(value, tuple) else value
     return out
 
 
@@ -185,6 +170,11 @@ def _load(args: argparse.Namespace, require_labels: bool = False):
         raise LabelColumnMissing("this command needs labels; pass --label-col")
     has_header = args.has_header or isinstance(args.label_col, str)
     return load_csv(args.input, has_header=has_header, label_column=args.label_col)
+
+
+def _eval_config(args: argparse.Namespace, labels, **stop_rules) -> EvalConfig:
+    n_clusters = args.clusters if args.clusters is not None else labels.n_classes
+    return EvalConfig(n_clusters, seeds=args.seeds, **stop_rules)
 
 
 def _run_selection(args: argparse.Namespace, require_labels: bool = False):
@@ -215,12 +205,7 @@ def cmd_select(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     Xn, labels, result = _run_selection(args, require_labels=True)
-    cfg = EvalConfig(
-        n_clusters=args.clusters if args.clusters is not None else labels.n_classes,
-        seeds=args.seeds,
-        max_iter=args.max_iter,
-        conv_tol=args.conv_tol,
-    )
+    cfg = _eval_config(args, labels, max_iter=args.max_iter, conv_tol=args.conv_tol)
     report = evaluate_selection(Xn, result.selected, labels, cfg, method=result.method)
     if args.output is not None:
         write_report(ReportDocument(payload=report, invocation=_invocation(args)), args.output)
@@ -235,23 +220,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     X, labels = _load(args, require_labels=True)
     X = normalize_samples(X)  # the raw matrix is released here
-    if args.method == "csufs":
-        method = Method.CSUFS_NAIVE if args.mode == "naive" else Method.CSUFS_OPTIMIZED
-    elif args.method == "maxvar":
-        method = Method.MAX_VARIANCE
-    else:
-        method = Method.ALL_FEATURES
-    cfg = EvalConfig(
-        n_clusters=args.clusters if args.clusters is not None else labels.n_classes,
-        seeds=args.seeds,
-    )
-    report = sweep(X, labels, method, args.d_grid, args.k_grid, cfg)
+    csufs_method = Method.CSUFS_NAIVE if args.mode == "naive" else Method.CSUFS_OPTIMIZED
+    method = {"csufs": csufs_method, "maxvar": Method.MAX_VARIANCE, "all": Method.ALL_FEATURES}[args.method]
+    report = sweep(X, labels, method, args.d_grid, args.k_grid, _eval_config(args, labels))
     write_report(ReportDocument(payload=report, invocation=_invocation(args)), args.output)
     flat_path = args.output.with_name(args.output.stem + "_flat.csv")
-    lines = ["d,k,mean_acc,mean_nmi"]
-    for cell in report.cells:
-        lines.append(f"{cell.d},{cell.k},{cell.report.mean_acc!r},{cell.report.mean_nmi!r}")
-    _atomic_write_text(flat_path, ["\n".join(lines) + "\n"])
+    write_sweep_csv(flat_path, report)
     print(f"swept {len(report.cells)} cells ({len(report.d_values)} d values x {len(report.k_values)} k values)")
     print(f"report: {args.output}")
     print(f"flat csv: {flat_path}")

@@ -6,13 +6,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import select_max_variance
 from .data import Dataset, LabelVector, Method
 from .errors import LengthMismatch
 from .kmeans import DEFAULT_CONV_TOL, DEFAULT_MAX_ITER, kmeans
 from .metrics import clustering_accuracy, normalized_mutual_information
 from .preprocess import ensure_normalized
-from .scoring import ScoringConfig, score_all_features
+from .scoring import ScoringConfig, score_all_features, select_max_variance
 
 DEFAULT_SEEDS = tuple(range(10))
 
@@ -38,6 +37,8 @@ class EvalConfig:
             raise ValueError(f"seeds must be non-negative, got {min(self.seeds)}")
         if self.n_clusters < 1:
             raise ValueError(f"n_clusters must be positive, got {self.n_clusters}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be positive, got {self.max_iter}")
         if not self.conv_tol >= 0:  # NaN included: like a negative, it never stops a run
             raise ValueError(f"conv_tol must be non-negative, got {self.conv_tol}")
 

@@ -16,7 +16,7 @@ import itertools
 import json
 import math
 import os
-import tempfile
+import secrets
 import typing
 import warnings
 from dataclasses import dataclass, field
@@ -133,6 +133,8 @@ def _csv_rows(fh):
                 yield reader.line_num, row
     except csv.Error as exc:
         raise MalformedCsv(f"line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:  # decoded in chunks, so no line is known
+        raise MalformedCsv(f"not UTF-8 text: cannot decode byte 0x{exc.object[exc.start]:02x}") from None
 
 
 def _split_columns(label_column, header, width: int) -> tuple[int | None, list[int]]:
@@ -181,9 +183,18 @@ def write_matrix_csv(path, values, header=None) -> None:
     _atomic_write_text(Path(path), itertools.chain([head.getvalue()], rows))
 
 
+def write_sweep_csv(path, report: SweepReport) -> None:
+    """One `d,k,mean_acc,mean_nmi` line per sweep cell, floats at full round-trip precision."""
+    lines = [f"{c.d},{c.k},{c.report.mean_acc!r},{c.report.mean_nmi!r}\n" for c in report.cells]
+    _atomic_write_text(Path(path), ["d,k,mean_acc,mean_nmi\n", *lines])
+
+
 def _atomic_write_text(path: Path, chunks: typing.Iterable[str]) -> None:
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent) if str(path.parent) else ".", prefix=path.name + ".", suffix=".tmp")
+    """Write chunks to a temp file beside path, then rename it into place. The
+    temp file is created with mode 0o666 less the umask, as open() creates a
+    new file (mkstemp would make it 0o600)."""
+    tmp = f"{path}.{secrets.token_hex(6)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)

@@ -3,7 +3,8 @@
 A feature earns a small score when its values sit in tight local groups
 relative to the feature's overall spread: the score is the summed
 k-nearest-neighbor distance (over all samples, within that one feature)
-divided by the feature's variance. Selection keeps the lowest scores.
+divided by the feature's variance. Selection keeps the lowest scores; the
+reference selectors (largest variance, all features) live here too.
 
 Two interchangeable kernels compute the distance sums. The naive kernel
 forms every pairwise distance per sample and fully sorts each distance
@@ -246,4 +247,29 @@ def csufs(X: Dataset, d: int, cfg: ScoringConfig | None = None) -> SelectionResu
     cfg = cfg or ScoringConfig()
     scores = score_all_features(ensure_normalized(X), cfg)
     method = Method.CSUFS_NAIVE if cfg.mode == "naive" else Method.CSUFS_OPTIMIZED
-    return select_features(scores, d, method=method)
+    return _prefix_selection(scores.ranking(), scores, d, method)
+
+
+def _variance_scores(X: Dataset) -> FeatureScores:
+    m = X.n_features
+    v, mu = feature_variances(X)
+    return FeatureScores(d=np.zeros(m), v=v, cs=np.zeros(m), mu=mu, k_used=None)
+
+
+def select_all(X: Dataset) -> SelectionResult:
+    """Identity selection; variances are computed for reporting only."""
+    m = X.n_features
+    return SelectionResult(np.arange(m, dtype=np.int64), _variance_scores(X), Method.ALL_FEATURES, d_requested=m)
+
+
+def select_max_variance(X: Dataset, d: int) -> SelectionResult:
+    """The d largest-variance features of the sample-normalized matrix.
+
+    Runs on the same normalized matrix csufs scores, so the two methods
+    compare like for like: a NormalizedDataset is used as it is, any other
+    Dataset is normalized first. Ties fall to the lower index; d > m clamps
+    with a warning.
+    """
+    scores = _variance_scores(ensure_normalized(X))
+    order = np.lexsort((np.arange(scores.n_features), -scores.v))
+    return _prefix_selection(order, scores, d, Method.MAX_VARIANCE)

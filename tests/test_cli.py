@@ -1,5 +1,6 @@
 import os
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +29,10 @@ def test_parse_seed_list_forms():
     assert parse_seed_list("0..3") == (0, 1, 2, 3)
     assert parse_seed_list("7") == (7,)
     assert parse_seed_list("1,4..6") == (1, 4, 5, 6)
+    assert parse_seed_list("0:6:3") == (0, 3, 6)
+    assert parse_seed_list("9, 0:4:2,2..3") == (9, 0, 2, 4, 2, 3)
+    with pytest.raises(Exception):
+        parse_seed_list("3..1")
     with pytest.raises(Exception):
         parse_seed_list("")
 
@@ -36,6 +41,12 @@ def test_parse_grid_forms():
     assert parse_grid("20:60:20") == (20, 40, 60)
     assert parse_grid("5:30:5") == (5, 10, 15, 20, 25, 30)
     assert parse_grid("1,9,4") == (1, 9, 4)
+    assert parse_grid("1..3") == (1, 2, 3)
+    assert parse_grid("50,1..2,10:30:10") == (50, 1, 2, 10, 20, 30)
+    with pytest.raises(Exception):
+        parse_grid("5:1:1")
+    with pytest.raises(Exception):
+        parse_grid("1:5")
     with pytest.raises(Exception):
         parse_grid("")
     with pytest.raises(Exception):
@@ -310,3 +321,37 @@ def test_cli_import_loads_no_scipy():
     probe = "import sys, csufs.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "content, flags",
+    [
+        (b"1,2\n3,\xff4\n", []),  # in the body: loadtxt gives up, the cell-by-cell reader meets it
+        (b"a\xff,b\n1,2\n", ["--has-header"]),  # in the header
+    ],
+    ids=["body", "header"],
+)
+def test_non_utf8_input_exits_one(tmp_path, capsys, content, flags):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(content)
+    assert main(["select", "--input", str(path), *flags, "--d", "1"]) == 1
+    err = capsys.readouterr().err
+    # the chunked decoder cannot know the line, so none is named
+    assert err == "error: MalformedCsv: not UTF-8 text: cannot decode byte 0xff\n"
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)], ids=["umask022", "umask027"])
+def test_outputs_get_the_mode_open_gives_a_new_file(labeled_csv, tmp_path, umask, mode):
+    out = tmp_path / "out"
+    out.mkdir()
+    data = ["--input", str(labeled_csv), "--label-col", "class"]
+    old = os.umask(umask)
+    try:
+        assert main(["select", *data, "--d", "2", "--output", str(out / "sel.json"),
+                     "--write-matrix", str(out / "red.csv")]) == 0
+        assert main(["sweep", *data, "--d-grid", "2", "--k-grid", "1", "--seeds", "0",
+                     "--output", str(out / "sweep.json")]) == 0
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+    assert modes == {"sel.json": mode, "red.csv": mode, "sweep.json": mode, "sweep_flat.csv": mode}

@@ -97,6 +97,14 @@ def test_negative_conv_tol_rejected():
     assert EvalConfig(n_clusters=2, conv_tol=0.0).conv_tol == 0.0
 
 
+def test_nonpositive_max_iter_rejected():
+    # caught here, before any k is scored, not by the first kmeans_fit
+    for max_iter in (0, -1):
+        with pytest.raises(ValueError, match="max_iter must be positive"):
+            EvalConfig(n_clusters=2, max_iter=max_iter)
+    assert EvalConfig(n_clusters=2, max_iter=1).max_iter == 1
+
+
 def test_sweep_covers_full_grid(clustered_dataset):
     X, truth = clustered_dataset
     cfg = EvalConfig(n_clusters=2, seeds=(0, 1))

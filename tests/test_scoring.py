@@ -160,7 +160,8 @@ def test_clamp_warning_points_at_the_selector_call():
     with pytest.warns(UserWarning) as record:
         select_features(make_scores(cs=[0.5, 0.1]), 5)
         select_max_variance(X, 9)
-    assert [w.filename for w in record] == [__file__, __file__]
+        csufs(X, 9, ScoringConfig(k=1))
+    assert [w.filename for w in record] == [__file__, __file__, __file__]
 
 
 def test_select_rejects_nonpositive_d():
