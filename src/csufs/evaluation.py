@@ -77,7 +77,9 @@ def evaluate_selection(
         raise ValueError("selected must be a non-empty 1-D index list")
     if len(truth) != X.n_samples:
         raise LengthMismatch(f"{len(truth)} labels for {X.n_samples} samples")
-    sub = ensure_normalized(X).values.take(indices, axis=1)  # one C-order copy
+    # copies the selected columns only (np.take on the Fortran-order matrix
+    # would first copy all of it to C order)
+    sub = ensure_normalized(X).values[:, indices]
     per_seed: list[tuple[int, float, float]] = []
     for seed in cfg.seeds:
         found = kmeans(sub, cfg.n_clusters, seed, max_iter=cfg.max_iter, conv_tol=cfg.conv_tol)

@@ -27,14 +27,13 @@ class KMeansResult:
     n_iter: int
 
 
-def _plusplus_init(X: np.ndarray, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
+def _plusplus_init(X: np.ndarray, n_clusters: int, x_sq: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Spread initial centers by sampling points proportionally to their
     squared distance from the centers chosen so far."""
     n = X.shape[0]
     centers = np.empty((n_clusters, X.shape[1]))
     centers[0] = X[int(rng.integers(n))]
-    diff = X - centers[0]
-    d2 = np.einsum("ij,ij->i", diff, diff)
+    d2 = _squared_distances(X, centers[:1], x_sq)[:, 0]
     for c in range(1, n_clusters):
         total = float(d2.sum())
         if total > 0.0:
@@ -42,14 +41,17 @@ def _plusplus_init(X: np.ndarray, n_clusters: int, rng: np.random.Generator) -> 
         else:
             idx = int(rng.integers(n))  # every point already sits on a center
         centers[c] = X[idx]
-        np.subtract(X, centers[c], out=diff)
-        d2 = np.minimum(d2, np.einsum("ij,ij->i", diff, diff))
+        np.minimum(d2, _squared_distances(X, centers[c : c + 1], x_sq)[:, 0], out=d2)
     return centers
 
 
 def _squared_distances(X: np.ndarray, centers: np.ndarray, x_sq: np.ndarray) -> np.ndarray:
-    # |x - c|^2 = |x|^2 - 2 x.c + |c|^2, clipped at zero against fp dips
-    d2 = x_sq[:, np.newaxis] - 2.0 * (X @ centers.T) + np.einsum("ij,ij->i", centers, centers)[np.newaxis, :]
+    # |x - c|^2 = |x|^2 - 2 x.c + |c|^2, clipped at zero against fp dips;
+    # formed in place in the product's buffer, no n x d temporary
+    d2 = X @ centers.T
+    d2 *= -2.0
+    d2 += x_sq[:, np.newaxis]
+    d2 += np.einsum("ij,ij->i", centers, centers)[np.newaxis, :]
     np.maximum(d2, 0.0, out=d2)
     return d2
 
@@ -65,12 +67,14 @@ def kmeans_fit(
 
     Stops at an assignment fixpoint, when the relative drop of the
     within-cluster squared-distance objective falls under conv_tol, or at
-    max_iter. A cluster left with no members grabs the point farthest from
-    its assigned centroid; each grab marks its point so later empty
-    clusters pick distinct points. The objective never increases from one
-    iteration to the next.
+    max_iter. Each update takes every center at once from one product of the
+    one-hot cluster membership matrix with X, divided by the cluster sizes.
+    A cluster left with no members grabs the point farthest from its
+    assigned centroid; each grab marks its point so later empty clusters
+    pick distinct points. The objective never increases from one iteration
+    to the next. A float64 X is used as it is, in C or Fortran order.
     """
-    X = np.ascontiguousarray(X_sub, dtype=np.float64)
+    X = np.asarray(X_sub, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("expected a 2-D matrix of samples")
     n = X.shape[0]
@@ -84,15 +88,17 @@ def kmeans_fit(
         raise TooFewSamples(f"{n} samples cannot fill {n_clusters} clusters")
     rng = np.random.default_rng(seed)
     x_sq = np.einsum("ij,ij->i", X, X)
-    centers = _plusplus_init(X, n_clusters, rng)
+    centers = _plusplus_init(X, n_clusters, x_sq, rng)
+    ids = np.arange(n_clusters)
+    rows = np.arange(n)
     labels = np.full(n, -1, dtype=np.int64)
     history: list[float] = []
     prev_inertia = np.inf
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
         d2 = _squared_distances(X, centers, x_sq)
-        new_labels = d2.argmin(axis=1).astype(np.int64)
-        own = d2[np.arange(n), new_labels]
+        new_labels = d2.argmin(axis=1)
+        own = d2[rows, new_labels]
         sizes = np.bincount(new_labels, minlength=n_clusters)
         empty = np.flatnonzero(sizes == 0)
         if empty.size:
@@ -116,12 +122,13 @@ def kmeans_fit(
             if (prev_inertia - inertia) / prev_inertia < conv_tol:
                 break
         prev_inertia = inertia
+        # every cluster's sum in one product with the one-hot membership
+        # matrix; a relocation can steal a singleton's only member, so an
+        # empty cluster keeps its old center instead of averaging nothing
+        onehot = (labels == ids[:, np.newaxis]).astype(np.float64)
         counts = np.bincount(labels, minlength=n_clusters)
-        for c in range(n_clusters):
-            # a relocation can steal a singleton's only member; keep the old
-            # center then instead of averaging nothing
-            if counts[c]:
-                centers[c] = X[labels == c].mean(axis=0)
+        filled = counts > 0
+        centers[filled] = (onehot @ X)[filled] / counts[filled, np.newaxis]
     return KMeansResult(
         labels=labels,
         centers=centers,

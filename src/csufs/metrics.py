@@ -16,9 +16,8 @@ def _check_paired(s: LabelVector, r: LabelVector) -> None:
 def contingency_table(s: LabelVector, r: LabelVector) -> np.ndarray:
     """counts[i, j] = number of samples labeled i in s and j in r."""
     _check_paired(s, r)
-    table = np.zeros((s.n_classes, r.n_classes), dtype=np.int64)
-    np.add.at(table, (s.labels, r.labels), 1)
-    return table
+    cells = s.n_classes * r.n_classes
+    return np.bincount(s.labels * r.n_classes + r.labels, minlength=cells).reshape(s.n_classes, r.n_classes)
 
 
 def _max_assignment_total(weights: np.ndarray) -> int:

@@ -87,3 +87,66 @@ def make_two_class_data(rng, n=300, informative=10, noise=90, sigma=0.1):
     for j in range(informative):
         X[:, j] = means + rng.normal(0.0, sigma, n)
     return X, labels
+
+
+def kmeans_fit_reference(X_sub, n_clusters, seed, max_iter=300, conv_tol=1e-4):
+    """k-means as csufs ran it before its matrix-form rewrite, frozen as an
+    oracle: plus-plus distances from an explicit difference matrix, each
+    center the mean of its cluster's row subset. Returns (labels, n_iter,
+    number of empty-cluster re-seeds, number of times a cluster emptied by
+    a re-seed kept its old center)."""
+    X = np.ascontiguousarray(X_sub, dtype=np.float64)
+    n = X.shape[0]
+    rng = np.random.default_rng(seed)
+    x_sq = np.einsum("ij,ij->i", X, X)
+
+    def squared_distances(centers):
+        d2 = x_sq[:, np.newaxis] - 2.0 * (X @ centers.T) + np.einsum("ij,ij->i", centers, centers)[np.newaxis, :]
+        np.maximum(d2, 0.0, out=d2)
+        return d2
+
+    centers = np.empty((n_clusters, X.shape[1]))
+    centers[0] = X[int(rng.integers(n))]
+    diff = X - centers[0]
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    for c in range(1, n_clusters):
+        total = float(d2.sum())
+        idx = int(rng.choice(n, p=d2 / total)) if total > 0.0 else int(rng.integers(n))
+        centers[c] = X[idx]
+        np.subtract(X, centers[c], out=diff)
+        d2 = np.minimum(d2, np.einsum("ij,ij->i", diff, diff))
+
+    labels = np.full(n, -1, dtype=np.int64)
+    prev_inertia = np.inf
+    reseeds = kept = 0
+    for n_iter in range(1, max_iter + 1):
+        d2 = squared_distances(centers)
+        new_labels = d2.argmin(axis=1).astype(np.int64)
+        own = d2[np.arange(n), new_labels]
+        empty = np.flatnonzero(np.bincount(new_labels, minlength=n_clusters) == 0)
+        if empty.size:
+            claim = own.copy()
+            for c in empty:
+                far = int(claim.argmax())
+                new_labels[far] = c
+                claim[far] = -np.inf
+                own[far] = 0.0
+                centers[c] = X[far]
+                reseeds += 1
+        inertia = float(own.sum())
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        if np.isfinite(prev_inertia):
+            if prev_inertia <= 0.0:
+                break
+            if (prev_inertia - inertia) / prev_inertia < conv_tol:
+                break
+        prev_inertia = inertia
+        counts = np.bincount(labels, minlength=n_clusters)
+        for c in range(n_clusters):
+            if counts[c]:
+                centers[c] = X[labels == c].mean(axis=0)
+            else:
+                kept += 1
+    return labels, n_iter, reseeds, kept

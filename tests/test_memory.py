@@ -4,7 +4,8 @@ A command holds at most two matrix-sized buffers at once: while loading,
 the parsed table and its one label-free copy; after that, the normalized
 matrix and at most one copy taken from it. The written matrix is streamed a
 row at a time. Each command's tracemalloc peak must stay within C times the
-feature matrix's bytes plus a small constant.
+feature matrix's bytes plus a small constant. Below the CLI, k-means and the
+evaluation of a few columns form no matrix-sized temporary at all.
 """
 
 import tracemalloc
@@ -12,12 +13,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from csufs import EvalConfig, LabelVector, evaluate_selection, kmeans_fit, normalize_samples, validate_dataset
 from csufs.cli import main
 
 N, M = 2600, 500  # 10.4 MB of float64 features
 MATRIX_BYTES = N * M * 8
 C = 2.25  # every command measures 2.14 here; a copy per stage measured 4.0, and 10.9 for all --write-matrix
 SLACK = 1 << 20
+WORKING_SET = 0.25  # k-means and a few-column evaluation measure about 1.0 with an n x d temporary
 
 
 @pytest.fixture(scope="module")
@@ -42,8 +45,23 @@ COMMANDS = {
     "select_maxvar": ["select", "--method", "maxvar", "--d", "50"],
     "select_all_write_matrix": ["select", "--method", "all", "--write-matrix", "reduced.csv"],
     "evaluate": ["evaluate", "--d", "20", "--seeds", "0"],
+    "evaluate_all": ["evaluate", "--method", "all", "--seeds", "0"],
     "sweep": ["sweep", "--d-grid", "10,20", "--k-grid", "5", "--seeds", "0"],
+    "sweep_all": ["sweep", "--method", "all", "--d-grid", "10", "--k-grid", "5", "--seeds", "0"],
 }
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and its peak traced bytes above the traced memory at its start."""
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - start
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
@@ -51,12 +69,24 @@ def test_command_peak_stays_within_two_matrix_buffers(wide_csv, tmp_path, capsys
     argv = COMMANDS[name][:1] + ["--input", str(wide_csv), "--label-col", "class"] + COMMANDS[name][1:]
     argv = [str(tmp_path / a) if a == "reduced.csv" else a for a in argv]
     argv += ["--output", str(tmp_path / "report.json")]
-    tracemalloc.start()
-    try:
-        start, _ = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        assert main(argv) == 0, capsys.readouterr().err
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - start <= C * MATRIX_BYTES + SLACK, f"peak {(peak - start) / MATRIX_BYTES:.2f}x the matrix"
+    code, peak = traced_peak(main, argv)
+    assert code == 0, capsys.readouterr().err
+    assert peak <= C * MATRIX_BYTES + SLACK, f"peak {peak / MATRIX_BYTES:.2f}x the matrix"
+
+
+@pytest.fixture(scope="module")
+def normalized():
+    rng = np.random.default_rng(12)
+    return normalize_samples(validate_dataset(rng.uniform(-1.0, 1.0, (N, M))))
+
+
+def test_evaluating_a_few_columns_copies_only_those(normalized):
+    truth = LabelVector(labels=np.arange(N) % 2, n_classes=2)
+    cfg = EvalConfig(n_clusters=2, seeds=(0,))
+    _, peak = traced_peak(evaluate_selection, normalized, np.arange(0, M, M // 10), truth, cfg)
+    assert peak <= WORKING_SET * MATRIX_BYTES, f"peak {peak / MATRIX_BYTES:.2f}x the matrix"
+
+
+def test_kmeans_fit_forms_no_matrix_sized_temporary(normalized):
+    _, peak = traced_peak(kmeans_fit, normalized.values, 2, 0)
+    assert peak <= WORKING_SET * MATRIX_BYTES, f"peak {peak / MATRIX_BYTES:.2f}x the matrix"

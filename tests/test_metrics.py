@@ -24,6 +24,22 @@ def test_contingency_counts():
     assert np.array_equal(table, [[1, 1], [0, 2]])
 
 
+def test_contingency_matches_brute_loop_with_unused_classes():
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        n = int(rng.integers(1, 40))
+        c_s, c_r = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        # n_classes may exceed the labels drawn, leaving whole rows and columns empty
+        s = LabelVector(labels=rng.integers(0, c_s, n), n_classes=c_s + int(rng.integers(0, 3)))
+        r = LabelVector(labels=rng.integers(0, c_r, n), n_classes=c_r + int(rng.integers(0, 3)))
+        want = np.zeros((s.n_classes, r.n_classes), dtype=np.int64)
+        for a, b in zip(s.labels.tolist(), r.labels.tolist()):
+            want[a, b] += 1
+        got = contingency_table(s, r)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
 def test_acc_worked_examples():
     s = lv([0, 0, 1, 1])
     assert clustering_accuracy(s, lv([1, 1, 0, 0])) == 1.0
