@@ -11,7 +11,7 @@ from .errors import LengthMismatch
 from .kmeans import DEFAULT_CONV_TOL, DEFAULT_MAX_ITER, kmeans
 from .metrics import clustering_accuracy, normalized_mutual_information
 from .preprocess import ensure_normalized
-from .scoring import ScoringConfig, score_all_features, select_max_variance
+from .scoring import ScoringConfig, knn_distance_sums, score_all_features, select_max_variance
 
 DEFAULT_SEEDS = tuple(range(10))
 
@@ -128,10 +128,12 @@ def sweep(
 ) -> SweepReport:
     """One evaluation per (d, k) grid cell.
 
-    The matrix is normalized once, unless it is a NormalizedDataset. Features
-    are ranked once per k for csufs and once per grid otherwise; each d
-    takes a prefix of the ranking (ALL_FEATURES takes all of it). Cells that
-    select the same columns in the same order share one report.
+    The matrix is normalized once, unless it is a NormalizedDataset. For
+    csufs one kernel pass computes the distance sums of the whole k grid,
+    and each k ranks the features from its own row; other methods rank
+    once per grid. Each d takes a prefix of the ranking (ALL_FEATURES
+    takes all of it). Cells that select the same columns in the same order
+    share one report.
     """
     method = Method(method)
     d_values = [int(d) for d in d_values]
@@ -142,11 +144,13 @@ def sweep(
     m = Xn.n_features
     mode = {Method.CSUFS_OPTIMIZED: "optimized", Method.CSUFS_NAIVE: "naive"}.get(method)
     ranking = select_max_variance(Xn, m).selected if method is Method.MAX_VARIANCE else np.arange(m)
+    if mode is not None:
+        grid_sums = knn_distance_sums(Xn.values, k_values, mode)
     reports: dict[tuple[int, ...], EvalReport] = {}
     cells: list[SweepCell] = []
-    for k in k_values:
+    for i, k in enumerate(k_values):
         if mode is not None:
-            ranking = score_all_features(Xn, ScoringConfig(k=k, mode=mode)).ranking()
+            ranking = score_all_features(Xn, ScoringConfig(k=k, mode=mode), d=grid_sums[i]).ranking()
         for d in d_values:
             columns = ranking if method is Method.ALL_FEATURES else ranking[:d]
             key = tuple(columns.tolist())

@@ -13,7 +13,10 @@ of columns once; in sorted order a sample's k nearest values fill a
 contiguous window, j below it and k - j above, so its sum is the minimum
 over j of the summed gaps to j positions below plus k - j above. That is
 k shifted subtractions and k + 1 elementwise minimums per block, for
-O(n (log n + k)) per feature and no per-feature Python loop.
+O(n (log n + k)) per feature and no per-feature Python loop. A grid of k
+values shares one pass: the running gap sums are built once, up to the
+largest k, and every k takes its own minimums from them. A column longer
+than a block is cut into chunks of positions, so memory stays bounded.
 """
 
 from __future__ import annotations
@@ -33,9 +36,11 @@ DEFAULT_VARIANCE_TOL = 1e-12
 MODES = ("optimized", "naive")
 
 # caps on one block: pairwise distances for the naive kernel (16 MB); sorted
-# values for the window kernel, whose working set is about k + 5 times that
-# (a longer column is a block of its own). Every n gets the same per-block
-# footprint, so timings follow the arithmetic rather than the cache
+# values for the window kernel, whose working set is about k + 5 times that.
+# A grid of k values holds kmax + len(ks) + 4 block-sized arrays, so its
+# blocks shrink to keep the same footprint as one k = kmax, and a longer
+# column is scored in chunks of a block each. Every n gets the same
+# per-block footprint, so timings follow the arithmetic rather than the cache
 _BLOCK_ELEMENTS = 2_000_000
 _WINDOW_BLOCK_ELEMENTS = 32_768
 
@@ -86,28 +91,34 @@ def _naive_per_sample(f: np.ndarray, k: int) -> np.ndarray:
     return sums
 
 
-def _window_per_sample(s: np.ndarray, k: int) -> np.ndarray:
+def _window_per_sample(s: np.ndarray, ks: tuple[int, ...]) -> np.ndarray:
     """Per-position kNN sums of an (n, c) Fortran-order block of ascending
-    columns, same shape and order. Steps run on the flat buffer, so gaps near
-    a column's end reach into the next one; +inf overwrites them, as those
-    positions lack neighbors on that side, and no minimum picks +inf."""
+    columns for each k of the strictly ascending tuple ks, shape
+    (len(ks), n, c). Steps run on the flat buffer, so gaps near a column's
+    end reach into the next one; +inf overwrites them, as those positions
+    lack neighbors on that side, and no minimum picks +inf. Every k reads
+    the same running sums and adds them in the same order as a kernel run
+    for that k alone, so each row has the same bits."""
     n, c = s.shape
+    kmax = ks[-1]
     flat = s.ravel(order="F")
     size = flat.size
-    above = np.zeros((k + 1, size))  # above[t]: summed gaps to the t positions above
+    above = np.zeros((kmax + 1, size))  # above[t]: summed gaps to the t positions above
     below = np.zeros(size)
     work = np.empty(size)
-    for t in range(1, k + 1):
+    for t in range(1, kmax + 1):
         np.subtract(flat[t:], flat[:-t], out=above[t, : size - t])
         above[t, : size - t] += above[t - 1, : size - t]
         above[t].reshape(c, n)[:, n - t :] = np.inf
-    best = above[k].copy()
-    for j in range(1, k + 1):  # j neighbors below, k - j above
+    best = above[list(ks)]
+    for j in range(1, kmax + 1):  # j neighbors below, k - j above
         np.subtract(flat[j:], flat[:-j], out=work[j:])
         below[j:] += work[j:]
         below.reshape(c, n)[:, :j] = np.inf
-        np.minimum(best, np.add(below, above[k - j], out=work), out=best)
-    return best.reshape(c, n).T
+        for k, row in zip(ks, best):
+            if k >= j:
+                np.minimum(row, np.add(below, above[k - j], out=work), out=row)
+    return best.reshape(len(ks), c, n).transpose(0, 2, 1)
 
 
 def knn_distance_sum_naive(f, k: int) -> float:
@@ -158,7 +169,7 @@ def knn_distance_trace(f, k: int, mode: str = "optimized") -> KernelTrace:
     order = np.argsort(f, kind="stable")
     pos = np.empty(n, dtype=np.int64)
     pos[order] = np.arange(n)
-    pos_sums = _window_per_sample(f[order, np.newaxis], k)[:, 0]
+    pos_sums = _window_per_sample(f[order, np.newaxis], (k,))[0, :, 0]
     counts = np.minimum(pos, k) + np.minimum(n - 1 - pos, k)
     return KernelTrace(float(pos_sums.sum()), pos_sums[pos], counts)
 
@@ -192,33 +203,79 @@ def feature_variances(X: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return np.square(dev, out=dev).mean(axis=0), mu
 
 
-def score_all_features(X: Dataset, cfg: ScoringConfig | None = None) -> FeatureScores:
-    """Score every feature of an (already normalized) dataset."""
+def score_all_features(X: Dataset, cfg: ScoringConfig | None = None, *, d: np.ndarray | None = None) -> FeatureScores:
+    """Score every feature of an (already normalized) dataset. A caller that
+    already holds cfg.k's distance sums of X, as a sweep over a k grid
+    does, passes them as d and the kernel is not run again."""
     cfg = cfg or ScoringConfig()
-    d = knn_distance_sums(X.values, cfg.k, cfg.mode)
+    if d is None:
+        d = knn_distance_sums(X.values, cfg.k, cfg.mode)
     v, mu = feature_variances(X)
     cs = np.divide(d, v, out=np.full_like(d, np.inf), where=v > DEFAULT_VARIANCE_TOL)
     return FeatureScores(d=d, v=v, cs=cs, mu=mu, k_used=cfg.k)
 
 
-def knn_distance_sums(values: np.ndarray, k: int, mode: str = "optimized") -> np.ndarray:
-    """Distance-sum vector over all columns of a bare (n, m) matrix of finite
-    values; the naive mode runs one column at a time."""
+def knn_distance_sums(values: np.ndarray, k, mode: str = "optimized") -> np.ndarray:
+    """Distance sums of every column of a bare (n, m) matrix of finite values.
+
+    An int k gives an (m,) vector. A sequence of ints gives one row per
+    entry, in the order given and duplicates allowed, shape (len(k), m);
+    each row has the bits of its own int call. The window kernel scores
+    the whole sequence in one pass over each sorted block; the naive mode
+    runs one column at a time, once per distinct k.
+    """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise ValueError("values must be a 2-D matrix")
     n, m = values.shape
-    _require_kernel_args(n, k)
+    single = np.ndim(k) == 0
+    ks = (k,) if single else tuple(k)
+    if not ks:
+        raise ValueError("k must hold at least one neighbor count")
+    for kk in ks:
+        _require_kernel_args(n, kk)
+    grid = tuple(sorted(set(ks)))
     if mode == "naive":
-        return np.array([_naive_per_sample(np.ascontiguousarray(values[:, r]), k).sum() for r in range(m)])
-    out = np.empty(m)
-    step = max(1, _WINDOW_BLOCK_ELEMENTS // n)
-    for lo in range(0, m, step):
-        block = np.array(values[:, lo : lo + step], order="F")
-        block.sort(axis=0)
-        out[lo : lo + step] = _window_per_sample(block, k).sum(axis=0)
+        rows = np.array(
+            [[_naive_per_sample(np.ascontiguousarray(values[:, r]), kk).sum() for r in range(m)] for kk in grid]
+        )
+    else:
+        rows = _window_sums(values, grid)
+    rows = rows[[grid.index(kk) for kk in ks]]
+    return rows[0] if single else rows
+
+
+def _window_sums(values: np.ndarray, ks: tuple[int, ...]) -> np.ndarray:
+    """(len(ks), m) window-kernel sums for the strictly ascending tuple ks.
+
+    Columns that fit in a block are sorted and scored several at a time. A
+    longer column is scored in chunks of positions, each read with kmax
+    values of halo on both sides so its positions see the same neighbors
+    as in the whole column; the halo results are dropped, and each
+    column's per-position sums are still reduced in one contiguous sum.
+    """
+    n, m = values.shape
+    kmax = ks[-1]
+    cap = (kmax + 5) * _WINDOW_BLOCK_ELEMENTS // (kmax + len(ks) + 4)
+    out = np.empty((len(ks), m))
+    if n <= cap:
+        step = cap // n
+        for lo in range(0, m, step):
+            block = np.array(values[:, lo : lo + step], order="F")
+            block.sort(axis=0)
+            out[:, lo : lo + step] = _window_per_sample(block, ks).sum(axis=1)
+        return out
+    core = max(cap - 2 * kmax, kmax)  # a chunk's own positions; at least kmax bounds the halo's share of the work
+    per_pos = np.empty((len(ks), n))
+    for r in range(m):
+        col = np.sort(values[:, r])[:, np.newaxis]
+        for lo in range(0, n, core):
+            hi = min(lo + core, n)
+            start = max(lo - kmax, 0)
+            per_pos[:, lo:hi] = _window_per_sample(col[start : hi + kmax], ks)[:, lo - start : hi - start, 0]
+        out[:, r] = per_pos.sum(axis=1)
     return out
 
 

@@ -13,6 +13,7 @@ from csufs import (
     evaluate_selection,
     kmeans,
     normalize_samples,
+    score_all_features,
     select_max_variance,
     sweep,
     validate_dataset,
@@ -207,6 +208,27 @@ def test_sweep_clusters_each_distinct_selection_once(clustered_dataset, monkeypa
     for cell in swept.cells:
         expected = evaluate_selection(X, selections[cell.d, cell.k], truth, cfg, method=Method.CSUFS_OPTIMIZED)
         assert cell.report == expected
+
+
+def test_sweep_over_an_unsorted_k_grid_with_a_repeat_picks_per_k_prefixes(clustered_dataset, monkeypatch):
+    X, truth = clustered_dataset
+    cfg = EvalConfig(n_clusters=2, seeds=(0,))
+    evaluation = importlib.import_module("csufs.evaluation")
+    original, picked = evaluation.evaluate_selection, {}
+
+    def recording(Xn, selected, *args, **kwargs):
+        report = original(Xn, selected, *args, **kwargs)
+        picked[id(report)] = np.asarray(selected).tolist()
+        return report
+
+    monkeypatch.setattr(evaluation, "evaluate_selection", recording)
+    d_values, k_values = [2, 7, 12], (10, 3, 10)  # k = 3 and 10 rank alike only up to d = 6
+    swept = sweep(X, truth, Method.CSUFS_OPTIMIZED, d_values, k_values, cfg)
+    Xn = normalize_samples(X)
+    rankings = {k: score_all_features(Xn, ScoringConfig(k=k)).ranking() for k in set(k_values)}
+    assert [(c.d, c.k) for c in swept.cells] == [(d, k) for k in k_values for d in d_values]
+    for cell in swept.cells:
+        assert picked[id(cell.report)] == rankings[cell.k][: cell.d].tolist()
 
 
 def test_normalized_input_is_used_as_it_is(clustered_dataset, monkeypatch):

@@ -193,6 +193,10 @@ def test_trace_orders_follow_original_samples():
     assert fast.total == naive.total == float(naive.per_sample.sum())
 
 
+def per_k_rows(X, ks, mode="optimized"):
+    return [knn_distance_sums(X, k, mode=mode).tolist() for k in ks]
+
+
 def oracle_sums(X, k):
     return np.array([knn_sum_oracle(X[:, r], k) for r in range(X.shape[1])])
 
@@ -207,7 +211,7 @@ def check_matrix_kernel(X_int, X_real, k):
 @pytest.mark.parametrize(
     "budget, n, m",
     [
-        (64, 100, 3),  # n above the budget: every block is one column
+        (64, 100, 3),  # n above the budget: each column is cut into chunks
         (64, 16, 8),  # four columns per block, two full blocks
         (64, 20, 7),  # three columns per block, partial last block
     ],
@@ -222,6 +226,10 @@ def test_knn_distance_sums_block_shapes_match_oracle(monkeypatch, budget, n, m):
     for k in (1, 3, n - 1):
         check_matrix_kernel(X_int, X_real, k)
     assert knn_distance_sums(X_int, 2)[1] == 0.0
+    # a k grid in one pass gives each k's row the bits of its own call
+    for X in (X_int, X_real):
+        for ks in ((1, 2, 3), (1, n // 2, n - 1)):
+            assert knn_distance_sums(X, ks).tolist() == per_k_rows(X, ks)
 
 
 def test_knn_distance_sums_default_budget_match_oracle():
@@ -229,6 +237,70 @@ def test_knn_distance_sums_default_budget_match_oracle():
     # short columns: many per block and a partial last block
     n, m = 40, 2 * (scoring._WINDOW_BLOCK_ELEMENTS // 40) + 5
     check_matrix_kernel(rng.integers(-20, 21, (n, m)).astype(np.float64), rng.normal(size=(n, m)), 4)
-    # one column longer than the budget forms a block of its own
+    # one column longer than the budget is cut into chunks
     f = rng.integers(-1000, 1001, (scoring._WINDOW_BLOCK_ELEMENTS + 1, 1)).astype(np.float64)
     assert knn_distance_sums(f, 3)[0] == knn_sum_oracle(f[:, 0], 3)
+
+
+def count_kernel_runs(monkeypatch):
+    runs = []
+    original = scoring._window_per_sample
+
+    def counting(s, ks):
+        runs.append(s.shape)
+        return original(s, ks)
+
+    monkeypatch.setattr(scoring, "_window_per_sample", counting)
+    return runs
+
+
+def test_k_grid_on_a_column_cut_into_chunks(monkeypatch):
+    monkeypatch.setattr(scoring, "_WINDOW_BLOCK_ELEMENTS", 24)
+    n = 90
+    # runs of equal values, so ties straddle every chunk border
+    f = np.repeat(np.arange(-7.0, 8.0), 6)[np.random.default_rng(5).permutation(n)]
+    X = np.column_stack([f, f * 0.37 + 1.0])
+    runs = count_kernel_runs(monkeypatch)
+    for ks in ((1, 2, 3), (2, 5, 9), (1, 30, n - 1)):
+        runs.clear()
+        got = knn_distance_sums(X, ks)
+        assert len(runs) >= 2 * 2  # every column spans at least two chunks
+        assert got.tolist() == per_k_rows(X, ks)
+        assert got[:, 0].tolist() == [knn_sum_oracle(f, k) for k in ks]
+    runs.clear()
+    knn_distance_sums(X, (1, 2, 3))
+    # a block holds 8 * 24 // 10 = 19 values: chunks of 13 positions and 3
+    # of halo on each side, seven chunks per column
+    assert len(runs) == 2 * 7
+    assert max(rows for rows, _ in runs) == 19
+
+
+def test_k_grid_order_and_duplicates_follow_the_request():
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(40, 5))
+    ks = (7, 2, 7, 1, 2)
+    got = knn_distance_sums(X, ks)
+    assert got.shape == (5, 5)
+    assert got.tolist() == per_k_rows(X, ks)
+    assert knn_distance_sums(X, [4]).tolist() == [knn_distance_sums(X, 4).tolist()]
+    assert knn_distance_sums(X, np.int64(4)).tolist() == knn_distance_sums(X, 4).tolist()
+
+
+def test_naive_k_grid_rows_equal_per_k_naive_calls():
+    rng = np.random.default_rng(10)
+    X = rng.integers(-5, 6, (30, 4)).astype(np.float64)
+    ks = (3, 1, 3, 29)
+    got = knn_distance_sums(X, ks, mode="naive")
+    assert got.tolist() == per_k_rows(X, ks, mode="naive")
+    assert got.tolist() == knn_distance_sums(X, ks).tolist()  # exact on integers
+
+
+def test_k_grid_rejects_a_too_large_or_empty_grid():
+    X = np.arange(10.0)[:, np.newaxis]
+    for mode in ("optimized", "naive"):
+        with pytest.raises(KTooLarge):
+            knn_distance_sums(X, (1, 3, 10), mode=mode)
+        with pytest.raises(ValueError, match="positive"):
+            knn_distance_sums(X, (2, 0), mode=mode)
+        with pytest.raises(ValueError):
+            knn_distance_sums(X, (), mode=mode)

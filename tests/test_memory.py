@@ -13,7 +13,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from csufs import EvalConfig, LabelVector, evaluate_selection, kmeans_fit, normalize_samples, validate_dataset
+import csufs.scoring as scoring
+from csufs import (
+    EvalConfig,
+    LabelVector,
+    evaluate_selection,
+    kmeans_fit,
+    knn_distance_sums,
+    normalize_samples,
+    validate_dataset,
+)
 from csufs.cli import main
 
 N, M = 2600, 500  # 10.4 MB of float64 features
@@ -47,6 +56,7 @@ COMMANDS = {
     "evaluate": ["evaluate", "--d", "20", "--seeds", "0"],
     "evaluate_all": ["evaluate", "--method", "all", "--seeds", "0"],
     "sweep": ["sweep", "--d-grid", "10,20", "--k-grid", "5", "--seeds", "0"],
+    "sweep_kgrid": ["sweep", "--d-grid", "10", "--k-grid", "5:30:5", "--seeds", "0"],
     "sweep_all": ["sweep", "--method", "all", "--d-grid", "10", "--k-grid", "5", "--seeds", "0"],
 }
 
@@ -90,3 +100,14 @@ def test_evaluating_a_few_columns_copies_only_those(normalized):
 def test_kmeans_fit_forms_no_matrix_sized_temporary(normalized):
     _, peak = traced_peak(kmeans_fit, normalized.values, 2, 0)
     assert peak <= WORKING_SET * MATRIX_BYTES, f"peak {peak / MATRIX_BYTES:.2f}x the matrix"
+
+
+def test_window_kernel_on_a_long_column_stays_within_one_block_budget():
+    """A column longer than a block is scored in chunks: the kernel's working
+    set is one block of k + 5 arrays, plus a few column-length buffers (the
+    sorted column and its per-position sums)."""
+    n, k = 200_000, 30
+    column = np.random.default_rng(13).normal(size=(n, 1))
+    _, peak = traced_peak(knn_distance_sums, column, k)
+    bound = (k + 5) * scoring._WINDOW_BLOCK_ELEMENTS * 8 + 4 * n * 8 + SLACK
+    assert peak <= bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
