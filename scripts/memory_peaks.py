@@ -4,8 +4,10 @@
     python3 scripts/memory_peaks.py [--src NAME=PATH ...] [--seed N] [--reps R] > peaks.json
 
 The three perfbench workloads' fixtures (perfbench/fixtures.py at the seed
-given) are written to a temp directory. Each workload's command, and a few
-more commands on the select_wide fixture, then run once per source tree
+given) are written to a temp directory, with a copy of the sweep_kgrid
+fixture whose labels are named class_0, class_1 instead of numbered. Each
+workload's command, its command on that named-label copy, and a few more
+commands on the select_wide fixture then run once per source tree
 (default: this checkout's src) in fresh processes, measured two ways:
 
 - tracemalloc: `csufs.cli.main` runs in-process with tracemalloc started
@@ -29,6 +31,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True  # leave no cache files under perfbench/
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -42,6 +46,7 @@ EXTRA = {  # more commands on the select_wide fixture: the other selectors and e
     "evaluate_csufs": ["evaluate", "--d", "100", "--seeds", "0..2", "--output", "report.json"],
     "evaluate_all": ["evaluate", "--method", "all", "--seeds", "0..2", "--output", "report.json"],
 }
+NAMED = "sweep_kgrid"  # its command also runs on a copy of its fixture with class_N labels, as NAMED_named_labels
 TRACED = (
     "import json, sys, tracemalloc\n"
     "from csufs.cli import main\n"
@@ -67,6 +72,9 @@ def commands() -> dict[str, tuple[list[str], int]]:
         argv = cli_argv(wl)
         argv[argv.index("input.csv")] = f"{wl.name}.csv"
         out[wl.name] = (argv, wl.n * (wl.informative + wl.noise) * 8)
+    argv, matrix_bytes = out[NAMED]
+    argv = [f"{NAMED}_named_labels.csv" if a == f"{NAMED}.csv" else a for a in argv]
+    out[f"{NAMED}_named_labels"] = (argv, matrix_bytes)
     for name, rest in EXTRA.items():
         argv = [rest[0], "--input", "select_wide.csv", "--has-header", "--label-col", "class", *rest[1:]]
         out[name] = (argv, out["select_wide"][1])
@@ -93,6 +101,8 @@ def main() -> int:
         for wl in WORKLOADS.values():
             X, labels = fixtures.build(wl.n, wl.classes, wl.informative, wl.noise, args.seed)
             fixtures.write_csv(work / f"{wl.name}.csv", X, labels)
+            if wl.name == NAMED:
+                fixtures.write_csv(work / f"{NAMED}_named_labels.csv", X, np.char.add("class_", labels.astype(str)))
             del X, labels
         for name, (argv, matrix_bytes) in commands().items():
             row = results[name] = {"argv": argv, "matrix_mib": round(matrix_bytes / MIB, 2)}
@@ -108,7 +118,7 @@ def main() -> int:
                     "child_ru_maxrss_mib": [round(int(r.split()[1]) / 1024, 1) for r in rss],
                 }
                 print(name, tree, json.dumps(row[tree]), file=sys.stderr, flush=True)
-    host = {"python": platform.python_version(), "numpy": __import__("numpy").__version__, "nproc": os.cpu_count()}
+    host = {"python": platform.python_version(), "numpy": np.__version__, "nproc": os.cpu_count()}
     json.dump({"seed": args.seed, "trees": sorted(trees), "host": host, "results": results}, sys.stdout, indent=1)
     print()
     return 0

@@ -17,7 +17,7 @@ from .evaluation import DEFAULT_SEEDS, EvalConfig, evaluate_selection, sweep
 from .io import ReportDocument, load_csv, write_matrix_csv, write_report, write_sweep_csv
 from .kmeans import DEFAULT_CONV_TOL, DEFAULT_MAX_ITER
 from .preprocess import normalize_samples
-from .scoring import DEFAULT_K, MODES, ScoringConfig, csufs, select_all, select_max_variance
+from .scoring import DEFAULT_K, MODE_METHODS, MODES, ScoringConfig, csufs, select_all, select_max_variance
 
 METHOD_CHOICES = ("csufs", "maxvar", "all")
 LIST_FORMS = "comma-separated n, lo..hi or start:stop:step"  # parse_seed_list and parse_grid
@@ -220,8 +220,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     X, labels = _load(args, require_labels=True)
     X = normalize_samples(X)  # the raw matrix is released here
-    csufs_method = Method.CSUFS_NAIVE if args.mode == "naive" else Method.CSUFS_OPTIMIZED
-    method = {"csufs": csufs_method, "maxvar": Method.MAX_VARIANCE, "all": Method.ALL_FEATURES}[args.method]
+    method = {"csufs": MODE_METHODS[args.mode], "maxvar": Method.MAX_VARIANCE, "all": Method.ALL_FEATURES}[args.method]
     report = sweep(X, labels, method, args.d_grid, args.k_grid, _eval_config(args, labels))
     write_report(ReportDocument(payload=report, invocation=_invocation(args)), args.output)
     flat_path = args.output.with_name(args.output.stem + "_flat.csv")

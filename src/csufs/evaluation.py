@@ -11,7 +11,7 @@ from .errors import LengthMismatch
 from .kmeans import DEFAULT_CONV_TOL, DEFAULT_MAX_ITER, kmeans
 from .metrics import clustering_accuracy, normalized_mutual_information
 from .preprocess import ensure_normalized
-from .scoring import ScoringConfig, knn_distance_sums, score_all_features, select_max_variance
+from .scoring import MODE_METHODS, ScoringConfig, knn_distance_sums, score_all_features, select_max_variance
 
 DEFAULT_SEEDS = tuple(range(10))
 
@@ -111,12 +111,6 @@ class SweepReport:
     k_values: list[int]
     cells: list[SweepCell]
 
-    def get(self, d: int, k: int) -> EvalReport:
-        for cell in self.cells:
-            if cell.d == d and cell.k == k:
-                return cell.report
-        raise KeyError((d, k))
-
 
 def sweep(
     X: Dataset,
@@ -142,7 +136,7 @@ def sweep(
         raise ValueError("d_values and k_values must be non-empty")
     Xn = ensure_normalized(X)
     m = Xn.n_features
-    mode = {Method.CSUFS_OPTIMIZED: "optimized", Method.CSUFS_NAIVE: "naive"}.get(method)
+    mode = {csufs_method: kernel_mode for kernel_mode, csufs_method in MODE_METHODS.items()}.get(method)
     ranking = select_max_variance(Xn, m).selected if method is Method.MAX_VARIANCE else np.arange(m)
     if mode is not None:
         grid_sums = knn_distance_sums(Xn.values, k_values, mode)

@@ -42,46 +42,72 @@ def load_csv(path, has_header: bool = False, label_column: int | str | None = No
     as numbers are canonicalized numerically (so "1" and "1.0" coincide),
     otherwise as strings. Blank lines are skipped.
 
-    The body is parsed in one np.loadtxt pass. loadtxt reads a strict
-    subset of the cells float() reads, to the same bits, so whenever it
-    rejects the file, or the file has no data rows or a header of the
+    The body is parsed in one np.loadtxt pass; the label column's tokens,
+    numbers or names, are collected as they are read. loadtxt reads a
+    strict subset of the cells float() reads, to the same bits, so whenever
+    it rejects the file, or the file has no data rows or a header of the
     wrong width, the cell-by-cell reader runs instead: it reads what
-    loadtxt refuses (quoted cells, "1_0", non-ASCII digits, string labels)
-    and reports every error with its row, column or line. loadtxt has no
-    csv field-size limit, so a cell over 131072 characters loads where
-    loadtxt reads the file; on the cell-by-cell path it raises
-    MalformedCsv.
+    loadtxt refuses (quoted cells, "1_0", non-ASCII digits) and reports
+    every error with its row, column or line. loadtxt has no csv field-size
+    limit, so a cell over 131072 characters loads where loadtxt reads the
+    file; on the cell-by-cell path it raises MalformedCsv.
     """
     path = Path(path)
-    header, table = _parse_vectorized(path, has_header)  # no tuple keeps the parsed table alive
+    header, table, tokens = _parse_vectorized(path, has_header, label_column)  # no tuple keeps the table alive
     if table is None:
         return _load_csv_cells(path, has_header, label_column)
     label_idx, feature_cols = _split_columns(label_column, header, table.shape[1])
     labels = None
     if label_idx is not None:
-        labels = LabelVector.from_raw(table[:, label_idx])
+        labels = _canonical_labels(tokens)
         table = np.delete(table, label_idx, axis=1)
     names = [header[j] for j in feature_cols] if header is not None else None
     return validate_dataset(table, names), labels
 
 
-def _parse_vectorized(path: Path, has_header: bool):
-    """(header, float table) of a CSV in one np.loadtxt pass; the table is None
-    when the cell-by-cell reader must decide: loadtxt rejected a cell or a row,
-    there are no data rows, or the header width differs from the rows'."""
+def _parse_vectorized(path: Path, has_header: bool, label_column):
+    """(header, float table, label tokens) of a CSV in one np.loadtxt pass.
+    A label column that resolves before parsing has its tokens collected
+    (0.0 stands in the table); any other is parsed as numbers and tokens is
+    None, so _split_columns reports it as the cell reader would. The table
+    is None when the cell-by-cell reader must decide: loadtxt rejected a
+    cell or a row (a quoted label included), there are no data rows, or the
+    header width differs from the rows'."""
     with path.open(newline="", encoding="utf-8") as fh:
         header = None
         if has_header:
             header = next(([cell.strip() for cell in row] for _, row in _csv_rows(fh)), None)
         try:
+            label_idx = None if label_column is None else _resolve_label_column(label_column, header, math.inf)
+        except LabelColumnMissing:
+            label_idx = None
+        tokens = None if label_idx is None else []
+        converters = None if label_idx is None else {label_idx: _token_collector(tokens)}
+        try:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                table = np.loadtxt(fh, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+                table = np.loadtxt(fh, delimiter=",", comments=None, dtype=np.float64, ndmin=2, converters=converters)
         except ValueError:
-            return header, None
+            return header, None, None
     if table.size == 0 or (header is not None and len(header) != table.shape[1]):
-        return header, None
-    return header, table
+        return header, None, None
+    return header, table, tokens
+
+
+def _token_collector(tokens: list[str]):
+    """An np.loadtxt converter that appends each stripped cell to tokens, one
+    str per distinct value, and stores 0.0. A cell holding a quote raises,
+    so the cell reader, which unquotes as csv does, reads the file."""
+    seen: dict[str, str] = {}
+
+    def collect(cell: str) -> float:
+        if '"' in cell:
+            raise ValueError("quoted cell")
+        cell = cell.strip()
+        tokens.append(seen.setdefault(cell, cell))
+        return 0.0
+
+    return collect
 
 
 def _load_csv_cells(path, has_header: bool = False, label_column: int | str | None = None):

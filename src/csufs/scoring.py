@@ -15,8 +15,11 @@ over j of the summed gaps to j positions below plus k - j above. That is
 k shifted subtractions and k + 1 elementwise minimums per block, for
 O(n (log n + k)) per feature and no per-feature Python loop. A grid of k
 values shares one pass: the running gap sums are built once, up to the
-largest k, and every k takes its own minimums from them. A column longer
-than a block is cut into chunks of positions, so memory stays bounded.
+largest k, and every k takes its own minimums from them.
+
+Each kernel has one per-column routine that scores a whole k grid within
+one block of memory; the trace and every column the batched window blocks
+do not take (naive mode, or longer than a block) go through it.
 """
 
 from __future__ import annotations
@@ -34,13 +37,12 @@ DEFAULT_K = 5
 DEFAULT_VARIANCE_TOL = 1e-12
 
 MODES = ("optimized", "naive")
+MODE_METHODS = {"optimized": Method.CSUFS_OPTIMIZED, "naive": Method.CSUFS_NAIVE}  # the Method a csufs run reports
 
 # caps on one block: pairwise distances for the naive kernel (16 MB); sorted
 # values for the window kernel, whose working set is about k + 5 times that.
-# A grid of k values holds kmax + len(ks) + 4 block-sized arrays, so its
-# blocks shrink to keep the same footprint as one k = kmax, and a longer
-# column is scored in chunks of a block each. Every n gets the same
-# per-block footprint, so timings follow the arithmetic rather than the cache
+# Every n gets the same per-block footprint, so timings follow the
+# arithmetic rather than the cache
 _BLOCK_ELEMENTS = 2_000_000
 _WINDOW_BLOCK_ELEMENTS = 32_768
 
@@ -75,10 +77,11 @@ def _as_feature(f) -> np.ndarray:
     return f
 
 
-def _naive_per_sample(f: np.ndarray, k: int) -> np.ndarray:
-    """Each sample's k smallest inter-sample distances, summed small to large."""
+def _naive_per_sample(f: np.ndarray, ks: tuple[int, ...]) -> np.ndarray:
+    """(len(ks), n): each sample's k smallest inter-sample distances, summed
+    small to large, per k of ks; every k slices the same sorted rows."""
     n = f.size
-    sums = np.empty(n)
+    sums = np.empty((len(ks), n))
     block = max(1, _BLOCK_ELEMENTS // n)
     for start in range(0, n, block):
         stop = min(start + block, n)
@@ -87,7 +90,8 @@ def _naive_per_sample(f: np.ndarray, k: int) -> np.ndarray:
         dist.sort(axis=1)
         # each sorted row carries one zero for the sample itself; skipping a
         # single leading zero excludes it even when duplicates add more zeros
-        sums[start:stop] = dist[:, 1 : k + 1].sum(axis=1)
+        for row, k in zip(sums, ks):
+            row[start:stop] = dist[:, 1 : k + 1].sum(axis=1)
     return sums
 
 
@@ -119,6 +123,27 @@ def _window_per_sample(s: np.ndarray, ks: tuple[int, ...]) -> np.ndarray:
             if k >= j:
                 np.minimum(row, np.add(below, above[k - j], out=work), out=row)
     return best.reshape(len(ks), c, n).transpose(0, 2, 1)
+
+
+def _window_block_values(ks: tuple[int, ...]) -> int:
+    """Values per window block for ascending ks: a grid holds kmax + len(ks) + 4
+    block-sized arrays, so its blocks shrink to one k = kmax's footprint."""
+    return (ks[-1] + 5) * _WINDOW_BLOCK_ELEMENTS // (ks[-1] + len(ks) + 4)
+
+
+def _window_column(s: np.ndarray, ks: tuple[int, ...]) -> np.ndarray:
+    """(len(ks), n) per-position sums of one ascending column for ascending ks,
+    in chunks of positions read with kmax values of halo on both sides, so
+    each position sees the same neighbors, in the same order, as in one run."""
+    n = s.size
+    kmax = ks[-1]
+    core = max(_window_block_values(ks) - 2 * kmax, kmax)  # at least kmax bounds the halo's share of the work
+    out = np.empty((len(ks), n))
+    for lo in range(0, n, core):
+        hi = min(lo + core, n)
+        start = max(lo - kmax, 0)
+        out[:, lo:hi] = _window_per_sample(s[start : hi + kmax, np.newaxis], ks)[:, lo - start : hi - start, 0]
+    return out
 
 
 def knn_distance_sum_naive(f, k: int) -> float:
@@ -161,7 +186,7 @@ def knn_distance_trace(f, k: int, mode: str = "optimized") -> KernelTrace:
     _require_kernel_args(f.size, k)
     n = f.size
     if mode == "naive":
-        sums = _naive_per_sample(f, k)
+        sums = _naive_per_sample(f, (k,))[0]
         counts = np.full(n, n - 1, dtype=np.int64)
         return KernelTrace(float(sums.sum()), sums, counts)
     # position p in the sorted order belongs to original sample order[p];
@@ -169,7 +194,7 @@ def knn_distance_trace(f, k: int, mode: str = "optimized") -> KernelTrace:
     order = np.argsort(f, kind="stable")
     pos = np.empty(n, dtype=np.int64)
     pos[order] = np.arange(n)
-    pos_sums = _window_per_sample(f[order, np.newaxis], (k,))[0, :, 0]
+    pos_sums = _window_column(f[order], (k,))[0]
     counts = np.minimum(pos, k) + np.minimum(n - 1 - pos, k)
     return KernelTrace(float(pos_sums.sum()), pos_sums[pos], counts)
 
@@ -220,9 +245,9 @@ def knn_distance_sums(values: np.ndarray, k, mode: str = "optimized") -> np.ndar
 
     An int k gives an (m,) vector. A sequence of ints gives one row per
     entry, in the order given and duplicates allowed, shape (len(k), m);
-    each row has the bits of its own int call. The window kernel scores
-    the whole sequence in one pass over each sorted block; the naive mode
-    runs one column at a time, once per distinct k.
+    each row has the bits of its own int call. The whole sequence is scored
+    in one pass: short columns several per window block, any other column
+    alone through its kernel's per-column routine.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -237,46 +262,22 @@ def knn_distance_sums(values: np.ndarray, k, mode: str = "optimized") -> np.ndar
     for kk in ks:
         _require_kernel_args(n, kk)
     grid = tuple(sorted(set(ks)))
-    if mode == "naive":
-        rows = np.array(
-            [[_naive_per_sample(np.ascontiguousarray(values[:, r]), kk).sum() for r in range(m)] for kk in grid]
-        )
-    else:
-        rows = _window_sums(values, grid)
-    rows = rows[[grid.index(kk) for kk in ks]]
-    return rows[0] if single else rows
-
-
-def _window_sums(values: np.ndarray, ks: tuple[int, ...]) -> np.ndarray:
-    """(len(ks), m) window-kernel sums for the strictly ascending tuple ks.
-
-    Columns that fit in a block are sorted and scored several at a time. A
-    longer column is scored in chunks of positions, each read with kmax
-    values of halo on both sides so its positions see the same neighbors
-    as in the whole column; the halo results are dropped, and each
-    column's per-position sums are still reduced in one contiguous sum.
-    """
-    n, m = values.shape
-    kmax = ks[-1]
-    cap = (kmax + 5) * _WINDOW_BLOCK_ELEMENTS // (kmax + len(ks) + 4)
-    out = np.empty((len(ks), m))
-    if n <= cap:
+    cap = _window_block_values(grid)
+    rows = np.empty((len(grid), m))
+    if mode == "optimized" and n <= cap:
         step = cap // n
         for lo in range(0, m, step):
             block = np.array(values[:, lo : lo + step], order="F")
             block.sort(axis=0)
-            out[:, lo : lo + step] = _window_per_sample(block, ks).sum(axis=1)
-        return out
-    core = max(cap - 2 * kmax, kmax)  # a chunk's own positions; at least kmax bounds the halo's share of the work
-    per_pos = np.empty((len(ks), n))
-    for r in range(m):
-        col = np.sort(values[:, r])[:, np.newaxis]
-        for lo in range(0, n, core):
-            hi = min(lo + core, n)
-            start = max(lo - kmax, 0)
-            per_pos[:, lo:hi] = _window_per_sample(col[start : hi + kmax], ks)[:, lo - start : hi - start, 0]
-        out[:, r] = per_pos.sum(axis=1)
-    return out
+            rows[:, lo : lo + step] = _window_per_sample(block, grid).sum(axis=1)
+    else:
+        for r, col in enumerate(values.T):
+            if mode == "optimized":
+                rows[:, r] = _window_column(np.sort(col), grid).sum(axis=1)
+            else:
+                rows[:, r] = _naive_per_sample(np.ascontiguousarray(col), grid).sum(axis=1)
+    rows = rows[[grid.index(kk) for kk in ks]]
+    return rows[0] if single else rows
 
 
 def _prefix_selection(order: np.ndarray, scores: FeatureScores, d: int, method: Method) -> SelectionResult:
@@ -303,8 +304,7 @@ def csufs(X: Dataset, d: int, cfg: ScoringConfig | None = None) -> SelectionResu
     """Full selection pipeline: normalize samples (unless X is a NormalizedDataset), score, rank, cut at d."""
     cfg = cfg or ScoringConfig()
     scores = score_all_features(ensure_normalized(X), cfg)
-    method = Method.CSUFS_NAIVE if cfg.mode == "naive" else Method.CSUFS_OPTIMIZED
-    return _prefix_selection(scores.ranking(), scores, d, method)
+    return _prefix_selection(scores.ranking(), scores, d, MODE_METHODS[cfg.mode])
 
 
 def _variance_scores(X: Dataset) -> FeatureScores:

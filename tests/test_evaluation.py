@@ -125,7 +125,9 @@ def test_sweep_full_d_matches_all_features(clustered_dataset):
     cfg = EvalConfig(n_clusters=2, seeds=(0, 1, 2))
     swept = sweep(X, truth, Method.CSUFS_OPTIMIZED, [m], [3], cfg)
     direct = evaluate_selection(X, np.arange(m), truth, cfg)
-    report = swept.get(m, 3)
+    (cell,) = swept.cells
+    assert (cell.d, cell.k) == (m, 3)
+    report = cell.report
     # the same columns in a different order cluster identically
     assert report.mean_acc == pytest.approx(direct.mean_acc, abs=1e-12)
     assert report.mean_nmi == pytest.approx(direct.mean_nmi, abs=1e-12)
@@ -139,7 +141,8 @@ def test_sweep_shares_seeds_across_methods(clustered_dataset):
     b = sweep(X, truth, Method.ALL_FEATURES, [m], [1], cfg)
     # with d=m both methods cluster the same column set, so the shared
     # seeds must give the same metrics
-    ra, rb = a.get(m, 1), b.get(m, 1)
+    (ca,), (cb,) = a.cells, b.cells
+    ra, rb = ca.report, cb.report
     for (sa, aa, na), (sb, ab, nb) in zip(ra.per_seed, rb.per_seed):
         assert sa == sb
         assert aa == pytest.approx(ab, abs=1e-12)

@@ -275,6 +275,37 @@ def test_k_grid_on_a_column_cut_into_chunks(monkeypatch):
     assert max(rows for rows, _ in runs) == 19
 
 
+def test_trace_across_chunk_borders_is_exact_and_bounded(monkeypatch):
+    monkeypatch.setattr(scoring, "_WINDOW_BLOCK_ELEMENTS", 24)
+    n = 90
+    # runs of equal values, so ties straddle every chunk border
+    f = np.repeat(np.arange(-7.0, 8.0), 6)[np.random.default_rng(6).permutation(n)]
+    runs = count_kernel_runs(monkeypatch)
+    for k in (1, 3, 8):  # up to the largest k whose chunk (k of core, 2k of halo) fits a block
+        runs.clear()
+        fast = knn_distance_trace(f, k)
+        naive = knn_distance_trace(f, k, mode="naive")
+        assert len(runs) >= 2
+        assert max(rows for rows, _ in runs) <= 24
+        assert fast.per_sample.tolist() == naive.per_sample.tolist()
+        assert fast.total == naive.total == knn_sum_oracle(f, k)
+
+
+def test_one_naive_call_per_column_serves_the_whole_grid(monkeypatch):
+    calls = []
+    original = scoring._naive_per_sample
+
+    def counting(f, ks):
+        calls.append(ks)
+        return original(f, ks)
+
+    monkeypatch.setattr(scoring, "_naive_per_sample", counting)
+    X = np.random.default_rng(11).integers(-5, 6, (30, 4)).astype(np.float64)
+    got = knn_distance_sums(X, (3, 1, 3, 29), mode="naive")
+    assert calls == [(1, 3, 29)] * 4
+    assert got.tolist() == knn_distance_sums(X, (3, 1, 3, 29)).tolist()  # exact on integers
+
+
 def test_k_grid_order_and_duplicates_follow_the_request():
     rng = np.random.default_rng(9)
     X = rng.normal(size=(40, 5))

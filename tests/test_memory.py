@@ -20,6 +20,7 @@ from csufs import (
     evaluate_selection,
     kmeans_fit,
     knn_distance_sums,
+    knn_distance_trace,
     normalize_samples,
     validate_dataset,
 )
@@ -32,8 +33,7 @@ SLACK = 1 << 20
 WORKING_SET = 0.25  # k-means and a few-column evaluation measure about 1.0 with an n x d temporary
 
 
-@pytest.fixture(scope="module")
-def wide_csv(tmp_path_factory):
+def write_wide_csv(path, label_prefix=""):
     """Label column in the middle, so loading must copy the features out of the parsed table."""
     rng = np.random.default_rng(11)
     X = rng.uniform(-1.0, 1.0, (N, M)).round(4)
@@ -43,10 +43,20 @@ def wide_csv(tmp_path_factory):
     lines = [",".join(names[:mid] + ["class"] + names[mid:])]
     for row, label in zip(X.tolist(), labels.tolist()):
         cells = list(map(repr, row))
-        lines.append(",".join(cells[:mid] + [str(label)] + cells[mid:]))
-    path = tmp_path_factory.mktemp("memory") / "wide.csv"
+        lines.append(",".join(cells[:mid] + [f"{label_prefix}{label}"] + cells[mid:]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+@pytest.fixture(scope="module")
+def wide_csv(tmp_path_factory):
+    return write_wide_csv(tmp_path_factory.mktemp("memory") / "wide.csv")
+
+
+@pytest.fixture(scope="module")
+def named_csv(tmp_path_factory):
+    """The same file with labels named class_0 and class_1, which load on the same one-pass path."""
+    return write_wide_csv(tmp_path_factory.mktemp("memory") / "named.csv", label_prefix="class_")
 
 
 COMMANDS = {
@@ -58,6 +68,7 @@ COMMANDS = {
     "sweep": ["sweep", "--d-grid", "10,20", "--k-grid", "5", "--seeds", "0"],
     "sweep_kgrid": ["sweep", "--d-grid", "10", "--k-grid", "5:30:5", "--seeds", "0"],
     "sweep_all": ["sweep", "--method", "all", "--d-grid", "10", "--k-grid", "5", "--seeds", "0"],
+    "select_named_labels": ["select", "--d", "50"],
 }
 
 
@@ -75,8 +86,9 @@ def traced_peak(fn, *args):
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_command_peak_stays_within_two_matrix_buffers(wide_csv, tmp_path, capsys, name):
-    argv = COMMANDS[name][:1] + ["--input", str(wide_csv), "--label-col", "class"] + COMMANDS[name][1:]
+def test_command_peak_stays_within_two_matrix_buffers(wide_csv, named_csv, tmp_path, capsys, name):
+    source = named_csv if name.endswith("named_labels") else wide_csv
+    argv = COMMANDS[name][:1] + ["--input", str(source), "--label-col", "class"] + COMMANDS[name][1:]
     argv = [str(tmp_path / a) if a == "reduced.csv" else a for a in argv]
     argv += ["--output", str(tmp_path / "report.json")]
     code, peak = traced_peak(main, argv)
@@ -103,11 +115,14 @@ def test_kmeans_fit_forms_no_matrix_sized_temporary(normalized):
 
 
 def test_window_kernel_on_a_long_column_stays_within_one_block_budget():
-    """A column longer than a block is scored in chunks: the kernel's working
-    set is one block of k + 5 arrays, plus a few column-length buffers (the
-    sorted column and its per-position sums)."""
+    """A column longer than a block is scored in chunks, by knn_distance_sums
+    and knn_distance_trace alike: the kernel's working set is one block of
+    k + 5 arrays, plus a few column-length buffers. knn_distance_sums holds
+    the sorted column and its per-position sums; the trace also holds its
+    sort order, the inverse order and its two per-sample outputs."""
     n, k = 200_000, 30
     column = np.random.default_rng(13).normal(size=(n, 1))
-    _, peak = traced_peak(knn_distance_sums, column, k)
-    bound = (k + 5) * scoring._WINDOW_BLOCK_ELEMENTS * 8 + 4 * n * 8 + SLACK
-    assert peak <= bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
+    for kernel, arg, buffers in ((knn_distance_sums, column, 4), (knn_distance_trace, column[:, 0], 6)):
+        _, peak = traced_peak(kernel, arg, k)
+        bound = (k + 5) * scoring._WINDOW_BLOCK_ELEMENTS * 8 + buffers * n * 8 + SLACK
+        assert peak <= bound, f"{kernel.__name__}: peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
