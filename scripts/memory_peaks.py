@@ -81,6 +81,16 @@ def commands() -> dict[str, tuple[list[str], int]]:
     return out
 
 
+def write_fixtures(work: Path, seed: int) -> None:
+    """Each workload's fixture as NAME.csv in work, plus NAMED_named_labels.csv."""
+    for wl in WORKLOADS.values():
+        X, labels = fixtures.build(wl.n, wl.classes, wl.informative, wl.noise, seed)
+        fixtures.write_csv(work / f"{wl.name}.csv", X, labels)
+        if wl.name == NAMED:
+            fixtures.write_csv(work / f"{NAMED}_named_labels.csv", X, np.char.add("class_", labels.astype(str)))
+        del X, labels
+
+
 def run(cmd: list[str], src: str, cwd: Path) -> str:
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True, check=True)
@@ -98,12 +108,7 @@ def main() -> int:
     results: dict[str, dict] = {}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for wl in WORKLOADS.values():
-            X, labels = fixtures.build(wl.n, wl.classes, wl.informative, wl.noise, args.seed)
-            fixtures.write_csv(work / f"{wl.name}.csv", X, labels)
-            if wl.name == NAMED:
-                fixtures.write_csv(work / f"{NAMED}_named_labels.csv", X, np.char.add("class_", labels.astype(str)))
-            del X, labels
+        write_fixtures(work, args.seed)
         for name, (argv, matrix_bytes) in commands().items():
             row = results[name] = {"argv": argv, "matrix_mib": round(matrix_bytes / MIB, 2)}
             for tree, src in trees.items():

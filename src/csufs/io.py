@@ -73,7 +73,7 @@ def _parse_vectorized(path: Path, has_header: bool, label_column):
     is None when the cell-by-cell reader must decide: loadtxt rejected a
     cell or a row (a quoted label included), there are no data rows, or the
     header width differs from the rows'."""
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
         header = None
         if has_header:
             header = next(([cell.strip() for cell in row] for _, row in _csv_rows(fh)), None)
@@ -116,7 +116,7 @@ def _load_csv_cells(path, has_header: bool = False, label_column: int | str | No
     header: list[str] | None = None
     rows: list[list[str]] = []
     line_nums: list[int] = []
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
         for line_num, row in _csv_rows(fh):
             if has_header and header is None:
                 header = [cell.strip() for cell in row]

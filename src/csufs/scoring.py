@@ -17,9 +17,10 @@ O(n (log n + k)) per feature and no per-feature Python loop. A grid of k
 values shares one pass: the running gap sums are built once, up to the
 largest k, and every k takes its own minimums from them.
 
-Each kernel has one per-column routine that scores a whole k grid within
-one block of memory; the trace and every column the batched window blocks
-do not take (naive mode, or longer than a block) go through it.
+Each kernel has one routine that scores a whole k grid within one block
+of memory. The window routine frames each sorted column with kmax -inf
+below and kmax +inf above, so batched short columns, a long column and
+the trace alike are one flat run, scored in chunks with a halo of kmax.
 """
 
 from __future__ import annotations
@@ -39,10 +40,10 @@ DEFAULT_VARIANCE_TOL = 1e-12
 MODES = ("optimized", "naive")
 MODE_METHODS = {"optimized": Method.CSUFS_OPTIMIZED, "naive": Method.CSUFS_NAIVE}  # the Method a csufs run reports
 
-# caps on one block: pairwise distances for the naive kernel (16 MB); sorted
-# values for the window kernel, whose working set is about k + 5 times that.
-# Every n gets the same per-block footprint, so timings follow the
-# arithmetic rather than the cache
+# caps on one block: pairwise distances for the naive kernel (16 MB); framed
+# sorted values for one window chunk, whose working set is about kmax + 5
+# times that. Every n gets the same per-block footprint, so timings follow
+# the arithmetic rather than the cache
 _BLOCK_ELEMENTS = 2_000_000
 _WINDOW_BLOCK_ELEMENTS = 32_768
 
@@ -96,33 +97,28 @@ def _naive_per_sample(f: np.ndarray, ks: tuple[int, ...]) -> np.ndarray:
 
 
 def _window_per_sample(s: np.ndarray, ks: tuple[int, ...]) -> np.ndarray:
-    """Per-position kNN sums of an (n, c) Fortran-order block of ascending
-    columns for each k of the strictly ascending tuple ks, shape
-    (len(ks), n, c). Steps run on the flat buffer, so gaps near a column's
-    end reach into the next one; +inf overwrites them, as those positions
-    lack neighbors on that side, and no minimum picks +inf. Every k reads
-    the same running sums and adds them in the same order as a kernel run
-    for that k alone, so each row has the same bits."""
-    n, c = s.shape
+    """Per-position kNN sums of a 1-D ascending run for each k of the strictly
+    ascending tuple ks, shape (len(ks), s.size). A position whose window runs
+    past either end of s gets no true sum; callers read only positions with
+    kmax values on both sides. Every k reads the same running sums and adds
+    them in the same order as a kernel run for that k alone, so each row has
+    the same bits."""
+    size = s.size
     kmax = ks[-1]
-    flat = s.ravel(order="F")
-    size = flat.size
     above = np.zeros((kmax + 1, size))  # above[t]: summed gaps to the t positions above
     below = np.zeros(size)
     work = np.empty(size)
     for t in range(1, kmax + 1):
-        np.subtract(flat[t:], flat[:-t], out=above[t, : size - t])
+        np.subtract(s[t:], s[:-t], out=above[t, : size - t])
         above[t, : size - t] += above[t - 1, : size - t]
-        above[t].reshape(c, n)[:, n - t :] = np.inf
     best = above[list(ks)]
     for j in range(1, kmax + 1):  # j neighbors below, k - j above
-        np.subtract(flat[j:], flat[:-j], out=work[j:])
+        np.subtract(s[j:], s[:-j], out=work[j:])
         below[j:] += work[j:]
-        below.reshape(c, n)[:, :j] = np.inf
         for k, row in zip(ks, best):
             if k >= j:
                 np.minimum(row, np.add(below, above[k - j], out=work), out=row)
-    return best.reshape(len(ks), c, n).transpose(0, 2, 1)
+    return best
 
 
 def _window_block_values(ks: tuple[int, ...]) -> int:
@@ -131,19 +127,29 @@ def _window_block_values(ks: tuple[int, ...]) -> int:
     return (ks[-1] + 5) * _WINDOW_BLOCK_ELEMENTS // (ks[-1] + len(ks) + 4)
 
 
-def _window_column(s: np.ndarray, ks: tuple[int, ...]) -> np.ndarray:
-    """(len(ks), n) per-position sums of one ascending column for ascending ks,
-    in chunks of positions read with kmax values of halo on both sides, so
-    each position sees the same neighbors, in the same order, as in one run."""
-    n = s.size
+def _window_block(values: np.ndarray, ks: tuple[int, ...]) -> np.ndarray:
+    """(len(ks), c, n) per-position sums, in sorted order, of each column of an
+    (n, c) block for ascending ks. Each sorted column sits between kmax -inf
+    and kmax +inf; no minimum picks the +inf gap to a sentinel, so column
+    ends need no masks. The framed columns are one flat run, scored in chunks
+    with kmax values of halo on both sides, as if in one run per column."""
+    n, c = values.shape
     kmax = ks[-1]
+    framed = np.empty((n + 2 * kmax, c), order="F")
+    framed[:kmax] = -np.inf
+    framed[kmax + n :] = np.inf
+    column = framed[kmax : kmax + n]
+    column[:] = values
+    column.sort(axis=0)
+    flat = framed.ravel(order="F")
+    size = flat.size
     core = max(_window_block_values(ks) - 2 * kmax, kmax)  # at least kmax bounds the halo's share of the work
-    out = np.empty((len(ks), n))
-    for lo in range(0, n, core):
-        hi = min(lo + core, n)
-        start = max(lo - kmax, 0)
-        out[:, lo:hi] = _window_per_sample(s[start : hi + kmax, np.newaxis], ks)[:, lo - start : hi - start, 0]
-    return out
+    out = np.empty((len(ks), size))
+    with np.errstate(invalid="ignore"):  # inf - inf between two sentinels; those positions are never read
+        for lo in range(kmax, size - kmax, core):
+            hi = min(lo + core, size - kmax)
+            out[:, lo:hi] = _window_per_sample(flat[lo - kmax : hi + kmax], ks)[:, kmax:-kmax]
+    return out.reshape(len(ks), c, n + 2 * kmax)[:, :, kmax : kmax + n]
 
 
 def knn_distance_sum_naive(f, k: int) -> float:
@@ -194,7 +200,7 @@ def knn_distance_trace(f, k: int, mode: str = "optimized") -> KernelTrace:
     order = np.argsort(f, kind="stable")
     pos = np.empty(n, dtype=np.int64)
     pos[order] = np.arange(n)
-    pos_sums = _window_column(f[order], (k,))[0]
+    pos_sums = _window_block(f[:, np.newaxis], (k,))[0, 0]
     counts = np.minimum(pos, k) + np.minimum(n - 1 - pos, k)
     return KernelTrace(float(pos_sums.sum()), pos_sums[pos], counts)
 
@@ -246,8 +252,8 @@ def knn_distance_sums(values: np.ndarray, k, mode: str = "optimized") -> np.ndar
     An int k gives an (m,) vector. A sequence of ints gives one row per
     entry, in the order given and duplicates allowed, shape (len(k), m);
     each row has the bits of its own int call. The whole sequence is scored
-    in one pass: short columns several per window block, any other column
-    alone through its kernel's per-column routine.
+    in one pass: the window kernel takes as many whole framed columns per
+    block as fit, at least one; the naive kernel one column at a time.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -262,20 +268,14 @@ def knn_distance_sums(values: np.ndarray, k, mode: str = "optimized") -> np.ndar
     for kk in ks:
         _require_kernel_args(n, kk)
     grid = tuple(sorted(set(ks)))
-    cap = _window_block_values(grid)
     rows = np.empty((len(grid), m))
-    if mode == "optimized" and n <= cap:
-        step = cap // n
+    if mode == "optimized":
+        step = max(1, _window_block_values(grid) // (n + 2 * grid[-1]))  # whole framed columns per block
         for lo in range(0, m, step):
-            block = np.array(values[:, lo : lo + step], order="F")
-            block.sort(axis=0)
-            rows[:, lo : lo + step] = _window_per_sample(block, grid).sum(axis=1)
+            rows[:, lo : lo + step] = _window_block(values[:, lo : lo + step], grid).sum(axis=2)
     else:
         for r, col in enumerate(values.T):
-            if mode == "optimized":
-                rows[:, r] = _window_column(np.sort(col), grid).sum(axis=1)
-            else:
-                rows[:, r] = _naive_per_sample(np.ascontiguousarray(col), grid).sum(axis=1)
+            rows[:, r] = _naive_per_sample(np.ascontiguousarray(col), grid).sum(axis=1)
     rows = rows[[grid.index(kk) for kk in ks]]
     return rows[0] if single else rows
 

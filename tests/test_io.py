@@ -167,6 +167,25 @@ def spy_on_cell_reader(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize(
+    "text, has_header, label_column",
+    [
+        ("1,2\n3,4\n", False, None),  # the mark sits before the first number
+        ("class,a,b\nx,1,2\ny,3,4\nx,5,6\n", True, "class"),  # and before the label column's name
+    ],
+    ids=["no-header", "named-label"],
+)
+@pytest.mark.parametrize("loader", [load_csv, _load_csv_cells], ids=["load_csv", "cells"])
+def test_byte_order_mark_is_dropped(tmp_path, loader, text, has_header, label_column):
+    plain = tmp_path / "plain.csv"
+    plain.write_bytes(text.encode("utf-8"))
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))  # as spreadsheet "CSV UTF-8" exports write it
+    expected = load_outcome(loader, plain, has_header, label_column)
+    assert isinstance(expected[0], tuple)  # the plain file loads
+    assert load_outcome(loader, marked, has_header, label_column) == expected
+
+
 def test_numeric_file_skips_the_cell_reader(tmp_path, monkeypatch):
     calls = spy_on_cell_reader(monkeypatch)
     path = write(tmp_path, "a,class\r\n0.1,1\r\n\r\n2,1.0\r\n3,2\r\n")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -208,15 +210,17 @@ def check_matrix_kernel(X_int, X_real, k):
         np.testing.assert_allclose(knn_distance_sums(X_real, k, mode=mode), oracle_sums(X_real, k), rtol=1e-9, atol=0)
 
 
+# at k = 1 a framed column holds n + 2 values and a block holds budget values
 @pytest.mark.parametrize(
-    "budget, n, m",
+    "budget, n, m, runs_at_k1",
     [
-        (64, 100, 3),  # n above the budget: each column is cut into chunks
-        (64, 16, 8),  # four columns per block, two full blocks
-        (64, 20, 7),  # three columns per block, partial last block
+        (64, 100, 3, 3 * 2),  # n above the budget: each column is cut into two chunks
+        (64, 14, 8, 2),  # four columns per block, two full blocks
+        (64, 18, 7, 3),  # three columns per block, partial last block
     ],
+    ids=["64-100-3", "64-14-8", "64-18-7"],  # budget-n-m
 )
-def test_knn_distance_sums_block_shapes_match_oracle(monkeypatch, budget, n, m):
+def test_knn_distance_sums_block_shapes_match_oracle(monkeypatch, budget, n, m, runs_at_k1):
     monkeypatch.setattr(scoring, "_WINDOW_BLOCK_ELEMENTS", budget)
     rng = np.random.default_rng(n * m)
     X_int = rng.integers(-4, 5, (n, m)).astype(np.float64)  # many duplicate values
@@ -230,6 +234,10 @@ def test_knn_distance_sums_block_shapes_match_oracle(monkeypatch, budget, n, m):
     for X in (X_int, X_real):
         for ks in ((1, 2, 3), (1, n // 2, n - 1)):
             assert knn_distance_sums(X, ks).tolist() == per_k_rows(X, ks)
+    runs = count_kernel_runs(monkeypatch)
+    knn_distance_sums(X_real, 1)
+    assert len(runs) == runs_at_k1
+    assert max(runs) <= budget
 
 
 def test_knn_distance_sums_default_budget_match_oracle():
@@ -247,7 +255,7 @@ def count_kernel_runs(monkeypatch):
     original = scoring._window_per_sample
 
     def counting(s, ks):
-        runs.append(s.shape)
+        runs.append(s.size)
         return original(s, ks)
 
     monkeypatch.setattr(scoring, "_window_per_sample", counting)
@@ -272,7 +280,7 @@ def test_k_grid_on_a_column_cut_into_chunks(monkeypatch):
     # a block holds 8 * 24 // 10 = 19 values: chunks of 13 positions and 3
     # of halo on each side, seven chunks per column
     assert len(runs) == 2 * 7
-    assert max(rows for rows, _ in runs) == 19
+    assert max(runs) == 19
 
 
 def test_trace_across_chunk_borders_is_exact_and_bounded(monkeypatch):
@@ -286,9 +294,25 @@ def test_trace_across_chunk_borders_is_exact_and_bounded(monkeypatch):
         fast = knn_distance_trace(f, k)
         naive = knn_distance_trace(f, k, mode="naive")
         assert len(runs) >= 2
-        assert max(rows for rows, _ in runs) <= 24
+        assert max(runs) <= 24
         assert fast.per_sample.tolist() == naive.per_sample.tolist()
         assert fast.total == naive.total == knn_sum_oracle(f, k)
+
+
+def test_sentinels_raise_no_floating_point_warnings(monkeypatch):
+    # inf - inf between two sentinels is NaN at positions never read; it
+    # must stay silent even where warnings are errors
+    monkeypatch.setattr(scoring, "_WINDOW_BLOCK_ELEMENTS", 64)
+    rng = np.random.default_rng(12)
+    short = rng.normal(size=(10, 6))  # two framed columns per block
+    long = rng.normal(size=(200, 2))  # each column cut into chunks
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for X in (short, long):
+            got = knn_distance_sums(X, (1, 3, 5))
+            np.testing.assert_allclose(got, [oracle_sums(X, k) for k in (1, 3, 5)], rtol=1e-9, atol=0)
+        trace = knn_distance_trace(long[:, 0], 4)
+    assert trace.total == pytest.approx(knn_sum_oracle(long[:, 0], 4), rel=1e-9, abs=0)
 
 
 def test_one_naive_call_per_column_serves_the_whole_grid(monkeypatch):

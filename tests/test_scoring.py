@@ -80,16 +80,26 @@ def test_modes_agree_on_random_matrix():
     assert np.array_equal(fast.mu, slow.mu)
 
 
+# at k = 1 a framed column holds n + 2 values and a block holds budget values
 @pytest.mark.parametrize(
-    "budget, n, m",
+    "budget, n, m, blocks_at_k1",
     [
-        (50, 60, 4),  # n above the budget: every block is one column
-        (50, 10, 10),  # five columns per block, two full blocks
-        (50, 12, 9),  # four columns per block, partial last block
+        (50, 60, 4, 4),  # n above the budget: every block is one column
+        (50, 8, 10, 2),  # five columns per block, two full blocks
+        (50, 10, 9, 3),  # four columns per block, partial last block
     ],
+    ids=["50-60-4", "50-8-10", "50-10-9"],  # budget-n-m
 )
-def test_score_all_features_matches_oracle_column_by_column(monkeypatch, budget, n, m):
+def test_score_all_features_matches_oracle_column_by_column(monkeypatch, budget, n, m, blocks_at_k1):
     monkeypatch.setattr(scoring, "_WINDOW_BLOCK_ELEMENTS", budget)
+    blocks = []
+    original = scoring._window_block
+
+    def counting(values, ks):
+        blocks.append(values.shape)
+        return original(values, ks)
+
+    monkeypatch.setattr(scoring, "_window_block", counting)
     rng = np.random.default_rng(budget + n)
     values = rng.normal(0.0, 3.0, (n, m))
     values[:, 0] = rng.integers(-3, 4, n)  # integer-valued with duplicates
@@ -107,6 +117,9 @@ def test_score_all_features_matches_oracle_column_by_column(monkeypatch, budget,
             assert (scores.v[r], scores.mu[r]) == feature_variance(f)
             assert scores.cs[r] == compactness_score(scores.d[r], scores.v[r])
         assert math.isinf(scores.cs[2])
+        if k == 1:
+            assert len(blocks) == blocks_at_k1
+        blocks.clear()
 
 
 @pytest.mark.parametrize("n, m", [(1, 3), (2, 5), (9, 4), (130, 17), (3000, 3)])
