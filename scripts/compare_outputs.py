@@ -1,14 +1,18 @@
 #!/usr/bin/env python3
 """Run one fixed set of CLI commands on several source trees and compare every output.
 
-    python3 scripts/compare_outputs.py --src parent=PATH --src change=src [--seed N]
+    python3 scripts/compare_outputs.py --src parent=PATH --src change=src [--seed N ...]
 
-The inputs are written once to a temp directory: the benchmark's fixtures
-at the seed given (scripts/memory_peaks.py's write_fixtures) and a 300 x 30
-fixture from perfbench/fixtures.py for the slow and edge cases. The command
-set is memory_peaks.py's commands() (the three workloads, the named-label
-copy, maxvar and all selects with --write-matrix, csufs and all evaluates)
-plus SMALL on the 300 x 30 fixture: a naive select, optimized and naive
+For each seed given (--seed once per seed; default 0), the inputs are
+written once to a temp directory: the benchmark's fixtures at that seed
+(scripts/memory_peaks.py's write_fixtures) and a 300 x 30 fixture from
+perfbench/fixtures.py for the slow and edge cases. The benchmark's
+fixtures are 11 MB and more, so csufs.io.load_csv splits them into byte
+ranges on a host with two usable CPUs, while the 300 x 30 fixture is one
+range: one run covers both sides of that choice. The command set is
+memory_peaks.py's commands() (the three workloads, the named-label copy,
+maxvar and all selects with --write-matrix, csufs and all evaluates) plus
+SMALL on the 300 x 30 fixture: a naive select, optimized and naive
 sweeps over a k grid with a duplicate and k = n - 1, maxvar and all sweeps,
 and a sweep at k = n that must fail with KTooLarge.
 
@@ -18,8 +22,8 @@ in every tree. Its stdout, stderr (the tree's src path written as <src>)
 and exit code are kept beside the files it wrote. Every tree is then
 compared with the first, file by file and byte by byte; only the
 "timestamp" line of a JSON report is left out. Exits 0 when every tree
-matches and every command exits as expected (0, or 1 for the KTooLarge
-run), 1 naming each difference.
+matches at every seed and every command exits as expected (0, or 1 for
+the KTooLarge run), 1 naming each difference with its seed.
 
 Both trees run on one host: report bytes have not been shown to be the
 same across hosts, so no golden output is kept.
@@ -125,32 +129,44 @@ def differences(a: Path, b: Path) -> list[str]:
     return found
 
 
+def compare_seed(trees: dict[str, Path], work: Path, seed: int) -> tuple[int, list[str]]:
+    """Run the command set on seed's inputs under every tree, in work; the
+    number of commands and each difference or unexpected exit found."""
+    (work / "inputs").mkdir(parents=True)
+    memory_peaks = _memory_peaks()
+    write_inputs(memory_peaks, work / "inputs", seed)
+    commands = command_set(memory_peaks)
+    for name, src in trees.items():
+        print(f"seed {seed}: running {len(commands)} commands under {name} ({src})", file=sys.stderr, flush=True)
+        run_tree(src, work / "runs" / name, commands)
+    first, *others = trees
+    found = [f"{name}: {line}" for name in trees for line in unexpected_exits(work / "runs" / name, commands)]
+    found += [f"{other}: {line}" for other in others
+              for line in differences(work / "runs" / first, work / "runs" / other)]
+    return len(commands), found
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", action="append", required=True, help="NAME=PATH of a src directory holding csufs")
-    parser.add_argument("--seed", type=int, default=0, help="fixture seed")
+    parser.add_argument("--seed", type=int, action="append", help="fixture seed, once per seed to check (default 0)")
     args = parser.parse_args()
     trees = {name: Path(path).resolve() for name, path in (spec.split("=", 1) for spec in args.src)}
     if len(trees) < 2:
         parser.error("give at least two --src trees to compare")
+    seeds = args.seed or [0]
+    found = []
     with tempfile.TemporaryDirectory() as tmp:
-        work = Path(tmp)
-        (work / "inputs").mkdir()
-        memory_peaks = _memory_peaks()
-        write_inputs(memory_peaks, work / "inputs", args.seed)
-        commands = command_set(memory_peaks)
-        for name, src in trees.items():
-            print(f"running {len(commands)} commands under {name} ({src})", file=sys.stderr, flush=True)
-            run_tree(src, work / "runs" / name, commands)
-        first, *others = trees
-        found = [f"{name}: {line}" for name in trees for line in unexpected_exits(work / "runs" / name, commands)]
-        found += [f"{other}: {line}" for other in others
-                  for line in differences(work / "runs" / first, work / "runs" / other)]
+        for seed in seeds:
+            n_commands, got = compare_seed(trees, Path(tmp) / f"seed{seed}", seed)
+            found += [f"seed {seed}: {line}" for line in got]
     for line in found:
         print(line)
     if found:
         return 1
-    print(f"{len(commands)} commands: every output, stream and exit code of {', '.join(others)} equals {first}'s")
+    first, *others = trees
+    print(f"{n_commands} commands at seed{'s' if len(seeds) > 1 else ''} {', '.join(map(str, seeds))}: "
+          f"every output, stream and exit code of {', '.join(others)} equals {first}'s")
     return 0
 
 

@@ -1,10 +1,11 @@
-"""Shared test oracles, written independently of the library kernels, and a call counter."""
+"""Shared test oracles, written independently of the library kernels, and call counters."""
 
 import itertools
 import sys
 
 import numpy as np
 
+import csufs.io
 import csufs.preprocess
 
 
@@ -24,6 +25,21 @@ def count_normalizations(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, key, counting)
     return calls
+
+
+def count_forks(monkeypatch, cpus):
+    """Make csufs.io see `cpus` usable CPUs and record the (start, stop) byte
+    range of each child it forks; returns the list they land in."""
+    original = csufs.io._fork_range
+    ranges = []
+
+    def counting(fd, start, stop, label_idx):
+        ranges.append((start, stop))
+        return original(fd, start, stop, label_idx)
+
+    monkeypatch.setattr(csufs.io, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(csufs.io, "_fork_range", counting)
+    return ranges
 
 
 def knn_sum_oracle(f, k):

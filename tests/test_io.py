@@ -1,4 +1,7 @@
 import math
+import os
+import pickle
+import time
 import warnings
 
 import numpy as np
@@ -30,6 +33,7 @@ from csufs import (
     write_report,
 )
 from csufs.io import _load_csv_cells
+from helpers import count_forks
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -269,6 +273,201 @@ def test_load_csv_matches_cell_reader(tmp_path, case):
     path.write_bytes(text.encode("utf-8"))
     expected = load_outcome(_load_csv_cells, path, has_header, label_column)
     assert load_outcome(load_csv, path, has_header, label_column) == expected
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+def must_split(data: bytes) -> bool:
+    """A file with a "\\n" past its middle (its last byte aside), whose first
+    line is non-blank, holds no quote and ends in "\\n": with _PART_BYTES at 1
+    and two or three usable CPUs, load_csv parses it in more than one range."""
+    first = data[: data.find(b"\n") + 1]
+    return b"\n" in data[len(data) // 2 : -1] and b'"' not in first and bool(first.removeprefix(BOM).strip(b"\r\n"))
+
+
+@pytest.fixture(params=[2, 3], ids=["2-cpus", "3-cpus"])
+def forks(request, monkeypatch):
+    """Any file of two bytes or more may split: _PART_BYTES is 1 and
+    request.param CPUs are usable. Returns the list of forked ranges."""
+    monkeypatch.setattr(csufs.io, "_PART_BYTES", 1)
+    return count_forks(monkeypatch, request.param)
+
+
+@settings(deadline=None, max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(csv_files())
+def test_split_load_matches_cell_reader(tmp_path, forks, case):
+    text, has_header, label_column = case
+    data = text.encode("utf-8")
+    path = tmp_path / "data.csv"
+    path.write_bytes(data)
+    forks.clear()
+    expected = load_outcome(_load_csv_cells, path, has_header, label_column)
+    assert load_outcome(load_csv, path, has_header, label_column) == expected
+    assert forks or not must_split(data)
+    assert all(data[start - 1 : start] == b"\n" for start, _ in forks)
+
+
+@pytest.mark.parametrize(
+    "data, blank",
+    [
+        (b"1,2\n3,4\n" + b"\n" * 12 + b"5,6\n", [True, False]),  # ranges [0, 9), [9, 17), [17, 24)
+        (b"1,2\n3,4\n" + b"\n" * 16, [True, True]),
+    ],
+    ids=["middle", "last-two"],
+)
+def test_range_of_blank_lines_only(tmp_path, monkeypatch, data, blank):
+    monkeypatch.setattr(csufs.io, "_PART_BYTES", 1)
+    forks = count_forks(monkeypatch, 3)
+    path = tmp_path / "data.csv"
+    path.write_bytes(data)
+    expected = load_outcome(_load_csv_cells, path, False, None)
+    assert load_outcome(load_csv, path, False, None) == expected
+    assert expected[0] == (3 if data.endswith(b"5,6\n") else 2, 2)
+    assert [not data[start:stop].strip() for start, stop in forks] == blank
+
+
+def test_split_right_after_crlf(tmp_path, forks):
+    path = tmp_path / "data.csv"
+    data = b"a,b\r\n1,2\r\n3,4\r\n5,6\r\n7,8\r\n"
+    path.write_bytes(data)
+    expected = load_outcome(_load_csv_cells, path, True, None)
+    assert load_outcome(load_csv, path, True, None) == expected
+    assert expected[2] == ("a", "b")
+    assert forks and all(data[start - 2 : start] == b"\r\n" for start, _ in forks)
+
+
+def test_byte_order_mark_file_splits(tmp_path, forks):
+    plain = tmp_path / "plain.csv"
+    plain.write_bytes(b"a,b\n1,2\n3,4\n5,6\n")
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(BOM + plain.read_bytes())
+    expected = load_outcome(_load_csv_cells, plain, True, None)
+    assert load_outcome(load_csv, marked, True, None) == expected
+    assert load_outcome(_load_csv_cells, marked, True, None) == expected
+    assert forks and all(start > len(BOM) for start, _ in forks)
+
+
+def test_named_label_column_splits(tmp_path, forks):
+    path = write(tmp_path, "x,class,y\n1,a,2\n3,b,4\n5,a,6\n7,c,8\n9, b ,10\n")
+    expected = load_outcome(_load_csv_cells, path, True, "class")
+    assert load_outcome(load_csv, path, True, "class") == expected
+    assert expected[2:] == (("x", "y"), ([0, 1, 0, 2, 1], 3))
+    assert forks
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"\na,b\n1,2\n3,4\n5,6\n", b'"a",b\n1,2\n3,4\n5,6\n', b"a,b\r1,2\r3,4\r5,6\r"],
+    ids=["blank", "quoted", "no-newline"],
+)
+def test_first_line_that_keeps_a_file_whole(tmp_path, forks, data):
+    path = tmp_path / "data.csv"
+    path.write_bytes(data)
+    expected = load_outcome(_load_csv_cells, path, True, None)
+    assert load_outcome(load_csv, path, True, None) == expected
+    assert forks == []
+
+
+@pytest.mark.parametrize("short, forked", [(1, False), (0, True)], ids=["one-byte-short", "two-parts"])
+def test_a_file_splits_from_two_parts(tmp_path, monkeypatch, short, forked):
+    forks = count_forks(monkeypatch, 2)
+    rows = (2 * csufs.io._PART_BYTES - 4) // 4
+    data = b"a,b\n" + b"1,2\n" * rows
+    path = tmp_path / "data.csv"
+    path.write_bytes(data[: len(data) - short])
+    assert len(data) == 2 * csufs.io._PART_BYTES
+    ds, _ = load_csv(path, has_header=True)
+    assert ds.values.shape == (rows, 2)
+    assert len(forks) == forked
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def split_file(tmp_path, monkeypatch):
+    """(path, its outcome through the cell reader) of a file that splits
+    into three ranges."""
+    monkeypatch.setattr(csufs.io, "_PART_BYTES", 1)
+    path = write(tmp_path, "a,class,b\n" + "".join(f"{i}.5,c{i % 3},{-i}\n" for i in range(60)))
+    return path, load_outcome(_load_csv_cells, path, True, "class")
+
+
+@pytest.mark.parametrize("fails_at", [0, 1], ids=["first-fork", "second-fork"])
+def test_fork_failure_loads_one_range(split_file, monkeypatch, fails_at):
+    path, expected = split_file
+    forks = count_forks(monkeypatch, 3)
+    real_fork, calls = os.fork, []
+
+    def fork():
+        calls.append(1)
+        if len(calls) > fails_at:
+            raise BlockingIOError("fork: resource temporarily unavailable")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert load_outcome(load_csv, path, True, "class") == expected
+    assert len(forks) == fails_at + 1
+    assert_no_children()
+
+
+def test_child_exiting_before_it_writes_loads_one_range(split_file, monkeypatch):
+    path, expected = split_file
+    forks = count_forks(monkeypatch, 3)
+    parent, load_rows = os.getpid(), csufs.io._load_rows
+
+    def load(fh, label_idx):
+        if os.getpid() != parent:
+            os._exit(1)
+        return load_rows(fh, label_idx)
+
+    monkeypatch.setattr(csufs.io, "_load_rows", load)
+    assert load_outcome(load_csv, path, True, "class") == expected
+    assert len(forks) == 2
+    assert_no_children()
+
+
+@pytest.mark.parametrize(
+    "keep",
+    [lambda n: 0, lambda n: 1, lambda n: n // 2, lambda n: n - 1],
+    ids=["empty", "one-byte", "half", "all-but-one"],
+)
+def test_child_sending_a_truncated_pickle_loads_one_range(split_file, monkeypatch, keep):
+    path, expected = split_file
+    forks = count_forks(monkeypatch, 3)
+
+    def truncated(obj, file, protocol):
+        data = pickle.dumps(obj, protocol=protocol)
+        file.write(data[: keep(len(data))])
+
+    monkeypatch.setattr(pickle, "dump", truncated)  # the children inherit it; this process only loads
+    assert load_outcome(load_csv, path, True, "class") == expected
+    assert len(forks) == 2
+    assert_no_children()
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_error_in_own_range_kills_the_children(split_file, monkeypatch, error):
+    path, _ = split_file
+    forks = count_forks(monkeypatch, 3)
+    parent, load_rows = os.getpid(), csufs.io._load_rows
+
+    def load(fh, label_idx):
+        if os.getpid() == parent:
+            raise error("parse interrupted")
+        time.sleep(60)  # a child still parsing
+        return load_rows(fh, label_idx)
+
+    monkeypatch.setattr(csufs.io, "_load_rows", load)
+    started = time.perf_counter()
+    with pytest.raises(error):
+        load_csv(path, has_header=True, label_column="class")
+    assert time.perf_counter() - started < 30, "the children were waited for, not killed"
+    assert len(forks) == 2
+    assert_no_children()
 
 
 def make_selection():

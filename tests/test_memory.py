@@ -25,8 +25,9 @@ from csufs import (
     validate_dataset,
 )
 from csufs.cli import main
+from helpers import count_forks
 
-N, M = 2600, 500  # 10.4 MB of float64 features
+N, M = 2600, 500  # 10.4 MB of float64 features, 9.0 MB of CSV
 MATRIX_BYTES = N * M * 8
 C = 2.25  # every command measures 2.14 here; a copy per stage measured 4.0, and 10.9 for all --write-matrix
 SLACK = 1 << 20
@@ -86,13 +87,17 @@ def traced_peak(fn, *args):
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_command_peak_stays_within_two_matrix_buffers(wide_csv, named_csv, tmp_path, capsys, name):
+def test_command_peak_stays_within_two_matrix_buffers(wide_csv, named_csv, tmp_path, capsys, monkeypatch, name):
+    """Two usable CPUs, so the file loads in two ranges: the second range's
+    table is received from its child and joined to the first's."""
+    forks = count_forks(monkeypatch, 2)
     source = named_csv if name.endswith("named_labels") else wide_csv
     argv = COMMANDS[name][:1] + ["--input", str(source), "--label-col", "class"] + COMMANDS[name][1:]
     argv = [str(tmp_path / a) if a == "reduced.csv" else a for a in argv]
     argv += ["--output", str(tmp_path / "report.json")]
     code, peak = traced_peak(main, argv)
     assert code == 0, capsys.readouterr().err
+    assert len(forks) == 1
     assert peak <= C * MATRIX_BYTES + SLACK, f"peak {peak / MATRIX_BYTES:.2f}x the matrix"
 
 
