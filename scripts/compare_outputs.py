@@ -9,12 +9,16 @@ written once to a temp directory: the benchmark's fixtures at that seed
 perfbench/fixtures.py for the slow and edge cases. The benchmark's
 fixtures are 11 MB and more, so csufs.io.load_csv splits them into byte
 ranges on a host with two usable CPUs, while the 300 x 30 fixture is one
-range: one run covers both sides of that choice. The command set is
-memory_peaks.py's commands() (the three workloads, the named-label copy,
-maxvar and all selects with --write-matrix, csufs and all evaluates) plus
-SMALL on the 300 x 30 fixture: a naive select, optimized and naive
-sweeps over a k grid with a duplicate and k = n - 1, maxvar and all sweeps,
-and a sweep at k = n that must fail with KTooLarge.
+range: one run covers both sides of that choice. Likewise every reduced
+matrix written from a benchmark fixture (select_wide's 5000 x 100 and
+more) has at least 2 x csufs.io._PART_CELLS cells, so on such a host it
+is written in row ranges, while the 300 x 30 fixture's matrices, 9000
+cells at most, are written in one. The command set is memory_peaks.py's
+commands() (the three workloads, the named-label copy, maxvar and all
+selects with --write-matrix, csufs and all evaluates) plus SMALL on the
+300 x 30 fixture: naive and all selects with --write-matrix, optimized
+and naive sweeps over a k grid with a duplicate and k = n - 1, maxvar
+and all sweeps, and a sweep at k = n that must fail with KTooLarge.
 
 Each command runs once per tree as `python -m csufs.cli` in a fresh
 process, in that tree's own work directory, with the same relative paths
@@ -43,6 +47,7 @@ SMALL_SHAPE = (300, 3, 5, 25)  # fixtures.build's n, classes, informative, noise
 SMALL = {  # name -> CLI arguments after the shared input flags, on small.csv
     "small_select_naive": ["select", "--mode", "naive", "--d", "10", "--output", "report.json",
                            "--write-matrix", "reduced.csv"],
+    "small_select_all": ["select", "--method", "all", "--output", "report.json", "--write-matrix", "reduced.csv"],
     "small_sweep_kgrid": ["sweep", "--d-grid", "5,10", "--k-grid", "7,3,7,299,1", "--seeds", "0..2",
                           "--output", "report.json"],
     "small_sweep_kgrid_naive": ["sweep", "--mode", "naive", "--d-grid", "5,10", "--k-grid", "7,3,7,299,1",

@@ -2,6 +2,7 @@
 
 import itertools
 import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,19 +28,33 @@ def count_normalizations(monkeypatch):
     return calls
 
 
-def count_forks(monkeypatch, cpus):
-    """Make csufs.io see `cpus` usable CPUs and record the (start, stop) byte
-    range of each child it forks; returns the list they land in."""
-    original = csufs.io._fork_range
-    ranges = []
+@dataclass
+class Forks:
+    """What csufs.io forked: the (start, stop) byte range of each load range
+    and the row count of each written matrix part."""
 
-    def counting(fd, start, stop, label_idx):
-        ranges.append((start, stop))
-        return original(fd, start, stop, label_idx)
+    loads: list = field(default_factory=list)
+    writes: list = field(default_factory=list)
+
+
+def count_forks(monkeypatch, cpus):
+    """Make csufs.io see `cpus` usable CPUs and record each child it forks,
+    to load a range or to write a part; returns the Forks they land in."""
+    fork_range, fork_rows = csufs.io._fork_range, csufs.io._fork_rows
+    forks = Forks()
+
+    def counting_range(fd, start, stop, label_idx):
+        forks.loads.append((start, stop))
+        return fork_range(fd, start, stop, label_idx)
+
+    def counting_rows(path, values):
+        forks.writes.append(len(values))
+        return fork_rows(path, values)
 
     monkeypatch.setattr(csufs.io, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(csufs.io, "_fork_range", counting)
-    return ranges
+    monkeypatch.setattr(csufs.io, "_fork_range", counting_range)
+    monkeypatch.setattr(csufs.io, "_fork_rows", counting_rows)
+    return forks
 
 
 def knn_sum_oracle(f, k):

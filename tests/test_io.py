@@ -1,6 +1,8 @@
 import math
 import os
 import pickle
+import signal
+import stat
 import time
 import warnings
 
@@ -291,7 +293,7 @@ def forks(request, monkeypatch):
     """Any file of two bytes or more may split: _PART_BYTES is 1 and
     request.param CPUs are usable. Returns the list of forked ranges."""
     monkeypatch.setattr(csufs.io, "_PART_BYTES", 1)
-    return count_forks(monkeypatch, request.param)
+    return count_forks(monkeypatch, request.param).loads
 
 
 @settings(deadline=None, max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -318,7 +320,7 @@ def test_split_load_matches_cell_reader(tmp_path, forks, case):
 )
 def test_range_of_blank_lines_only(tmp_path, monkeypatch, data, blank):
     monkeypatch.setattr(csufs.io, "_PART_BYTES", 1)
-    forks = count_forks(monkeypatch, 3)
+    forks = count_forks(monkeypatch, 3).loads
     path = tmp_path / "data.csv"
     path.write_bytes(data)
     expected = load_outcome(_load_csv_cells, path, False, None)
@@ -371,7 +373,7 @@ def test_first_line_that_keeps_a_file_whole(tmp_path, forks, data):
 
 @pytest.mark.parametrize("short, forked", [(1, False), (0, True)], ids=["one-byte-short", "two-parts"])
 def test_a_file_splits_from_two_parts(tmp_path, monkeypatch, short, forked):
-    forks = count_forks(monkeypatch, 2)
+    forks = count_forks(monkeypatch, 2).loads
     rows = (2 * csufs.io._PART_BYTES - 4) // 4
     data = b"a,b\n" + b"1,2\n" * rows
     path = tmp_path / "data.csv"
@@ -399,7 +401,7 @@ def split_file(tmp_path, monkeypatch):
 @pytest.mark.parametrize("fails_at", [0, 1], ids=["first-fork", "second-fork"])
 def test_fork_failure_loads_one_range(split_file, monkeypatch, fails_at):
     path, expected = split_file
-    forks = count_forks(monkeypatch, 3)
+    forks = count_forks(monkeypatch, 3).loads
     real_fork, calls = os.fork, []
 
     def fork():
@@ -416,7 +418,7 @@ def test_fork_failure_loads_one_range(split_file, monkeypatch, fails_at):
 
 def test_child_exiting_before_it_writes_loads_one_range(split_file, monkeypatch):
     path, expected = split_file
-    forks = count_forks(monkeypatch, 3)
+    forks = count_forks(monkeypatch, 3).loads
     parent, load_rows = os.getpid(), csufs.io._load_rows
 
     def load(fh, label_idx):
@@ -437,7 +439,7 @@ def test_child_exiting_before_it_writes_loads_one_range(split_file, monkeypatch)
 )
 def test_child_sending_a_truncated_pickle_loads_one_range(split_file, monkeypatch, keep):
     path, expected = split_file
-    forks = count_forks(monkeypatch, 3)
+    forks = count_forks(monkeypatch, 3).loads
 
     def truncated(obj, file, protocol):
         data = pickle.dumps(obj, protocol=protocol)
@@ -452,7 +454,7 @@ def test_child_sending_a_truncated_pickle_loads_one_range(split_file, monkeypatc
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
 def test_error_in_own_range_kills_the_children(split_file, monkeypatch, error):
     path, _ = split_file
-    forks = count_forks(monkeypatch, 3)
+    forks = count_forks(monkeypatch, 3).loads
     parent, load_rows = os.getpid(), csufs.io._load_rows
 
     def load(fh, label_idx):
@@ -578,6 +580,8 @@ def test_write_matrix_csv_quotes_header_names_only_where_needed(tmp_path):
 
 
 def test_write_matrix_csv_hands_over_one_chunk_per_line(tmp_path, monkeypatch):
+    """A matrix below the part minimum is formatted here, a line at a time."""
+    count_forks(monkeypatch, 3)
     seen = []
     monkeypatch.setattr(csufs.io, "_atomic_write_text", lambda path, chunks: seen.append(list(chunks)))
     write_matrix_csv(tmp_path / "w.csv", np.array([[0.1, -0.0], [1e300, 2.0]]), header=["a", "b"])
@@ -592,6 +596,154 @@ def test_failed_streaming_write_leaves_no_file(tmp_path):
     with pytest.raises(RuntimeError):
         csufs.io._atomic_write_text(tmp_path / "w.csv", lines())
     assert list(tmp_path.iterdir()) == []
+
+
+EDGE_VALUES = [-0.0, 1e300, 5e-324, math.nan, math.inf, -math.inf, 0.1, 1.0 / 3.0]
+EDGE_TOKENS = {"-0.0", "1e+300", "5e-324", "nan", "inf", "-inf", "0.1", "0.3333333333333333"}
+
+
+def edge_matrix(rows, cols):
+    """A rows x cols matrix cycling through EDGE_VALUES row by row."""
+    return np.resize(np.array(EDGE_VALUES), (rows, cols))
+
+
+def one_part_bytes(tmp_path, values, header):
+    """What write_matrix_csv writes for values in one part, as a matrix
+    below the part minimum is written."""
+    path = tmp_path / "one-part.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(csufs.io, "_PART_CELLS", 1 << 62)
+        write_matrix_csv(path, values, header=header)
+    data = path.read_bytes()
+    path.unlink()
+    return data
+
+
+@pytest.fixture(params=[1, 2, 3], ids=["1-cpu", "2-cpus", "3-cpus"])
+def write_forks(request, monkeypatch):
+    """Any matrix of two cells or more may split: _PART_CELLS is 1 and
+    request.param CPUs are usable. Returns the row count of each forked part."""
+    monkeypatch.setattr(csufs.io, "_PART_CELLS", 1)
+    return count_forks(monkeypatch, request.param).writes
+
+
+@pytest.mark.parametrize(
+    "shape, header",
+    [
+        ((2, 4), ["a", "b", "c", "d"]),
+        ((8, 1), ["x"]),
+        ((9, 3), None),
+        ((7, 3), ["a", "b,c", 'say "d"\nnext']),
+        ((40, 8), [f"f{j}" for j in range(8)]),
+    ],
+    ids=["fewer-rows-than-parts", "one-column", "no-header", "quoted-header", "many-rows"],
+)
+def test_split_write_matches_one_part(tmp_path, write_forks, shape, header):
+    values = edge_matrix(*shape)
+    expected = one_part_bytes(tmp_path, values, header)
+    path = tmp_path / "w.csv"
+    write_matrix_csv(path, values, header=header)
+    assert path.read_bytes() == expected
+    assert EDGE_TOKENS <= set(expected.decode().replace("\n", ",").split(","))
+    parts = min(csufs.io._usable_cpus(), shape[0])
+    assert len(write_forks) == parts - 1
+    assert sum(write_forks) == shape[0] - shape[0] // parts  # every row past the first part
+    assert [p.name for p in tmp_path.iterdir()] == ["w.csv"]
+
+
+@pytest.fixture
+def split_write(tmp_path, monkeypatch):
+    """(values, header, the bytes of their one-part write) of a matrix that
+    splits into three parts at three CPUs."""
+    values, header = edge_matrix(9, 4), ["a", "b", "c", "d"]
+    expected = one_part_bytes(tmp_path, values, header)
+    monkeypatch.setattr(csufs.io, "_PART_CELLS", 1)
+    return values, header, expected
+
+
+def break_formatting(monkeypatch, in_child=None, in_parent=None):
+    """Make each writer child call in_child, and this process in_parent,
+    once its first line is formatted; None formats as usual."""
+    parent, csv_lines = os.getpid(), csufs.io._csv_lines
+
+    def lines(values):
+        act = in_parent if os.getpid() == parent else in_child
+        for i, line in enumerate(csv_lines(values)):
+            if i == 1 and act is not None:
+                act()
+            yield line
+
+    monkeypatch.setattr(csufs.io, "_csv_lines", lines)
+
+
+@pytest.mark.parametrize("fails_at", [0, 1], ids=["first-fork", "second-fork"])
+def test_writer_fork_failure_writes_the_part_here(tmp_path, split_write, monkeypatch, fails_at):
+    values, header, expected = split_write
+    forks = count_forks(monkeypatch, 3).writes
+    real_fork, calls = os.fork, []
+
+    def fork():
+        calls.append(1)
+        if len(calls) > fails_at:
+            raise BlockingIOError("fork: resource temporarily unavailable")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    write_matrix_csv(tmp_path / "w.csv", values, header=header)
+    assert (tmp_path / "w.csv").read_bytes() == expected
+    assert len(forks) == len(calls) == 2
+    assert_no_children()
+    assert [p.name for p in tmp_path.iterdir()] == ["w.csv"]
+
+
+@pytest.mark.parametrize(
+    "die",
+    [lambda: os._exit(3), lambda: os.kill(os.getpid(), signal.SIGKILL)],
+    ids=["exits-non-zero", "killed"],
+)
+def test_writer_child_that_dies_midway_has_its_part_written_here(tmp_path, split_write, monkeypatch, die):
+    values, header, expected = split_write
+    forks = count_forks(monkeypatch, 3).writes
+    break_formatting(monkeypatch, in_child=die)
+    write_matrix_csv(tmp_path / "w.csv", values, header=header)
+    assert (tmp_path / "w.csv").read_bytes() == expected
+    assert len(forks) == 2
+    assert_no_children()
+    assert [p.name for p in tmp_path.iterdir()] == ["w.csv"]
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_error_while_writing_kills_the_children_and_leaves_no_file(tmp_path, split_write, monkeypatch, error):
+    values, header, _ = split_write
+    forks = count_forks(monkeypatch, 3).writes
+    path = tmp_path / "w.csv"
+    path.write_text("old\n")
+
+    def interrupt():
+        raise error("formatting interrupted")
+
+    break_formatting(monkeypatch, in_child=lambda: time.sleep(60), in_parent=interrupt)  # children still writing
+    started = time.perf_counter()
+    with pytest.raises(error):
+        write_matrix_csv(path, values, header=header)
+    assert time.perf_counter() - started < 30, "the children were waited for, not killed"
+    assert len(forks) == 2
+    assert_no_children()
+    assert [p.name for p in tmp_path.iterdir()] == ["w.csv"]
+    assert path.read_text() == "old\n"
+
+
+@pytest.mark.parametrize("part_cells", [1 << 62, 1], ids=["one-part", "split"])
+def test_written_matrix_gets_the_mode_open_gives_a_new_file(tmp_path, monkeypatch, part_cells):
+    monkeypatch.setattr(csufs.io, "_PART_CELLS", part_cells)
+    forks = count_forks(monkeypatch, 2).writes
+    old = os.umask(0o027)
+    try:
+        write_matrix_csv(tmp_path / "w.csv", edge_matrix(4, 2))
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "w.csv").stat().st_mode) == 0o640
+    assert len(forks) == (part_cells == 1)
 
 
 def test_report_includes_tool_version_and_timestamp():

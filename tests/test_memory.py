@@ -89,7 +89,8 @@ def traced_peak(fn, *args):
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_command_peak_stays_within_two_matrix_buffers(wide_csv, named_csv, tmp_path, capsys, monkeypatch, name):
     """Two usable CPUs, so the file loads in two ranges: the second range's
-    table is received from its child and joined to the first's."""
+    table is received from its child and joined to the first's. A written
+    matrix is formatted in two parts too, the second by a forked child."""
     forks = count_forks(monkeypatch, 2)
     source = named_csv if name.endswith("named_labels") else wide_csv
     argv = COMMANDS[name][:1] + ["--input", str(source), "--label-col", "class"] + COMMANDS[name][1:]
@@ -97,7 +98,8 @@ def test_command_peak_stays_within_two_matrix_buffers(wide_csv, named_csv, tmp_p
     argv += ["--output", str(tmp_path / "report.json")]
     code, peak = traced_peak(main, argv)
     assert code == 0, capsys.readouterr().err
-    assert len(forks) == 1
+    assert len(forks.loads) == 1
+    assert len(forks.writes) == (1 if "--write-matrix" in argv else 0)
     assert peak <= C * MATRIX_BYTES + SLACK, f"peak {peak / MATRIX_BYTES:.2f}x the matrix"
 
 
