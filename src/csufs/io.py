@@ -9,8 +9,11 @@ runs the same loadtxt pass. The loaded dataset, labels and errors are the
 same whether or not a file is split. A written matrix of at least
 2 x _PART_CELLS cells is cut the same way into row ranges, forked children
 formatting all but the first into part files that are then appended in
-order; its bytes are the same for any number of ranges. Both use one fork,
-join and kill routine (_fork, _join, _kill).
+order; its bytes are the same for any number of ranges. Both run their
+parts through one routine, _in_parts, which forks, collects and kills the
+children. It has one policy for a lost part (its child did not start,
+sent a short pickle, exited non-zero or was killed): that part, and only
+that part, is done again in this process.
 
 Reports are JSON trees written atomically (temp file, then rename). A
 payload body is keyed by the field names of its result dataclass, so one
@@ -26,6 +29,7 @@ import codecs
 import contextlib
 import csv
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -64,9 +68,10 @@ def load_csv(path, has_header: bool = False, label_column: int | str | None = No
     "\\n" is cut just after line ends into byte ranges of about equal size,
     at most one per usable CPU and one per _PART_BYTES; this process parses
     the first range while a forked child parses each other one, every range
-    with the same loadtxt pass. Any other file, and every file where
-    os.fork is missing, is one range. The result and every error are the
-    same either way.
+    with the same loadtxt pass. A range whose child does not deliver is
+    parsed in this process, and no other range is parsed again. Any other
+    file, and every file where os.fork is missing, is one range. The result
+    and every error are the same either way.
 
     loadtxt reads a strict subset of the cells float() reads, to the same
     bits, so whenever it rejects a range, the ranges differ in width, or the
@@ -96,32 +101,41 @@ _PART_BYTES = 1 << 20
 _SCAN_BYTES = 1 << 16  # bytes read per step while looking for a line end
 
 
-class _PartLost(Exception):
-    """A forked part delivered no result: the fork failed, or the child
-    died, exited non-zero or sent a short pickle."""
-
-
 def _parse_vectorized(path: Path, has_header: bool, label_column):
     """(header, float tables, label tokens) of a CSV, parsed by np.loadtxt
     in one or more byte ranges (see load_csv): the non-empty ranges' tables
-    in file order, all of one width. A range that no child delivers sends
-    the whole file through one range here. A label column that resolves
-    before parsing has its tokens collected (0.0 stands in the tables); any
-    other is parsed as numbers and tokens is None, so _split_columns
-    reports it as the cell reader would. The tables are None when the
-    cell-by-cell reader must decide: loadtxt rejected a cell or a row (a
-    quoted label included) in some range, the ranges differ in width, there
-    are no data rows, or the header width differs from the rows'."""
+    in file order, all of one width. This process reads the header and
+    resolves the label column, then parses the first range while _in_parts
+    forks a child for each other one with that label index; parts are read
+    in range order and stop at the first rejected one. A label column that
+    resolves before parsing has its tokens collected (0.0 stands in the
+    tables); any other is parsed as numbers and tokens is None, so
+    _split_columns reports it as the cell reader would. The tables are None
+    when the cell-by-cell reader must decide: loadtxt rejected a cell or a
+    row (a quoted label included) in some range, the ranges differ in
+    width, there are no data rows, or the header width differs from the
+    rows'."""
     with path.open("rb") as file:
         fd = file.fileno()
-        size = os.fstat(fd).st_size
-        try:
-            header, parts = _parse_ranges(fd, _range_bounds(fd, size), has_header, label_column)
-        except _PartLost:
-            header, parts = _parse_ranges(fd, [0, size], has_header, label_column)
-    if any(table is None for table, _ in parts):
-        return header, None, None
-    parts = [(table, tokens) for table, tokens in parts if table.size]  # a range of blank lines parses empty
+        bounds = _range_bounds(fd, os.fstat(fd).st_size)
+        with _open_range(fd, bounds[0], bounds[1]) as fh:
+            header = None
+            if has_header:
+                header = next(([cell.strip() for cell in row] for _, row in _csv_rows(fh)), None)
+            try:
+                label_idx = None if label_column is None else _resolve_label_column(label_column, header, math.inf)
+            except LabelColumnMissing:
+                label_idx = None
+            jobs = [functools.partial(_load_rows, fh, label_idx)]
+            for start, stop in zip(bounds[1:-1], bounds[2:]):
+                jobs.append(functools.partial(_parse_range, fd, start, stop, label_idx))
+            parts = []
+            with _in_parts(jobs) as results:
+                for table, tokens in results:
+                    if table is None:
+                        return header, None, None
+                    if table.size:  # a range of blank lines parses empty
+                        parts.append((table, tokens))
     widths = {table.shape[1] for table, _ in parts}
     if len(widths) != 1 or (header is not None and len(header) not in widths):
         return header, None, None
@@ -151,21 +165,13 @@ def _join_tables(tables: list, label_idx: int | None) -> np.ndarray:
     return out
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
-
-
 def _range_bounds(fd: int, size: int) -> list[int]:
     """[0, ..., size]: where load_csv's byte ranges of fd start and end. Each
     inner bound falls just after the first "\\n" at or past its equal share
     of the file. The first line's conditions keep the header, when there is
     one, wholly in the first range."""
-    count = min(_usable_cpus(), size // _PART_BYTES)
-    if count < 2 or not hasattr(os, "fork"):
+    count = _part_count(size // _PART_BYTES)
+    if count < 2:
         return [0, size]
     first_end = _find(fd, b"\n", 0, size) + 1
     head = os.pread(fd, min(first_end, _SCAN_BYTES), 0).removeprefix(codecs.BOM_UTF8)
@@ -186,35 +192,6 @@ def _find(fd: int, byte: bytes, start: int, stop: int) -> int:
         if at >= 0:
             return pos + at
     return -1
-
-
-def _parse_ranges(fd: int, bounds: list[int], has_header: bool, label_column):
-    """(header, [(table, tokens) of each range [bounds[i], bounds[i + 1])]).
-    This process reads the header, resolves the label column and parses the
-    first range; a forked child parses each other range with that label
-    index. Parts are read in range order and stop at the first rejected
-    one. Every child is waited for on every path, killed first unless it
-    delivered; _PartLost is raised once all are."""
-    with _open_range(fd, bounds[0], bounds[1]) as fh:
-        header = None
-        if has_header:
-            header = next(([cell.strip() for cell in row] for _, row in _csv_rows(fh)), None)
-        try:
-            label_idx = None if label_column is None else _resolve_label_column(label_column, header, math.inf)
-        except LabelColumnMissing:
-            label_idx = None
-        children = []  # (pid, pipe) of each forked range in range order, None once waited for
-        try:
-            for start, stop in zip(bounds[1:-1], bounds[2:]):
-                children.append(_fork_range(fd, start, stop, label_idx))
-            parts = [_load_rows(fh, label_idx)]
-            for i in range(len(children)):
-                if parts[-1][0] is None:
-                    break
-                parts.append(_join(children, i))
-        finally:
-            _kill(children)  # those an exception or a rejected part left unread
-    return header, parts
 
 
 def _open_range(fd: int, start: int, stop: int) -> TextIOWrapper:
@@ -258,20 +235,70 @@ def _load_rows(fh, label_idx: int | None):
     return table, tokens
 
 
-def _fork_range(fd: int, start: int, stop: int, label_idx: int | None):
-    """(pid, pipe) of a forked child that parses bytes [start, stop) of fd
-    and sends their (table, tokens); see _fork."""
+def _parse_range(fd: int, start: int, stop: int, label_idx: int | None):
+    """(table, tokens) of bytes [start, stop) of fd; see _load_rows."""
+    with _open_range(fd, start, stop) as fh:
+        return _load_rows(fh, label_idx)
 
-    def parse():
-        with _open_range(fd, start, stop) as fh:
-            return _load_rows(fh, label_idx)
 
-    return _fork(parse)
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _part_count(limit: int) -> int:
+    """How many parts to cut work into: one per usable CPU, at most limit
+    and at least one; one where os.fork is missing."""
+    if not hasattr(os, "fork"):
+        return 1
+    return max(1, min(_usable_cpus(), limit))
+
+
+@contextlib.contextmanager
+def _in_parts(jobs: list):
+    """An iterator over what each of jobs returns, in order. Entering forks
+    a child for each job but the first (see _fork); the first runs here
+    when its result is asked for. A job whose child did not start, sent a
+    short pickle, exited non-zero or was killed runs here when its turn
+    comes, so a lost part costs only its own work again. When the block
+    ends, every child not yet waited for (one that a caller stopping early
+    or raising left unread) is killed and then waited for."""
+    children = []  # (pid, pipe) of each job past the first, None once waited for or never forked
+
+    def results():
+        yield jobs[0]()
+        for i, job in enumerate(jobs[1:]):
+            delivered = False
+            if children[i] is not None:
+                pid, pipe = children[i]
+                with pipe, contextlib.suppress(EOFError, pickle.UnpicklingError):
+                    result, delivered = pickle.load(pipe), True
+                delivered = os.waitpid(pid, 0)[1] == 0 and delivered
+                children[i] = None
+            yield result if delivered else job()
+
+    try:
+        for job in jobs[1:]:
+            children.append(_fork(job))
+        yield results()
+    finally:
+        live = [child for child in children if child is not None]
+        if live:
+            import signal  # numpy does not load it, and only this path needs it
+
+            for pid, pipe in live:
+                pipe.close()
+                with contextlib.suppress(ProcessLookupError, ChildProcessError):  # waited for, not yet marked
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
 
 
 def _fork(job):
     """(pid, pipe) of a forked child that runs job() and sends its result
-    through the pipe, pickled; _PartLost when no child starts.
+    through the pipe, pickled; None when no child starts.
 
     Forking here is safe although BLAS may run threads in this process
     (Python 3.12+ warns whenever a threaded process forks): every job only
@@ -279,19 +306,19 @@ def _fork(job):
     none calls BLAS or imports anything, since numpy loads pickle already.
     The child always leaves through os._exit in a finally, so it never
     returns into its caller's stack, a test runner's included, and never
-    flushes buffers it inherited. Callers split no work where os.fork is
-    missing.
+    flushes buffers it inherited. _part_count cuts no work into parts where
+    os.fork is missing.
     """
     try:
         read_end, write_end = os.pipe()
     except OSError:
-        raise _PartLost from None
+        return None
     try:
         pid = os.fork()
     except OSError:
         os.close(read_end)
         os.close(write_end)
-        raise _PartLost from None
+        return None
     if pid == 0:
         code = 1
         try:
@@ -303,40 +330,6 @@ def _fork(job):
             os._exit(code)
     os.close(write_end)
     return pid, open(read_end, "rb")
-
-
-def _join(children: list, i: int):
-    """The result children[i], a (pid, pipe) from _fork, sent, once it has
-    exited; children[i] is then None, which _kill skips. _PartLost when
-    children[i] is None already, or the child sent a short pickle, exited
-    non-zero or was killed."""
-    if children[i] is None:
-        raise _PartLost
-    pid, pipe = children[i]
-    with pipe:
-        try:
-            result, delivered = pickle.load(pipe), True
-        except (EOFError, pickle.UnpicklingError):
-            result, delivered = None, False
-    status = os.waitpid(pid, 0)[1]
-    children[i] = None
-    if not delivered or status != 0:
-        raise _PartLost
-    return result
-
-
-def _kill(children) -> None:
-    """Kill and wait for each (pid, pipe) child not yet joined, closing its pipe."""
-    children = [child for child in children if child is not None]
-    if not children:
-        return
-    import signal  # numpy does not load it, and only this path needs it
-
-    for pid, pipe in children:
-        pipe.close()
-        with contextlib.suppress(ProcessLookupError, ChildProcessError):  # already waited for
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
 
 
 def _token_collector(tokens: list[str]):
@@ -458,71 +451,49 @@ def write_matrix_csv(path, values, header=None) -> None:
     back with load_csv.
 
     A matrix of at least 2 x _PART_CELLS cells is cut into row ranges of
-    about equal size, at most one per usable CPU and one per _PART_CELLS.
-    This process writes the header and the first range into the temp file
-    while a forked child writes each other range into a part file of its
-    own beside path; the parts are then appended in order, a chunk at a
-    time, and removed. A range whose child does not deliver is formatted
-    here instead. On any error every child is killed and every temp and
-    part file removed, leaving path untouched. The bytes written are the
-    same for any number of ranges.
+    about equal size, at most one per usable CPU and one per _PART_CELLS;
+    any other matrix is one range. This process writes the header and the
+    first range into the temp file while _in_parts forks a child for each
+    other range, which writes it into a part file of its own beside path;
+    the parts are then appended in order, a chunk at a time, and removed.
+    A range whose child does not deliver has its part file written here
+    instead. On any error every child is killed and every temp and part
+    file removed, leaving path untouched. The bytes written are the same
+    for any number of ranges.
     """
     path, values = Path(path), np.asarray(values)
     head = StringIO()
     if header is not None:
         csv.writer(head, lineterminator="\n").writerow(header)
-    bounds = _row_bounds(values.shape)
-    if len(bounds) == 2:
-        _atomic_write_text(path, itertools.chain([head.getvalue()], _csv_lines(values)))
-        return
+    rows = len(values)
+    count = _part_count(min(rows, rows * values.shape[1] // _PART_CELLS))
+    bounds = [i * rows // count for i in range(count)] + [rows]
     stem = f"{path}.{secrets.token_hex(6)}"
-    forked = [(f"{stem}.{i}.part", values[bounds[i] : bounds[i + 1]]) for i in range(1, len(bounds) - 1)]
-    children = []  # (pid, pipe) of each forked range in range order, None once waited for or never forked
+    parts = [f"{stem}.{i}.part" for i in range(1, count)]
     try:
-        for part, rows in forked:
-            try:
-                children.append(_fork_rows(part, rows))
-            except _PartLost:
-                children.append(None)
         with _atomic_file(path) as fh:
-            fh.write(head.getvalue())
-            fh.writelines(_csv_lines(values[: bounds[1]]))
-            for i, (part, rows) in enumerate(forked):
-                try:
-                    _join(children, i)
-                except _PartLost:
-                    fh.writelines(_csv_lines(rows))
-                    continue
-                fh.flush()
-                with open(part, "rb") as src:
-                    shutil.copyfileobj(src, fh.buffer)
+            jobs = [lambda: fh.writelines(_csv_lines(values[: bounds[1]]))]
+            for part, start, stop in zip(parts, bounds[1:], bounds[2:]):
+                jobs.append(functools.partial(_write_part, part, values[start:stop]))
+            with _in_parts(jobs) as written:
+                fh.write(head.getvalue())
+                next(written)  # the first range, formatted straight into fh
+                for part in written:
+                    fh.flush()
+                    with open(part, "rb") as src:
+                        shutil.copyfileobj(src, fh.buffer)
     finally:
-        _kill(children)
-        for part, _ in forked:
+        for part in parts:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(part)
 
 
-def _row_bounds(shape) -> list[int]:
-    """[0, ..., rows]: where write_matrix_csv's row ranges of a matrix of
-    this shape start and end, at most one per usable CPU, one per row and
-    one per _PART_CELLS cells."""
-    rows = shape[0]
-    count = min(_usable_cpus(), rows, rows * shape[1] // _PART_CELLS)
-    if count < 2 or not hasattr(os, "fork"):
-        return [0, rows]
-    return [i * rows // count for i in range(count)] + [rows]
-
-
-def _fork_rows(path: str, values: np.ndarray):
-    """(pid, pipe) of a forked child that writes the CSV lines of values to
-    a new file at path; see _fork."""
-
-    def write():
-        with open(path, "x", encoding="utf-8") as fh:
-            fh.writelines(_csv_lines(values))
-
-    return _fork(write)
+def _write_part(path: str, values: np.ndarray) -> str:
+    """path, once the CSV lines of values are written to it, replacing what
+    a lost child may have left there."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(_csv_lines(values))
+    return path
 
 
 def _csv_lines(values: np.ndarray):

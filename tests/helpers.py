@@ -39,21 +39,23 @@ class Forks:
 
 def count_forks(monkeypatch, cpus):
     """Make csufs.io see `cpus` usable CPUs and record each child it forks,
-    to load a range or to write a part; returns the Forks they land in."""
-    fork_range, fork_rows = csufs.io._fork_range, csufs.io._fork_rows
+    read off the job handed to csufs.io._fork: the byte range a load job
+    parses or the row count a write job writes. Returns the Forks they
+    land in."""
+    fork = csufs.io._fork
     forks = Forks()
 
-    def counting_range(fd, start, stop, label_idx):
-        forks.loads.append((start, stop))
-        return fork_range(fd, start, stop, label_idx)
-
-    def counting_rows(path, values):
-        forks.writes.append(len(values))
-        return fork_rows(path, values)
+    def counting(job):
+        if job.func is csufs.io._parse_range:
+            _, start, stop, _ = job.args
+            forks.loads.append((start, stop))
+        else:
+            assert job.func is csufs.io._write_part, f"unknown job {job!r}"
+            forks.writes.append(len(job.args[1]))
+        return fork(job)
 
     monkeypatch.setattr(csufs.io, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(csufs.io, "_fork_range", counting_range)
-    monkeypatch.setattr(csufs.io, "_fork_rows", counting_rows)
+    monkeypatch.setattr(csufs.io, "_fork", counting)
     return forks
 
 

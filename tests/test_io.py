@@ -1,3 +1,4 @@
+import contextlib
 import math
 import os
 import pickle
@@ -398,10 +399,25 @@ def split_file(tmp_path, monkeypatch):
     return path, load_outcome(_load_csv_cells, path, True, "class")
 
 
+def ranges_parsed_here(monkeypatch):
+    """Record the (start, stop) of each byte range this process opens to
+    parse, in order; returns the list they land in."""
+    parent, open_range, here = os.getpid(), csufs.io._open_range, []
+
+    def opening(fd, start, stop):
+        if os.getpid() == parent:
+            here.append((start, stop))
+        return open_range(fd, start, stop)
+
+    monkeypatch.setattr(csufs.io, "_open_range", opening)
+    return here
+
+
 @pytest.mark.parametrize("fails_at", [0, 1], ids=["first-fork", "second-fork"])
-def test_fork_failure_loads_one_range(split_file, monkeypatch, fails_at):
+def test_range_whose_fork_fails_is_parsed_here(split_file, monkeypatch, fails_at):
     path, expected = split_file
     forks = count_forks(monkeypatch, 3).loads
+    here = ranges_parsed_here(monkeypatch)
     real_fork, calls = os.fork, []
 
     def fork():
@@ -412,13 +428,15 @@ def test_fork_failure_loads_one_range(split_file, monkeypatch, fails_at):
 
     monkeypatch.setattr(os, "fork", fork)
     assert load_outcome(load_csv, path, True, "class") == expected
-    assert len(forks) == fails_at + 1
+    assert len(forks) == len(calls) == 2
+    assert here == [(0, forks[0][0])] + forks[fails_at:]  # its own range and each unforked one, each once
     assert_no_children()
 
 
-def test_child_exiting_before_it_writes_loads_one_range(split_file, monkeypatch):
+def test_range_whose_child_exits_before_it_writes_is_parsed_here(split_file, monkeypatch):
     path, expected = split_file
     forks = count_forks(monkeypatch, 3).loads
+    here = ranges_parsed_here(monkeypatch)
     parent, load_rows = os.getpid(), csufs.io._load_rows
 
     def load(fh, label_idx):
@@ -429,6 +447,7 @@ def test_child_exiting_before_it_writes_loads_one_range(split_file, monkeypatch)
     monkeypatch.setattr(csufs.io, "_load_rows", load)
     assert load_outcome(load_csv, path, True, "class") == expected
     assert len(forks) == 2
+    assert here == [(0, forks[0][0])] + forks
     assert_no_children()
 
 
@@ -437,9 +456,10 @@ def test_child_exiting_before_it_writes_loads_one_range(split_file, monkeypatch)
     [lambda n: 0, lambda n: 1, lambda n: n // 2, lambda n: n - 1],
     ids=["empty", "one-byte", "half", "all-but-one"],
 )
-def test_child_sending_a_truncated_pickle_loads_one_range(split_file, monkeypatch, keep):
+def test_range_whose_child_sends_a_truncated_pickle_is_parsed_here(split_file, monkeypatch, keep):
     path, expected = split_file
     forks = count_forks(monkeypatch, 3).loads
+    here = ranges_parsed_here(monkeypatch)
 
     def truncated(obj, file, protocol):
         data = pickle.dumps(obj, protocol=protocol)
@@ -447,6 +467,33 @@ def test_child_sending_a_truncated_pickle_loads_one_range(split_file, monkeypatc
 
     monkeypatch.setattr(pickle, "dump", truncated)  # the children inherit it; this process only loads
     assert load_outcome(load_csv, path, True, "class") == expected
+    assert len(forks) == 2
+    assert here == [(0, forks[0][0])] + forks
+    assert_no_children()
+
+
+def test_rejected_range_stops_the_load_and_kills_the_children(split_file, monkeypatch):
+    """loadtxt rejects a cell on line 2, in this process's own range, so the
+    children, still parsing, are killed unread and the cell reader, which
+    reads "1_0" as float() does, loads the file."""
+    path, _ = split_file
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = "1_0" + lines[1][lines[1].index(",") :]
+    path.write_text("".join(lines))
+    expected = load_outcome(_load_csv_cells, path, True, "class")
+    assert expected[1][:8] == np.float64(10.0).tobytes()
+    forks = count_forks(monkeypatch, 3).loads
+    parent, load_rows = os.getpid(), csufs.io._load_rows
+
+    def load(fh, label_idx):
+        if os.getpid() != parent:
+            time.sleep(60)  # a child still parsing
+        return load_rows(fh, label_idx)
+
+    monkeypatch.setattr(csufs.io, "_load_rows", load)
+    started = time.perf_counter()
+    assert load_outcome(load_csv, path, True, "class") == expected
+    assert time.perf_counter() - started < 30, "the children were waited for, not killed"
     assert len(forks) == 2
     assert_no_children()
 
@@ -580,12 +627,36 @@ def test_write_matrix_csv_quotes_header_names_only_where_needed(tmp_path):
 
 
 def test_write_matrix_csv_hands_over_one_chunk_per_line(tmp_path, monkeypatch):
-    """A matrix below the part minimum is formatted here, a line at a time."""
-    count_forks(monkeypatch, 3)
-    seen = []
-    monkeypatch.setattr(csufs.io, "_atomic_write_text", lambda path, chunks: seen.append(list(chunks)))
-    write_matrix_csv(tmp_path / "w.csv", np.array([[0.1, -0.0], [1e300, 2.0]]), header=["a", "b"])
-    assert seen == [["a,b\n", "0.1,-0.0\n", "1e+300,2.0\n"]]
+    """A matrix below the part minimum forks nothing and is formatted here,
+    a line at a time, into the temp file."""
+    forks = count_forks(monkeypatch, 3)
+    atomic_file, seen = csufs.io._atomic_file, []
+
+    class Recorder:
+        """The temp file's handle, recording each chunk written through it."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, chunk):
+            seen.append(chunk)
+            return self.fh.write(chunk)
+
+        def writelines(self, chunks):
+            for chunk in chunks:
+                self.write(chunk)
+
+    @contextlib.contextmanager
+    def recording(path):
+        with atomic_file(path) as fh:
+            yield Recorder(fh)
+
+    monkeypatch.setattr(csufs.io, "_atomic_file", recording)
+    path = tmp_path / "w.csv"
+    write_matrix_csv(path, np.array([[0.1, -0.0], [1e300, 2.0]]), header=["a", "b"])
+    assert seen == ["a,b\n", "0.1,-0.0\n", "1e+300,2.0\n"]
+    assert path.read_text() == "".join(seen)
+    assert forks.writes == []
 
 
 def test_failed_streaming_write_leaves_no_file(tmp_path):
