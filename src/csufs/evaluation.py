@@ -70,11 +70,14 @@ def evaluate_selection(
     Columns are taken from the sample-normalized matrix, matching the
     preprocessing the selectors apply: a NormalizedDataset is used as it
     is, any other Dataset is normalized first. `method` only labels the
-    report.
+    report. An index outside 0..m-1 raises ValueError naming it.
     """
     indices = np.asarray(selected, dtype=np.int64)
     if indices.ndim != 1 or indices.size == 0:
         raise ValueError("selected must be a non-empty 1-D index list")
+    outside = indices[(indices < 0) | (indices >= X.n_features)]
+    if outside.size:
+        raise ValueError(f"selected index {outside[0]} is outside 0..{X.n_features - 1}")
     if len(truth) != X.n_samples:
         raise LengthMismatch(f"{len(truth)} labels for {X.n_samples} samples")
     # copies the selected columns only (np.take on the Fortran-order matrix
@@ -127,13 +130,15 @@ def sweep(
     and each k ranks the features from its own row; other methods rank
     once per grid. Each d takes a prefix of the ranking (ALL_FEATURES
     takes all of it). Cells that select the same columns in the same order
-    share one report.
+    share one report. Every d and k must be at least 1, for every method;
+    a d over the feature count takes all of them.
     """
     method = Method(method)
     d_values = [int(d) for d in d_values]
     k_values = [int(k) for k in k_values]
-    if not d_values or not k_values:
-        raise ValueError("d_values and k_values must be non-empty")
+    for name, values in (("d_values", d_values), ("k_values", k_values)):
+        if not values or min(values) < 1:
+            raise ValueError(f"{name} must be a non-empty list of positive integers, got {values}")
     Xn = ensure_normalized(X)
     m = Xn.n_features
     mode = {csufs_method: kernel_mode for kernel_mode, csufs_method in MODE_METHODS.items()}.get(method)

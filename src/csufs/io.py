@@ -2,18 +2,11 @@
 
 A CSV body is parsed by np.loadtxt, with a cell-by-cell reader as the
 reference for whatever loadtxt refuses and for every error message. A file
-of at least 2 x _PART_BYTES (first line non-blank, unquoted and ending in
-"\\n") is cut at line ends into byte ranges, at most one per usable CPU;
-forked children parse all ranges but the first, on which this process
-runs the same loadtxt pass. The loaded dataset, labels and errors are the
-same whether or not a file is split. A written matrix of at least
-2 x _PART_CELLS cells is cut the same way into row ranges, forked children
-formatting all but the first into part files that are then appended in
-order; its bytes are the same for any number of ranges. Both run their
-parts through one routine, _in_parts, which forks, collects and kills the
-children. It has one policy for a lost part (its child did not start,
-sent a short pickle, exited non-zero or was killed): that part, and only
-that part, is done again in this process.
+of at least 2 x _PART_BYTES is parsed in byte ranges cut at line ends, and
+a written matrix of at least 2 x _PART_CELLS cells is formatted in row
+ranges; the loaded dataset, labels and errors, and the written bytes, are
+the same for any number of ranges. How many ranges there are, which run in
+forked children and what happens to a lost one is decided in csufs.parts.
 
 Reports are JSON trees written atomically (temp file, then rename). A
 payload body is keyed by the field names of its result dataclass, so one
@@ -34,7 +27,6 @@ import itertools
 import json
 import math
 import os
-import pickle
 import secrets
 import shutil
 import typing
@@ -42,7 +34,7 @@ import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
-from io import BufferedReader, RawIOBase, StringIO, TextIOWrapper
+from io import BufferedReader, RawIOBase, TextIOWrapper
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +44,7 @@ from .bench import BenchReport
 from .data import LabelVector, SelectionResult, validate_dataset
 from .errors import EmptyMatrix, LabelColumnMissing, MalformedCsv, ParseError, RaggedRows
 from .evaluation import EvalReport, SweepReport
+from .parts import cut, in_parts
 
 
 def load_csv(path, has_header: bool = False, label_column: int | str | None = None):
@@ -105,7 +98,7 @@ def _parse_vectorized(path: Path, has_header: bool, label_column):
     """(header, float tables, label tokens) of a CSV, parsed by np.loadtxt
     in one or more byte ranges (see load_csv): the non-empty ranges' tables
     in file order, all of one width. This process reads the header and
-    resolves the label column, then parses the first range while _in_parts
+    resolves the label column, then parses the first range while in_parts
     forks a child for each other one with that label index; parts are read
     in range order and stop at the first rejected one. A label column that
     resolves before parsing has its tokens collected (0.0 stands in the
@@ -130,7 +123,7 @@ def _parse_vectorized(path: Path, has_header: bool, label_column):
             for start, stop in zip(bounds[1:-1], bounds[2:]):
                 jobs.append(functools.partial(_parse_range, fd, start, stop, label_idx))
             parts = []
-            with _in_parts(jobs) as results:
+            with in_parts(jobs) as results:
                 for table, tokens in results:
                     if table is None:
                         return header, None, None
@@ -167,19 +160,19 @@ def _join_tables(tables: list, label_idx: int | None) -> np.ndarray:
 
 def _range_bounds(fd: int, size: int) -> list[int]:
     """[0, ..., size]: where load_csv's byte ranges of fd start and end. Each
-    inner bound falls just after the first "\\n" at or past its equal share
-    of the file. The first line's conditions keep the header, when there is
-    one, wholly in the first range."""
-    count = _part_count(size // _PART_BYTES)
-    if count < 2:
+    inner bound falls just after the first "\\n" at or past its share of the
+    file (see parts.cut). The first line's conditions keep the header, when
+    there is one, wholly in the first range."""
+    shares = cut(size, size // _PART_BYTES)
+    if len(shares) < 3:
         return [0, size]
     first_end = _find(fd, b"\n", 0, size) + 1
     head = os.pread(fd, min(first_end, _SCAN_BYTES), 0).removeprefix(codecs.BOM_UTF8)
     if not head.strip(b"\r\n") or _find(fd, b'"', 0, first_end) >= 0:  # blank, no "\n" at all, or quoted
         return [0, size]
     bounds = [0]
-    for i in range(1, count):
-        end = _find(fd, b"\n", max(i * size // count, bounds[-1]), size) + 1
+    for share in shares[1:-1]:
+        end = _find(fd, b"\n", max(share, bounds[-1]), size) + 1
         if bounds[-1] < end < size:
             bounds.append(end)
     return bounds + [size]
@@ -239,97 +232,6 @@ def _parse_range(fd: int, start: int, stop: int, label_idx: int | None):
     """(table, tokens) of bytes [start, stop) of fd; see _load_rows."""
     with _open_range(fd, start, stop) as fh:
         return _load_rows(fh, label_idx)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
-
-
-def _part_count(limit: int) -> int:
-    """How many parts to cut work into: one per usable CPU, at most limit
-    and at least one; one where os.fork is missing."""
-    if not hasattr(os, "fork"):
-        return 1
-    return max(1, min(_usable_cpus(), limit))
-
-
-@contextlib.contextmanager
-def _in_parts(jobs: list):
-    """An iterator over what each of jobs returns, in order. Entering forks
-    a child for each job but the first (see _fork); the first runs here
-    when its result is asked for. A job whose child did not start, sent a
-    short pickle, exited non-zero or was killed runs here when its turn
-    comes, so a lost part costs only its own work again. When the block
-    ends, every child not yet waited for (one that a caller stopping early
-    or raising left unread) is killed and then waited for."""
-    children = []  # (pid, pipe) of each job past the first, None once waited for or never forked
-
-    def results():
-        yield jobs[0]()
-        for i, job in enumerate(jobs[1:]):
-            delivered = False
-            if children[i] is not None:
-                pid, pipe = children[i]
-                with pipe, contextlib.suppress(EOFError, pickle.UnpicklingError):
-                    result, delivered = pickle.load(pipe), True
-                delivered = os.waitpid(pid, 0)[1] == 0 and delivered
-                children[i] = None
-            yield result if delivered else job()
-
-    try:
-        for job in jobs[1:]:
-            children.append(_fork(job))
-        yield results()
-    finally:
-        live = [child for child in children if child is not None]
-        if live:
-            import signal  # numpy does not load it, and only this path needs it
-
-            for pid, pipe in live:
-                pipe.close()
-                with contextlib.suppress(ProcessLookupError, ChildProcessError):  # waited for, not yet marked
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-
-
-def _fork(job):
-    """(pid, pipe) of a forked child that runs job() and sends its result
-    through the pipe, pickled; None when no child starts.
-
-    Forking here is safe although BLAS may run threads in this process
-    (Python 3.12+ warns whenever a threaded process forks): every job only
-    parses or formats text, reads and writes files and pickles its result;
-    none calls BLAS or imports anything, since numpy loads pickle already.
-    The child always leaves through os._exit in a finally, so it never
-    returns into its caller's stack, a test runner's included, and never
-    flushes buffers it inherited. _part_count cuts no work into parts where
-    os.fork is missing.
-    """
-    try:
-        read_end, write_end = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        return None
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_end)
-            with open(write_end, "wb") as out:
-                pickle.dump(job(), out, protocol=5)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_end)
-    return pid, open(read_end, "rb")
 
 
 def _token_collector(tokens: list[str]):
@@ -452,9 +354,10 @@ def write_matrix_csv(path, values, header=None) -> None:
 
     A matrix of at least 2 x _PART_CELLS cells is cut into row ranges of
     about equal size, at most one per usable CPU and one per _PART_CELLS;
-    any other matrix is one range. This process writes the header and the
-    first range into the temp file while _in_parts forks a child for each
-    other range, which writes it into a part file of its own beside path;
+    any other matrix is one range. This process writes the header into the
+    temp file and flushes it, then writes the first range there while
+    in_parts forks a child for each other range, which writes it into a
+    part file of its own beside path;
     the parts are then appended in order, a chunk at a time, and removed.
     A range whose child does not deliver has its part file written here
     instead. On any error every child is killed and every temp and part
@@ -462,21 +365,19 @@ def write_matrix_csv(path, values, header=None) -> None:
     for any number of ranges.
     """
     path, values = Path(path), np.asarray(values)
-    head = StringIO()
-    if header is not None:
-        csv.writer(head, lineterminator="\n").writerow(header)
     rows = len(values)
-    count = _part_count(min(rows, rows * values.shape[1] // _PART_CELLS))
-    bounds = [i * rows // count for i in range(count)] + [rows]
+    bounds = cut(rows, min(rows, rows * values.shape[1] // _PART_CELLS))
     stem = f"{path}.{secrets.token_hex(6)}"
-    parts = [f"{stem}.{i}.part" for i in range(1, count)]
+    parts = [f"{stem}.{i}.part" for i in range(1, len(bounds) - 1)]
     try:
         with _atomic_file(path) as fh:
+            if header is not None:
+                csv.writer(fh, lineterminator="\n").writerow(header)
+            fh.flush()  # before any child starts, so none holds a copy of it
             jobs = [lambda: fh.writelines(_csv_lines(values[: bounds[1]]))]
             for part, start, stop in zip(parts, bounds[1:], bounds[2:]):
                 jobs.append(functools.partial(_write_part, part, values[start:stop]))
-            with _in_parts(jobs) as written:
-                fh.write(head.getvalue())
+            with in_parts(jobs) as written:
                 next(written)  # the first range, formatted straight into fh
                 for part in written:
                     fh.flush()
@@ -526,10 +427,8 @@ def _atomic_file(path: Path):
             yield fh
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
 
 

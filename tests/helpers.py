@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 import csufs.io
+import csufs.parts
 import csufs.preprocess
 
 
@@ -30,19 +31,19 @@ def count_normalizations(monkeypatch):
 
 @dataclass
 class Forks:
-    """What csufs.io forked: the (start, stop) byte range of each load range
-    and the row count of each written matrix part."""
+    """What csufs.parts forked for csufs.io: the (start, stop) byte range of
+    each load range and the row count of each written matrix part."""
 
     loads: list = field(default_factory=list)
     writes: list = field(default_factory=list)
 
 
 def count_forks(monkeypatch, cpus):
-    """Make csufs.io see `cpus` usable CPUs and record each child it forks,
-    read off the job handed to csufs.io._fork: the byte range a load job
-    parses or the row count a write job writes. Returns the Forks they
-    land in."""
-    fork = csufs.io._fork
+    """Make csufs.parts see `cpus` usable CPUs and record each child it
+    forks for csufs.io, read off the job handed to csufs.parts._fork: the
+    byte range a load job parses or the row count a write job writes.
+    Returns the Forks they land in."""
+    fork = csufs.parts._fork
     forks = Forks()
 
     def counting(job):
@@ -54,8 +55,8 @@ def count_forks(monkeypatch, cpus):
             forks.writes.append(len(job.args[1]))
         return fork(job)
 
-    monkeypatch.setattr(csufs.io, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(csufs.io, "_fork", counting)
+    monkeypatch.setattr(csufs.parts, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(csufs.parts, "_fork", counting)
     return forks
 
 

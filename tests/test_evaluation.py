@@ -75,6 +75,19 @@ def test_empty_selection_rejected(clustered_dataset):
         evaluate_selection(X, [], truth, EvalConfig(n_clusters=2))
 
 
+@pytest.mark.parametrize(
+    "index_of", [lambda m: -1, lambda m: -m, lambda m: m, lambda m: m + 5], ids=["-1", "-m", "m", "m+5"]
+)
+def test_selection_index_outside_the_matrix_rejected(clustered_dataset, index_of):
+    """-1 must not wrap round to the last column, and m must not end in
+    numpy's bare IndexError."""
+    X, truth = clustered_dataset
+    m = X.n_features
+    index = index_of(m)
+    with pytest.raises(ValueError, match=rf"selected index {index} is outside 0\.\.{m - 1}"):
+        evaluate_selection(X, [0, index], truth, EvalConfig(n_clusters=2))
+
+
 def test_truth_length_checked(clustered_dataset):
     X, _ = clustered_dataset
     short = LabelVector.from_raw(np.arange(2))
@@ -164,6 +177,10 @@ def test_sweep_rejects_empty_grid(clustered_dataset):
         sweep(X, truth, Method.CSUFS_OPTIMIZED, [], [1], cfg)
     with pytest.raises(ValueError):
         sweep(X, truth, Method.CSUFS_OPTIMIZED, [1], [], cfg)
+    for method in Method:
+        for d_values, k_values in [([-1], [1]), ([0], [1]), ([2, 0], [1]), ([2], [0, -4]), ([2], [3, -1])]:
+            with pytest.raises(ValueError, match="must be a non-empty list of positive integers"):
+                sweep(X, truth, method, d_values, k_values, cfg)
 
 
 def test_sweep_reruns_identical(clustered_dataset):

@@ -41,3 +41,41 @@ def test_private_imports_sees_relative_and_absolute_forms():
         "from os import _exit\n"
     )
     assert private_imports(tree) == ["scoring._prefix_selection", "csufs.io._atomic_write_text"]
+
+
+PROCESS_CALLS = {"fork", "_exit", "kill", "waitpid"}
+
+
+def process_calls(tree: ast.Module) -> list[str]:
+    """`os.name` of every call of os.fork, os._exit, os.kill or os.waitpid,
+    and of every such name imported from os."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            value = node.func.value
+            if isinstance(value, ast.Name) and value.id == "os" and node.func.attr in PROCESS_CALLS:
+                found.append(f"os.{node.func.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [f"os.{alias.name}" for alias in node.names if alias.name in PROCESS_CALLS]
+    return found
+
+
+def test_only_parts_forks_kills_or_reaps():
+    offenders = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        calls = process_calls(ast.parse(path.read_text(encoding="utf-8")))
+        if calls and path.name != "parts.py":
+            offenders[path.name] = calls
+    assert offenders == {}
+    assert process_calls(ast.parse((PACKAGE / "parts.py").read_text(encoding="utf-8")))
+
+
+def test_process_calls_sees_calls_and_imports():
+    tree = ast.parse(
+        "from os import _exit, pipe\n"
+        "os.fork()\n"
+        "pid, status = os.waitpid(pid, 0)\n"
+        "os.getpid()\n"
+        "other.kill(pid, 9)\n"
+    )
+    assert sorted(process_calls(tree)) == ["os._exit", "os.fork", "os.waitpid"]

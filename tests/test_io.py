@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import csufs.io
+import csufs.parts
 from csufs import (
     BenchCell,
     BenchReport,
@@ -646,6 +647,9 @@ def test_write_matrix_csv_hands_over_one_chunk_per_line(tmp_path, monkeypatch):
             for chunk in chunks:
                 self.write(chunk)
 
+        def flush(self):
+            self.fh.flush()
+
     @contextlib.contextmanager
     def recording(path):
         with atomic_file(path) as fh:
@@ -716,7 +720,7 @@ def test_split_write_matches_one_part(tmp_path, write_forks, shape, header):
     write_matrix_csv(path, values, header=header)
     assert path.read_bytes() == expected
     assert EDGE_TOKENS <= set(expected.decode().replace("\n", ",").split(","))
-    parts = min(csufs.io._usable_cpus(), shape[0])
+    parts = min(csufs.parts.usable_cpus(), shape[0])
     assert len(write_forks) == parts - 1
     assert sum(write_forks) == shape[0] - shape[0] // parts  # every row past the first part
     assert [p.name for p in tmp_path.iterdir()] == ["w.csv"]
