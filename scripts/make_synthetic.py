@@ -4,23 +4,17 @@
 The first --informative columns carry class structure (class-dependent means
 with gaussian jitter), the remaining --noise columns are uniform noise. The
 output has a header row (f0, f1, ..., class) so it can be fed straight to
-`csufs evaluate --has-header --label-col class`.
+`csufs evaluate --has-header --label-col class`. The recipe is the
+benchmark's own, perfbench/fixtures.py.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
-import numpy as np
-
-
-def build(n, classes, informative, noise, sigma, rng):
-    labels = np.arange(n) % classes
-    rng.shuffle(labels)
-    means = np.linspace(-1.0, 1.0, classes)
-    m = informative + noise
-    X = rng.uniform(-1.0, 1.0, (n, m))
-    X[:, :informative] = means[labels][:, None] + rng.normal(0.0, sigma, (n, informative))
-    return X, labels
+sys.dont_write_bytecode = True  # leave no cache files under perfbench/
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import fixtures  # noqa: E402
 
 
 def main():
@@ -29,20 +23,13 @@ def main():
     parser.add_argument("--classes", type=int, default=2, help="number of classes")
     parser.add_argument("--informative", type=int, default=10, help="class-bearing feature count")
     parser.add_argument("--noise", type=int, default=90, help="noise feature count")
-    parser.add_argument("--sigma", type=float, default=0.1, help="jitter on informative features")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--output", type=Path, required=True)
     args = parser.parse_args()
 
-    rng = np.random.default_rng(args.seed)
-    X, labels = build(args.n, args.classes, args.informative, args.noise, args.sigma, rng)
-    m = X.shape[1]
-    header = ",".join(f"f{j}" for j in range(m)) + ",class"
-    rows = [header]
-    for i in range(args.n):
-        rows.append(",".join(repr(float(x)) for x in X[i]) + f",{labels[i]}")
-    args.output.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    print(f"wrote {args.n} samples x {m} features to {args.output}")
+    X, labels = fixtures.build(args.n, args.classes, args.informative, args.noise, args.seed)
+    fixtures.write_csv(args.output, X, labels)
+    print(f"wrote {args.n} samples x {X.shape[1]} features to {args.output}")
     print(f"informative columns: f0..f{args.informative - 1}")
 
 

@@ -10,6 +10,11 @@ import numpy as np
 from .errors import EmptyMatrix, NonFiniteEntry
 
 
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class Method(str, Enum):
     """Selector identities recorded in results and reports."""
 
@@ -82,13 +87,18 @@ class LabelVector:
     n_classes: int
 
     def __post_init__(self):
-        arr = np.array(self.labels, dtype=np.int64)
+        arr = np.asarray(self.labels)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("labels must be a non-empty 1-D sequence")
+        if not np.issubdtype(arr.dtype, np.integer):  # bool included: it is no class index
+            raise ValueError(f"labels must be integers, got dtype {arr.dtype}")
+        if not is_integer(self.n_classes):
+            raise ValueError(f"n_classes must be an integer, got {self.n_classes!r}")
         if self.n_classes < 1:
             raise ValueError(f"n_classes must be positive, got {self.n_classes}")
         if arr.min() < 0 or arr.max() >= self.n_classes:
             raise ValueError(f"labels must lie in 0..{self.n_classes - 1}")
+        arr = arr.astype(np.int64)  # always a copy, so freezing it leaves the caller's array alone
         arr.flags.writeable = False
         self.labels = arr
         self.n_classes = int(self.n_classes)

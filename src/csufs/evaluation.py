@@ -6,12 +6,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, LabelVector, Method
+from .data import Dataset, LabelVector, Method, is_integer
 from .errors import LengthMismatch
 from .kmeans import DEFAULT_CONV_TOL, DEFAULT_MAX_ITER, kmeans
 from .metrics import clustering_accuracy, normalized_mutual_information
 from .preprocess import ensure_normalized
-from .scoring import MODE_METHODS, ScoringConfig, knn_distance_sums, score_all_features, select_max_variance
+from .scoring import rankings
 
 DEFAULT_SEEDS = tuple(range(10))
 
@@ -30,6 +30,9 @@ class EvalConfig:
     conv_tol: float = DEFAULT_CONV_TOL
 
     def __post_init__(self):
+        self.seeds = tuple(self.seeds)
+        if not all(is_integer(s) for s in self.seeds):
+            raise ValueError(f"seeds must be integers, got {self.seeds}")
         self.seeds = tuple(int(s) for s in self.seeds)
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
@@ -72,9 +75,12 @@ def evaluate_selection(
     is, any other Dataset is normalized first. `method` only labels the
     report. An index outside 0..m-1 raises ValueError naming it.
     """
-    indices = np.asarray(selected, dtype=np.int64)
+    indices = np.asarray(selected)
     if indices.ndim != 1 or indices.size == 0:
         raise ValueError("selected must be a non-empty 1-D index list")
+    if not np.issubdtype(indices.dtype, np.integer):  # a bool mask or float positions would be cast to indices
+        raise ValueError(f"selected must hold integer indices, got dtype {indices.dtype}")
+    indices = indices.astype(np.int64, copy=False)
     outside = indices[(indices < 0) | (indices >= X.n_features)]
     if outside.size:
         raise ValueError(f"selected index {outside[0]} is outside 0..{X.n_features - 1}")
@@ -125,31 +131,23 @@ def sweep(
 ) -> SweepReport:
     """One evaluation per (d, k) grid cell.
 
-    The matrix is normalized once, unless it is a NormalizedDataset. For
-    csufs one kernel pass computes the distance sums of the whole k grid,
-    and each k ranks the features from its own row; other methods rank
-    once per grid. Each d takes a prefix of the ranking (ALL_FEATURES
-    takes all of it). Cells that select the same columns in the same order
-    share one report. Every d and k must be at least 1, for every method;
-    a d over the feature count takes all of them.
+    The matrix is normalized once, unless it is a NormalizedDataset, and
+    scoring.rankings ranks its features once per k. Each d takes a prefix
+    of the ranking (ALL_FEATURES takes all of it). Cells that select the
+    same columns in the same order share one report. Every d and k must be
+    at least 1, for every method; a d over the feature count takes all of
+    them.
     """
     method = Method(method)
-    d_values = [int(d) for d in d_values]
-    k_values = [int(k) for k in k_values]
+    d_values, k_values = list(d_values), list(k_values)
     for name, values in (("d_values", d_values), ("k_values", k_values)):
-        if not values or min(values) < 1:
+        if not values or not all(is_integer(v) and v >= 1 for v in values):
             raise ValueError(f"{name} must be a non-empty list of positive integers, got {values}")
+    d_values, k_values = [int(d) for d in d_values], [int(k) for k in k_values]
     Xn = ensure_normalized(X)
-    m = Xn.n_features
-    mode = {csufs_method: kernel_mode for kernel_mode, csufs_method in MODE_METHODS.items()}.get(method)
-    ranking = select_max_variance(Xn, m).selected if method is Method.MAX_VARIANCE else np.arange(m)
-    if mode is not None:
-        grid_sums = knn_distance_sums(Xn.values, k_values, mode)
     reports: dict[tuple[int, ...], EvalReport] = {}
     cells: list[SweepCell] = []
-    for i, k in enumerate(k_values):
-        if mode is not None:
-            ranking = score_all_features(Xn, ScoringConfig(k=k, mode=mode), d=grid_sums[i]).ranking()
+    for k, ranking in zip(k_values, rankings(Xn, method, k_values)):
         for d in d_values:
             columns = ranking if method is Method.ALL_FEATURES else ranking[:d]
             key = tuple(columns.tolist())

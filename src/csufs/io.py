@@ -362,9 +362,15 @@ def write_matrix_csv(path, values, header=None) -> None:
     A range whose child does not deliver has its part file written here
     instead. On any error every child is killed and every temp and part
     file removed, leaving path untouched. The bytes written are the same
-    for any number of ranges.
+    for any number of ranges. A matrix that is not 2-D, or a header whose
+    length is not the column count, raises ValueError before any file is
+    made.
     """
     path, values = Path(path), np.asarray(values)
+    if values.ndim != 2:
+        raise ValueError(f"values must be a 2-D matrix, got ndim={values.ndim}")
+    if header is not None and len(header) != values.shape[1]:
+        raise ValueError(f"got {len(header)} header names for {values.shape[1]} columns")
     rows = len(values)
     bounds = cut(rows, min(rows, rows * values.shape[1] // _PART_CELLS))
     stem = f"{path}.{secrets.token_hex(6)}"

@@ -42,8 +42,9 @@ MODE_METHODS = {"optimized": Method.CSUFS_OPTIMIZED, "naive": Method.CSUFS_NAIVE
 
 # caps on one block: pairwise distances for the naive kernel (16 MB); framed
 # sorted values for one window chunk, whose working set is about kmax + 5
-# times that. Every n gets the same per-block footprint, so timings follow
-# the arithmetic rather than the cache
+# times that, up to the naive kernel's cap (reached at kmax = 57). Every n
+# gets the same per-block footprint, so timings follow the arithmetic rather
+# than the cache
 _BLOCK_ELEMENTS = 2_000_000
 _WINDOW_BLOCK_ELEMENTS = 32_768
 
@@ -123,8 +124,9 @@ def _window_per_sample(s: np.ndarray, ks: tuple[int, ...]) -> np.ndarray:
 
 def _window_block_values(ks: tuple[int, ...]) -> int:
     """Values per window block for ascending ks: a grid holds kmax + len(ks) + 4
-    block-sized arrays, so its blocks shrink to one k = kmax's footprint."""
-    return (ks[-1] + 5) * _WINDOW_BLOCK_ELEMENTS // (ks[-1] + len(ks) + 4)
+    block-sized arrays, so its blocks shrink to one k = kmax's footprint,
+    which is at most _BLOCK_ELEMENTS values."""
+    return min((ks[-1] + 5) * _WINDOW_BLOCK_ELEMENTS, _BLOCK_ELEMENTS) // (ks[-1] + len(ks) + 4)
 
 
 def _window_block(values: np.ndarray, ks: tuple[int, ...]) -> np.ndarray:
@@ -305,6 +307,19 @@ def csufs(X: Dataset, d: int, cfg: ScoringConfig | None = None) -> SelectionResu
     cfg = cfg or ScoringConfig()
     scores = score_all_features(ensure_normalized(X), cfg)
     return _prefix_selection(scores.ranking(), scores, d, MODE_METHODS[cfg.mode])
+
+
+def rankings(X: Dataset, method: Method, k_values) -> list[np.ndarray]:
+    """Every feature index of the already-normalized X, best first, once per
+    entry of k_values, in the order given and duplicates kept. For csufs one
+    kernel pass computes the distance sums of the whole k grid, and each k
+    ranks the features from its own row; other methods rank once per grid."""
+    mode = {csufs_method: kernel_mode for kernel_mode, csufs_method in MODE_METHODS.items()}.get(method)
+    if mode is None:
+        m = X.n_features
+        return [select_max_variance(X, m).selected if method is Method.MAX_VARIANCE else np.arange(m)] * len(k_values)
+    grid_sums = knn_distance_sums(X.values, k_values, mode)
+    return [score_all_features(X, ScoringConfig(k=k, mode=mode), d=row).ranking() for k, row in zip(k_values, grid_sums)]
 
 
 def _variance_scores(X: Dataset) -> FeatureScores:

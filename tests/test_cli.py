@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import csufs
-from csufs import Method, read_report, run_benchmark
+from csufs import Method, evaluate_selection, read_report, run_benchmark
 from csufs.cli import main, parse_grid, parse_seed_list
 from helpers import count_normalizations, make_two_class_data
 
@@ -213,6 +213,22 @@ def test_bench_reports_agreement(tmp_path, capsys):
     assert all(cell.agreement for cell in doc.payload.grid)
 
 
+def test_bench_with_disagreeing_kernels_exits_one_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    def disagreeing(n_list, m, k, reps, seed):
+        report = run_benchmark(n_list, m, k, reps=reps, seed=seed)
+        report.grid[-1].agreement = False
+        return report
+
+    monkeypatch.setattr(csufs.cli, "run_benchmark", disagreeing)
+    out_path = tmp_path / "bench.json"
+    code = main(["bench", "--n-list", "40,60", "--m", "2", "--k", "3", "--reps", "1", "--output", str(out_path)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "disagree at n=[60]" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -256,6 +272,25 @@ def test_negative_conv_tol_is_flag_misuse(labeled_csv, capsys):
     assert "usage:" in err
     assert "non-negative" in err
     assert "Traceback" not in err
+
+
+def test_valid_stop_rules_reach_the_config_and_the_report(labeled_csv, tmp_path, monkeypatch):
+    configs = []
+
+    def recording(X, selected, truth, cfg, method):
+        configs.append(cfg)
+        return evaluate_selection(X, selected, truth, cfg, method=method)
+
+    monkeypatch.setattr(csufs.cli, "evaluate_selection", recording)
+    report_path = tmp_path / "eval.json"
+    code = main(
+        ["evaluate", "--input", str(labeled_csv), "--label-col", "class", "--d", "2", "--seeds", "0",
+         "--conv-tol", "0.25", "--max-iter", "7", "--output", str(report_path)]
+    )
+    assert code == 0
+    assert [(cfg.conv_tol, cfg.max_iter) for cfg in configs] == [(0.25, 7)]
+    invocation = read_report(report_path).invocation
+    assert (invocation["conv_tol"], invocation["max_iter"]) == (0.25, 7)
 
 
 def test_threads_flag_is_gone(labeled_csv, capsys):

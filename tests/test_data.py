@@ -121,6 +121,26 @@ def test_label_vector_rejects_out_of_range():
         LabelVector(labels=np.array([], dtype=np.int64), n_classes=1)
 
 
+def test_label_vector_rejects_non_integer_labels():
+    """0.5 and 1.9 must not be truncated to classes 0 and 1."""
+    for labels in ([0.5, 1.9], np.array([0.0, 1.0]), np.array([False, True])):
+        with pytest.raises(ValueError, match="labels must be integers"):
+            LabelVector(labels=labels, n_classes=2)
+
+
+def test_label_vector_rejects_non_integer_class_count():
+    for n_classes in (2.0, 2.5, True, np.float64(2)):
+        with pytest.raises(ValueError, match="n_classes must be an integer"):
+            LabelVector(labels=[0, 1], n_classes=n_classes)
+
+
+def test_label_vector_accepts_numpy_integers():
+    lv = LabelVector(labels=np.array([0, 1, 1], dtype=np.uint8), n_classes=np.int32(2))
+    assert lv.labels.dtype == np.int64
+    assert lv.labels.tolist() == [0, 1, 1]
+    assert type(lv.n_classes) is int
+
+
 def test_label_vector_is_frozen():
     lv = LabelVector.from_raw([0, 1])
     with pytest.raises(ValueError):

@@ -88,6 +88,33 @@ def test_selection_index_outside_the_matrix_rejected(clustered_dataset, index_of
         evaluate_selection(X, [0, index], truth, EvalConfig(n_clusters=2))
 
 
+@pytest.mark.parametrize(
+    "selected",
+    [np.array([False, False, False, True, True, True]), [1.7], np.array([0.0, 1.0])],
+    ids=["bool-mask", "float", "integral-float"],
+)
+def test_selection_that_is_not_integer_indices_rejected(clustered_dataset, selected):
+    """A boolean mask must not turn into columns 0 and 1, nor 1.7 into column 1."""
+    X, truth = clustered_dataset
+    with pytest.raises(ValueError, match="selected must hold integer indices"):
+        evaluate_selection(X, selected, truth, EvalConfig(n_clusters=2, seeds=(0,)))
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint16, np.uint64])
+def test_signed_and_unsigned_integer_selections_accepted(clustered_dataset, dtype):
+    X, truth = clustered_dataset
+    cfg = EvalConfig(n_clusters=2, seeds=(0,))
+    report = evaluate_selection(X, np.array([3, 4, 5], dtype=dtype), truth, cfg)
+    assert report == evaluate_selection(X, [3, 4, 5], truth, cfg)
+
+
+def test_non_integer_seeds_rejected():
+    for seeds in ([1.5], [True], [0, 2.0], ["3"]):
+        with pytest.raises(ValueError, match="seeds must be integers"):
+            EvalConfig(n_clusters=2, seeds=seeds)
+    assert EvalConfig(n_clusters=2, seeds=np.arange(3, dtype=np.uint8)).seeds == (0, 1, 2)
+
+
 def test_truth_length_checked(clustered_dataset):
     X, _ = clustered_dataset
     short = LabelVector.from_raw(np.arange(2))
@@ -178,9 +205,18 @@ def test_sweep_rejects_empty_grid(clustered_dataset):
     with pytest.raises(ValueError):
         sweep(X, truth, Method.CSUFS_OPTIMIZED, [1], [], cfg)
     for method in Method:
-        for d_values, k_values in [([-1], [1]), ([0], [1]), ([2, 0], [1]), ([2], [0, -4]), ([2], [3, -1])]:
+        for d_values, k_values in [([-1], [1]), ([0], [1]), ([2, 0], [1]), ([2], [0, -4]), ([2], [3, -1]),
+                                   ([2.5], [1]), ([2], [1.0]), ([True], [1]), ([2], [np.float64(3)])]:
             with pytest.raises(ValueError, match="must be a non-empty list of positive integers"):
                 sweep(X, truth, method, d_values, k_values, cfg)
+
+
+def test_sweep_accepts_numpy_integer_grids(clustered_dataset):
+    X, truth = clustered_dataset
+    cfg = EvalConfig(n_clusters=2, seeds=(0,))
+    report = sweep(X, truth, Method.CSUFS_OPTIMIZED, np.array([2, 3], dtype=np.uint8), np.arange(1, 3), cfg)
+    assert report == sweep(X, truth, Method.CSUFS_OPTIMIZED, [2, 3], [1, 2], cfg)
+    assert [type(d) for d in report.d_values + report.k_values] == [int] * 4
 
 
 def test_sweep_reruns_identical(clustered_dataset):

@@ -117,6 +117,12 @@ def test_label_name_without_header(tmp_path):
         load_csv(path, label_column="class")
 
 
+def test_label_column_true_is_not_an_index(tmp_path):
+    path = write(tmp_path, "a,b\n1,2\n")
+    with pytest.raises(LabelColumnMissing, match="index or name"):
+        load_csv(path, has_header=True, label_column=True)
+
+
 def test_label_index_out_of_range(tmp_path):
     path = write(tmp_path, "1,2\n")
     with pytest.raises(LabelColumnMissing):
@@ -571,6 +577,13 @@ def test_infinity_serialized_as_token():
     assert math.isinf(restored.payload.scores.cs[1])
 
 
+def test_nan_in_a_payload_is_not_serialized():
+    report = EvalReport(per_seed=[(0, float("nan"), 1.0)], mean_acc=float("nan"), mean_nmi=1.0,
+                        n_features_used=1, method=Method.ALL_FEATURES)
+    with pytest.raises(ValueError):
+        serialize_report(ReportDocument(payload=report, invocation={}))
+
+
 def test_awkward_floats_round_trip_bit_exact(tmp_path):
     tricky = [0.1, 1.0 / 3.0, 5e-324, 1e308, 2.0**-1074, 1.2345678901234567]
     scores = FeatureScores(
@@ -616,6 +629,19 @@ def test_write_matrix_csv_round_trips_values(tmp_path):
     ds, _ = load_csv(path, has_header=True)
     assert ds.feature_names == ("a", "b")
     assert ds.values.tobytes() == np.asfortranarray(values).tobytes()
+
+
+@pytest.mark.parametrize(
+    "values, header",
+    [(np.ones((3, 3)), ["a"]), (np.ones((3, 2)), ["a", "b", "c"]), (np.ones(3), None), (np.ones((2, 2, 2)), None)],
+    ids=["short-header", "long-header", "1-D", "3-D"],
+)
+def test_write_matrix_csv_rejects_what_load_csv_could_not_read(tmp_path, values, header):
+    """A header of the wrong length would give RaggedRows on reading back;
+    the check comes before any temp or part file is made."""
+    with pytest.raises(ValueError, match="header names for|2-D matrix"):
+        write_matrix_csv(tmp_path / "w.csv", values, header=header)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_write_matrix_csv_quotes_header_names_only_where_needed(tmp_path):

@@ -133,3 +133,15 @@ def test_window_kernel_on_a_long_column_stays_within_one_block_budget():
         _, peak = traced_peak(kernel, arg, k)
         bound = (k + 5) * scoring._WINDOW_BLOCK_ELEMENTS * 8 + buffers * n * 8 + SLACK
         assert peak <= bound, f"{kernel.__name__}: peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
+
+
+def test_window_kernel_block_stays_within_the_naive_cap_at_large_k():
+    """Past k = 56 a window chunk's k + 5 arrays would outgrow the naive
+    kernel's block; the block shrinks instead, so at k = 400 the kernel
+    holds one _BLOCK_ELEMENTS block plus the matrix's sorted copy, sums and
+    output."""
+    n, m, k = 4000, 8, 400
+    values = np.random.default_rng(14).normal(size=(n, m))
+    _, peak = traced_peak(knn_distance_sums, values, k)
+    bound = scoring._BLOCK_ELEMENTS * 8 + 4 * n * m * 8 + SLACK
+    assert peak <= bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"

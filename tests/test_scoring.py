@@ -216,6 +216,26 @@ def test_csufs_naive_and_optimized_select_identically():
     assert slow.method is Method.CSUFS_NAIVE
 
 
+@pytest.mark.parametrize("method", list(Method))
+def test_rankings_give_one_full_ranking_per_k_as_the_selectors_do(method):
+    """Request order and duplicates are kept; each csufs ranking is the one
+    csufs() gives for that k, and the reference methods ignore k."""
+    rng = np.random.default_rng(22)
+    X = normalize_samples(validate_dataset(rng.normal(size=(40, 9))))
+    k_values = [4, 1, 4, 2]
+    found = scoring.rankings(X, method, k_values)
+    assert len(found) == len(k_values)
+    for k, ranking in zip(k_values, found):
+        if method in (Method.CSUFS_OPTIMIZED, Method.CSUFS_NAIVE):
+            mode = "optimized" if method is Method.CSUFS_OPTIMIZED else "naive"
+            expected = csufs(X, d=9, cfg=ScoringConfig(k=k, mode=mode)).selected
+        elif method is Method.MAX_VARIANCE:
+            expected = select_max_variance(X, 9).selected
+        else:
+            expected = np.arange(9)
+        assert np.array_equal(ranking, expected)
+
+
 def test_csufs_with_d_equal_m_is_a_permutation():
     rng = np.random.default_rng(13)
     X = validate_dataset(rng.normal(size=(30, 8)))
