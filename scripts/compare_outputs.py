@@ -13,7 +13,11 @@ range: one run covers both sides of that choice. Likewise every reduced
 matrix written from a benchmark fixture (select_wide's 5000 x 100 and
 more) has at least 2 x csufs.io._PART_CELLS cells, so on such a host it
 is written in row ranges, while the 300 x 30 fixture's matrices, 9000
-cells at most, are written in one. The command set is memory_peaks.py's
+cells at most, are written in one. And every csufs kernel run on a
+benchmark fixture (40000 x 25, 5000 x 500, 3000 x 200, at least
+2 x csufs.scoring._PART_VALUES values) scores its columns in ranges on
+such a host, while on the 300 x 30 fixture the kernel is one range. The
+command set is memory_peaks.py's
 commands() (the three workloads, the named-label copy, maxvar and all
 selects with --write-matrix, csufs and all evaluates) plus SMALL on the
 300 x 30 fixture: naive and all selects with --write-matrix, optimized

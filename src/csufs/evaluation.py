@@ -38,10 +38,12 @@ class EvalConfig:
             raise ValueError("seeds must be non-empty")
         if min(self.seeds) < 0:
             raise ValueError(f"seeds must be non-negative, got {min(self.seeds)}")
-        if self.n_clusters < 1:
-            raise ValueError(f"n_clusters must be positive, got {self.n_clusters}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be positive, got {self.max_iter}")
+        for name in ("n_clusters", "max_iter"):
+            value = getattr(self, name)
+            if not is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be positive, got {value}")
         if not self.conv_tol >= 0:  # NaN included: like a negative, it never stops a run
             raise ValueError(f"conv_tol must be non-negative, got {self.conv_tol}")
 

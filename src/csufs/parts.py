@@ -79,7 +79,10 @@ def _fork(job):
     thread, call no BLAS, import nothing numpy has not loaded already
     (pickle is one it has), and return a picklable result. The jobs today
     keep this contract: io._parse_range parses a byte range with
-    np.loadtxt, and io._write_part formats rows with repr into a part file.
+    np.loadtxt, io._write_part formats rows with repr into a part file, and
+    scoring._window_part scores a column range with numpy's sort,
+    subtractions, additions and minimums, none of which calls BLAS or
+    starts a thread, and returns one small array of sums.
 
     The child always leaves through os._exit in a finally, so it never
     returns into its caller's stack, a test runner's included, and never

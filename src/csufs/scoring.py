@@ -21,17 +21,24 @@ Each kernel has one routine that scores a whole k grid within one block
 of memory. The window routine frames each sorted column with kmax -inf
 below and kmax +inf above, so batched short columns, a long column and
 the trace alike are one flat run, scored in chunks with a halo of kmax.
+A matrix of at least 2 x _PART_VALUES values is cut into contiguous column
+ranges, at most one per usable CPU and one per _PART_VALUES values, and
+csufs.parts scores every range past the first in a forked child. A
+column's sums do not depend on the columns it shares a block with, so the
+bits are the same for any number of ranges.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, FeatureScores, Method, SelectionResult
+from .data import Dataset, FeatureScores, Method, SelectionResult, is_integer
 from .errors import KTooLarge, TooFewSamples
+from .parts import cut, in_parts
 from .preprocess import ensure_normalized
 
 DEFAULT_K = 5
@@ -57,7 +64,7 @@ class ScoringConfig:
     mode: str = "optimized"
 
     def __post_init__(self):
-        if self.k < 1:
+        if not is_integer(self.k) or self.k < 1:
             raise ValueError(f"k must be a positive integer, got {self.k}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
@@ -66,7 +73,7 @@ class ScoringConfig:
 def _require_kernel_args(n: int, k: int) -> None:
     if n < 2:
         raise TooFewSamples(f"need at least 2 samples for distance sums, got {n}")
-    if k < 1:
+    if not is_integer(k) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
     if k >= n:
         raise KTooLarge(f"k={k} needs at least k+1={k + 1} samples, got {n}")
@@ -152,6 +159,29 @@ def _window_block(values: np.ndarray, ks: tuple[int, ...]) -> np.ndarray:
             hi = min(lo + core, size - kmax)
             out[:, lo:hi] = _window_per_sample(flat[lo - kmax : hi + kmax], ks)[:, kmax:-kmax]
     return out.reshape(len(ks), c, n + 2 * kmax)[:, :, kmax : kmax + n]
+
+
+# The least values a kernel part holds. One part against two,
+# knn_distance_sums medians of 15 calls at k = 5 on 2 shared cores, in a
+# process holding 60 MB: 3.6 / 4.8 ms at 200000 values, 5.2 / 5.7 ms at
+# 300000, 8.7 / 7.5 ms at 500000, 9.8 / 8.0 ms at 600000. The crossover is
+# near 350000 values, so the smallest matrix split, 500000 values, saves
+# about a seventh. A3's 2000 x 50 and 4000 x 50 matrices stay one part, so
+# its doubling ratio times the kernel, not a fork.
+_PART_VALUES = 250_000
+
+
+def _window_part(values: np.ndarray, start: int, stop: int, ks: tuple[int, ...]) -> np.ndarray:
+    """(len(ks), stop - start) distance sums of columns [start, stop) of
+    values for ascending ks, scored as many whole framed columns per
+    _window_block call as fit in a block, at least one."""
+    n = len(values)
+    step = max(1, _window_block_values(ks) // (n + 2 * ks[-1]))
+    sums = np.empty((len(ks), stop - start))
+    for lo in range(start, stop, step):
+        hi = min(lo + step, stop)
+        sums[:, lo - start : hi - start] = _window_block(values[:, lo:hi], ks).sum(axis=2)
+    return sums
 
 
 def knn_distance_sum_naive(f, k: int) -> float:
@@ -256,6 +286,14 @@ def knn_distance_sums(values: np.ndarray, k, mode: str = "optimized") -> np.ndar
     each row has the bits of its own int call. The whole sequence is scored
     in one pass: the window kernel takes as many whole framed columns per
     block as fit, at least one; the naive kernel one column at a time.
+
+    The window kernel cuts a matrix of at least 2 x _PART_VALUES values into
+    contiguous column ranges of about equal width, at most one per usable
+    CPU and one per _PART_VALUES values (csufs.parts.cut). This process
+    scores the first range while a forked child scores each other one; a
+    range whose child does not deliver is scored here. Every other call,
+    the naive kernel's included, is one range. The sums have the same bits
+    for any number of ranges. Every k is checked before any child forks.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -272,9 +310,11 @@ def knn_distance_sums(values: np.ndarray, k, mode: str = "optimized") -> np.ndar
     grid = tuple(sorted(set(ks)))
     rows = np.empty((len(grid), m))
     if mode == "optimized":
-        step = max(1, _window_block_values(grid) // (n + 2 * grid[-1]))  # whole framed columns per block
-        for lo in range(0, m, step):
-            rows[:, lo : lo + step] = _window_block(values[:, lo : lo + step], grid).sum(axis=2)
+        bounds = cut(m, min(m, n * m // _PART_VALUES))
+        jobs = [functools.partial(_window_part, values, a, b, grid) for a, b in zip(bounds, bounds[1:])]
+        with in_parts(jobs) as parts:
+            for a, b, sums in zip(bounds, bounds[1:], parts):
+                rows[:, a:b] = sums
     else:
         for r, col in enumerate(values.T):
             rows[:, r] = _naive_per_sample(np.ascontiguousarray(col), grid).sum(axis=1)
@@ -285,7 +325,7 @@ def knn_distance_sums(values: np.ndarray, k, mode: str = "optimized") -> np.ndar
 def _prefix_selection(order: np.ndarray, scores: FeatureScores, d: int, method: Method) -> SelectionResult:
     """The first d entries of a full ranking. d > m clamps to all m with a
     warning aimed at the line that called the public selector."""
-    if d < 1:
+    if not is_integer(d) or d < 1:
         raise ValueError(f"d must be a positive integer, got {d}")
     m = order.size
     if d > m:

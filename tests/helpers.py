@@ -9,6 +9,7 @@ import numpy as np
 import csufs.io
 import csufs.parts
 import csufs.preprocess
+import csufs.scoring
 
 
 def count_normalizations(monkeypatch):
@@ -31,18 +32,21 @@ def count_normalizations(monkeypatch):
 
 @dataclass
 class Forks:
-    """What csufs.parts forked for csufs.io: the (start, stop) byte range of
-    each load range and the row count of each written matrix part."""
+    """What csufs.parts forked for csufs.io and csufs.scoring: the (start,
+    stop) byte range of each load range, the row count of each written
+    matrix part and the (start, stop) column range of each kernel part."""
 
     loads: list = field(default_factory=list)
     writes: list = field(default_factory=list)
+    kernels: list = field(default_factory=list)
 
 
 def count_forks(monkeypatch, cpus):
     """Make csufs.parts see `cpus` usable CPUs and record each child it
-    forks for csufs.io, read off the job handed to csufs.parts._fork: the
-    byte range a load job parses or the row count a write job writes.
-    Returns the Forks they land in."""
+    forks, read off the job handed to csufs.parts._fork: the byte range a
+    load job parses, the row count a write job writes or the column range
+    a kernel job scores. Any other job fails the test. Returns the Forks
+    they land in."""
     fork = csufs.parts._fork
     forks = Forks()
 
@@ -50,9 +54,12 @@ def count_forks(monkeypatch, cpus):
         if job.func is csufs.io._parse_range:
             _, start, stop, _ = job.args
             forks.loads.append((start, stop))
-        else:
-            assert job.func is csufs.io._write_part, f"unknown job {job!r}"
+        elif job.func is csufs.io._write_part:
             forks.writes.append(len(job.args[1]))
+        else:
+            assert job.func is csufs.scoring._window_part, f"unknown job {job!r}"
+            _, start, stop, _ = job.args
+            forks.kernels.append((start, stop))
         return fork(job)
 
     monkeypatch.setattr(csufs.parts, "usable_cpus", lambda: cpus)

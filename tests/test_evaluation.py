@@ -146,6 +146,14 @@ def test_nonpositive_max_iter_rejected():
     assert EvalConfig(n_clusters=2, max_iter=1).max_iter == 1
 
 
+@pytest.mark.parametrize("field", ["n_clusters", "max_iter"])
+@pytest.mark.parametrize("count", [2.5, 3.0, True, "3"])
+def test_non_integer_counts_rejected_naming_the_field(field, count):
+    fields = {"n_clusters": 2, "seeds": [0], field: count}
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        EvalConfig(**fields)
+
+
 def test_sweep_covers_full_grid(clustered_dataset):
     X, truth = clustered_dataset
     cfg = EvalConfig(n_clusters=2, seeds=(0, 1))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import csufs.parts
 import csufs.scoring as scoring
 from csufs import (
     KTooLarge,
@@ -14,7 +15,8 @@ from csufs import (
     knn_distance_sums,
     knn_distance_trace,
 )
-from helpers import knn_sum_oracle, knn_sum_oracle_py
+from helpers import count_forks, knn_sum_oracle, knn_sum_oracle_py
+from test_parts import assert_no_children, fail_first_fork, truncate_pickles
 
 
 def both(f, k):
@@ -359,3 +361,67 @@ def test_k_grid_rejects_a_too_large_or_empty_grid():
             knn_distance_sums(X, (2, 0), mode=mode)
         with pytest.raises(ValueError):
             knn_distance_sums(X, (), mode=mode)
+
+
+SPLIT_SHAPE = (2500, 307)  # 767500 values: up to three kernel parts, of 102, 102 and 103 columns
+
+
+@pytest.fixture(scope="module")
+def split_values():
+    return np.random.default_rng(21).normal(size=SPLIT_SHAPE)
+
+
+def one_part_sums(monkeypatch, values, k):
+    with monkeypatch.context() as patch:
+        patch.setattr(csufs.parts, "usable_cpus", lambda: 1)
+        return knn_distance_sums(values, k)
+
+
+@pytest.mark.parametrize("k", [5, (7, 3, 7)], ids=["single-k", "grid-with-duplicate"])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_kernel_parts_give_the_same_bits_for_any_cpu_count(monkeypatch, split_values, cpus, k):
+    expected = one_part_sums(monkeypatch, split_values, k)
+    forks = count_forks(monkeypatch, cpus)
+    sums = knn_distance_sums(split_values, k)
+    assert sums.shape == expected.shape and sums.tobytes() == expected.tobytes()
+    m = SPLIT_SHAPE[1]
+    bounds = [i * m // cpus for i in range(cpus)] + [m]
+    assert forks.kernels == list(zip(bounds[1:-1], bounds[2:]))
+    assert_no_children()
+
+
+@pytest.mark.parametrize(
+    "lose",
+    [fail_first_fork, lambda patch: truncate_pickles(patch, lambda obj: True)],
+    ids=["fork-fails", "truncated-pickle"],
+)
+def test_lost_kernel_part_gives_the_same_sums(monkeypatch, split_values, lose):
+    expected = one_part_sums(monkeypatch, split_values, (7, 3, 7))
+    forks = count_forks(monkeypatch, 3)
+    lose(monkeypatch)
+    assert knn_distance_sums(split_values, (7, 3, 7)).tobytes() == expected.tobytes()
+    assert len(forks.kernels) == 2
+    assert_no_children()
+
+
+@pytest.mark.parametrize(
+    "n, m, mode",
+    [(2000, 50, "optimized"), (4000, 50, "optimized"), (999, 500, "optimized"), (600_000, 1, "optimized"),
+     (50, 10_000, "naive")],
+)
+def test_kernel_stays_one_part_below_two_parts_of_values_or_on_one_column(monkeypatch, n, m, mode):
+    """A3's 2000 x 50 and 4000 x 50 matrices and one just under two parts'
+    worth are one part; so are a long single column and the naive kernel
+    at any size."""
+    values = np.random.default_rng(22).normal(size=(n, m))
+    forks = count_forks(monkeypatch, 4)
+    knn_distance_sums(values, 5, mode=mode)
+    assert forks.kernels == []
+
+
+@pytest.mark.parametrize("k", [2.5, (5, 2.5), True], ids=["float", "float-in-grid", "bool"])
+def test_non_integer_k_is_rejected_before_any_part_forks(monkeypatch, split_values, k):
+    forks = count_forks(monkeypatch, 3)
+    with pytest.raises(ValueError, match="k must be a positive integer"):
+        knn_distance_sums(split_values, k)
+    assert forks.kernels == []

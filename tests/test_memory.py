@@ -90,7 +90,8 @@ def traced_peak(fn, *args):
 def test_command_peak_stays_within_two_matrix_buffers(wide_csv, named_csv, tmp_path, capsys, monkeypatch, name):
     """Two usable CPUs, so the file loads in two ranges: the second range's
     table is received from its child and joined to the first's. A written
-    matrix is formatted in two parts too, the second by a forked child."""
+    matrix is formatted in two parts too, the second by a forked child, and
+    a csufs command's kernel scores the second half of the columns in one."""
     forks = count_forks(monkeypatch, 2)
     source = named_csv if name.endswith("named_labels") else wide_csv
     argv = COMMANDS[name][:1] + ["--input", str(source), "--label-col", "class"] + COMMANDS[name][1:]
@@ -100,6 +101,7 @@ def test_command_peak_stays_within_two_matrix_buffers(wide_csv, named_csv, tmp_p
     assert code == 0, capsys.readouterr().err
     assert len(forks.loads) == 1
     assert len(forks.writes) == (1 if "--write-matrix" in argv else 0)
+    assert forks.kernels == ([] if "--method" in argv else [(M // 2, M)])
     assert peak <= C * MATRIX_BYTES + SLACK, f"peak {peak / MATRIX_BYTES:.2f}x the matrix"
 
 

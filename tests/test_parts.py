@@ -53,12 +53,19 @@ def fail_first_fork(monkeypatch):
     monkeypatch.setattr(os, "fork", fork)
 
 
-def truncate_middle_pickle(monkeypatch):
+def truncate_pickles(monkeypatch, lost):
+    """Children send only the first half of the pickle of each result
+    that lost(result) holds for."""
+
     def dump(obj, file, protocol):
         data = pickle.dumps(obj, protocol=protocol)
-        file.write(data[: len(data) // 2] if obj == "r1" else data)
+        file.write(data[: len(data) // 2] if lost(obj) else data)
 
     monkeypatch.setattr(pickle, "dump", dump)  # the children inherit it; this process only loads
+
+
+def truncate_middle_pickle(monkeypatch):
+    truncate_pickles(monkeypatch, lambda obj: obj == "r1")
 
 
 @pytest.mark.parametrize(
