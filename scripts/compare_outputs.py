@@ -16,8 +16,15 @@ is written in row ranges, while the 300 x 30 fixture's matrices, 9000
 cells at most, are written in one. And every csufs kernel run on a
 benchmark fixture (40000 x 25, 5000 x 500, 3000 x 200, at least
 2 x csufs.scoring._PART_VALUES values) scores its columns in ranges on
-such a host, while on the 300 x 30 fixture the kernel is one range. The
-command set is memory_peaks.py's
+such a host, while on the 300 x 30 fixture the kernel is one range. A
+sweep deals its distinct selections' fits to parts from
+2 x csufs.evaluation._FIT_VALUES values clustered (samples x selected
+columns x seeds, summed). On such a host the sweep_grid command (3000
+samples x 1100 columns x 10 seeds) runs in two parts, while every SMALL
+sweep (54000 values at most) is one part. So are the sweep_kgrid command
+and its named-label copy (40000 x 5 x 1 per distinct ranking) while their
+six k values give at most four distinct rankings, as at seeds 0, 5 and 9.
+The command set is memory_peaks.py's
 commands() (the three workloads, the named-label copy, maxvar and all
 selects with --write-matrix, csufs and all evaluates) plus SMALL on the
 300 x 30 fixture: naive and all selects with --write-matrix, optimized

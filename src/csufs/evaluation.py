@@ -1,7 +1,19 @@
-"""Seeded clustering evaluation over selected feature subsets."""
+"""Seeded clustering evaluation over selected feature subsets.
+
+evaluate_selection clusters one column list once per seed and scores the
+labels against the truth. A sweep evaluates each distinct column list of
+its grid once. It deals them to parts (csufs.parts), every count-th
+selection to one part, when its fits hold at least 2 x _FIT_VALUES values
+clustered (samples x columns x seeds) and csufs.parts can hold BLAS to one
+thread; the calling process evaluates the first part and a forked child
+each other one. A profile or trace of the caller sees only the first
+part's evaluations.
+"""
 
 from __future__ import annotations
 
+import contextlib
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,6 +22,7 @@ from .data import Dataset, LabelVector, Method, is_integer
 from .errors import LengthMismatch
 from .kmeans import DEFAULT_CONV_TOL, DEFAULT_MAX_ITER, kmeans
 from .metrics import clustering_accuracy, normalized_mutual_information
+from .parts import cut, in_parts, one_blas_thread
 from .preprocess import ensure_normalized
 from .scoring import rankings
 
@@ -106,6 +119,39 @@ def evaluate_selection(
     )
 
 
+def _evaluate_each(X: Dataset, selections: list, truth: LabelVector, cfg: EvalConfig, method: Method) -> list:
+    """evaluate_selection's report of each of selections, in order: the
+    work of one fit part."""
+    return [evaluate_selection(X, columns, truth, cfg, method=method) for columns in selections]
+
+
+# The least fit work a part holds, in values clustered: samples x selected
+# columns x seeds, summed over a sweep's distinct selections. One part
+# against two, a sweep's fits alone (rankings done beforehand), medians of
+# 33 calls on 2 shared cores in a process holding 60 MB: under 1000000
+# values the outcome depends on the shape (9.5 / 7.5 ms at 300000, 5.3 /
+# 6.2 at 500000 over 3 fits, 9.9 / 9.9 at 540000, 15.9 / 11.2 at 720000);
+# from 1000000 two parts won in all 8 shapes measured (27.0 / 19.7 ms at
+# 1000000, 30.4 / 18.1 at 1200000, 366 / 218 at sweep_grid's 33000000).
+# So a sweep splits from 2 x _FIT_VALUES.
+_FIT_VALUES = 500_000
+
+
+def _evaluate_all(X: Dataset, selections: list, truth: LabelVector, cfg: EvalConfig, method: Method) -> list:
+    """evaluate_selection's report of each of selections, in order, dealt
+    to parts as sweep says."""
+    values = X.n_samples * len(cfg.seeds) * sum(map(len, selections))
+    count = len(cut(len(selections), min(len(selections), values // _FIT_VALUES))) - 1
+    reports = [None] * len(selections)
+    with one_blas_thread() if count > 1 else contextlib.nullcontext(False) as held:
+        count = count if held else 1
+        jobs = [functools.partial(_evaluate_each, X, selections[p::count], truth, cfg, method) for p in range(count)]
+        with in_parts(jobs) as parts:
+            for p, part in enumerate(parts):
+                reports[p::count] = part
+    return reports
+
+
 @dataclass
 class SweepCell:
     d: int
@@ -139,6 +185,18 @@ def sweep(
     same columns in the same order share one report. Every d and k must be
     at least 1, for every method; a d over the feature count takes all of
     them.
+
+    The distinct selections are evaluated after every ranking is known,
+    with one csufs.parts.in_parts call: with count parts, part p takes
+    every count-th selection from the p-th, so short and long ones mix.
+    There is at most one part per usable CPU and one per _FIT_VALUES values
+    clustered, and one where the loaded BLAS cannot be held to one thread
+    (csufs.parts.one_blas_thread), which it is while more than one part
+    runs. A part whose child does not deliver is evaluated here. The
+    reports have the same bits for any number of parts: the fits are the
+    same calls, and OpenBLAS on one thread has given the same products as
+    its thread pool in every check so far (tests/test_evaluation.py,
+    scripts/compare_outputs.py).
     """
     method = Method(method)
     d_values, k_values = list(d_values), list(k_values)
@@ -147,13 +205,14 @@ def sweep(
             raise ValueError(f"{name} must be a non-empty list of positive integers, got {values}")
     d_values, k_values = [int(d) for d in d_values], [int(k) for k in k_values]
     Xn = ensure_normalized(X)
-    reports: dict[tuple[int, ...], EvalReport] = {}
-    cells: list[SweepCell] = []
+    selections: dict[tuple[int, ...], np.ndarray] = {}  # each distinct column list, first seen first
+    grid: list[tuple[int, int, tuple[int, ...]]] = []
     for k, ranking in zip(k_values, rankings(Xn, method, k_values)):
         for d in d_values:
             columns = ranking if method is Method.ALL_FEATURES else ranking[:d]
             key = tuple(columns.tolist())
-            if key not in reports:
-                reports[key] = evaluate_selection(Xn, columns, truth, cfg, method=method)
-            cells.append(SweepCell(d=d, k=k, report=reports[key]))
+            selections.setdefault(key, columns)
+            grid.append((d, k, key))
+    reports = dict(zip(selections, _evaluate_all(Xn, list(selections.values()), truth, cfg, method)))
+    cells = [SweepCell(d=d, k=k, report=reports[key]) for d, k, key in grid]
     return SweepReport(method=method, d_values=d_values, k_values=k_values, cells=cells)

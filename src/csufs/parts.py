@@ -4,10 +4,18 @@ This module decides how many parts there are (cut), runs them (in_parts)
 and has the one policy for a lost part: a part whose child did not start,
 sent a short pickle, exited non-zero or was killed is done again in the
 caller, and no other part is. The callers only say what a part does and
-the least work worth a part of its own.
+the least work worth a part of its own. Parts that call BLAS (a sweep's
+k-means fits) run inside one_blas_thread, which holds the loaded OpenBLAS
+to one thread while the children live, so that two processes do not each
+spin a pool of BLAS threads on the same cores; where it cannot, such a
+caller keeps one part.
+
+A profile or trace of the caller sees only the parts it runs itself: what
+a child does is outside it.
 """
 
 import contextlib
+import functools
 import os
 import pickle
 
@@ -68,6 +76,58 @@ def in_parts(jobs: list):
                     os.waitpid(pid, 0)
 
 
+@functools.cache
+def _blas_threads():
+    """(get, set) of the thread count of the OpenBLAS this process has
+    loaded, through ctypes, or None when no library mapped here has a file
+    name holding "openblas" and one of the two pairs of entry points: the
+    64-bit-integer build that numpy's wheels bundle, then the plain one."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as maps:
+            fields = [line.split(maxsplit=5) for line in maps]
+    except OSError:  # no /proc on this platform
+        return None
+    paths = sorted({f[5].rstrip("\n") for f in fields if len(f) == 6 and "openblas" in os.path.basename(f[5])})
+    if not paths:
+        return None
+    import ctypes  # only a process that finds a library needs it
+
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in (
+            ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+            ("openblas_get_num_threads", "openblas_set_num_threads"),
+        ):
+            get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Hold the loaded OpenBLAS to one thread for the block; yields whether
+    it could (False where _blas_threads finds none, and then nothing is
+    changed). The count it had is restored when the block ends, by an
+    exception too."""
+    threads = _blas_threads()
+    if threads is None:
+        yield False
+        return
+    get, put = threads
+    before = get()
+    put(1)
+    try:
+        yield True
+    finally:
+        put(before)
+
+
 def _fork(job):
     """(pid, pipe) of a forked child that runs job() and sends its result
     through the pipe, pickled; None when no child starts.
@@ -75,14 +135,19 @@ def _fork(job):
     The child is a copy of a process whose other threads (BLAS's among
     them; Python 3.12+ warns whenever a threaded process forks) may hold
     locks that no thread in the child will ever release. So a job must
-    only parse or format: read and write files of its own, start no
-    thread, call no BLAS, import nothing numpy has not loaded already
-    (pickle is one it has), and return a picklable result. The jobs today
-    keep this contract: io._parse_range parses a byte range with
-    np.loadtxt, io._write_part formats rows with repr into a part file, and
-    scoring._window_part scores a column range with numpy's sort,
-    subtractions, additions and minimums, none of which calls BLAS or
-    starts a thread, and returns one small array of sums.
+    read and write only files of its own, start no thread, import nothing
+    numpy has not loaded already (pickle is one it has), and return a
+    picklable result. The jobs today keep this contract. io._parse_range
+    parses a byte range with np.loadtxt; io._write_part formats rows with
+    repr into a part file; scoring.window_sums scores a column range with
+    numpy's sort, subtractions, additions and minimums and returns one
+    small array of sums. None of these calls BLAS. evaluation._evaluate_each
+    fits k-means, whose products do call BLAS, and returns a list of
+    EvalReports of plain numbers. It is safe because OpenBLAS registers a
+    fork handler that stops its thread pool before each fork, so no BLAS
+    lock is held across it, and because its caller forks inside
+    one_blas_thread: the child inherits one BLAS thread and runs every
+    product in its own thread, next to a caller doing the same.
 
     The child always leaves through os._exit in a finally, so it never
     returns into its caller's stack, a test runner's included, and never

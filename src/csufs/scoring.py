@@ -171,11 +171,18 @@ def _window_block(values: np.ndarray, ks: tuple[int, ...]) -> np.ndarray:
 _PART_VALUES = 250_000
 
 
-def _window_part(values: np.ndarray, start: int, stop: int, ks: tuple[int, ...]) -> np.ndarray:
-    """(len(ks), stop - start) distance sums of columns [start, stop) of
-    values for ascending ks, scored as many whole framed columns per
-    _window_block call as fit in a block, at least one."""
+def window_sums(values: np.ndarray, start: int, stop: int, ks: tuple[int, ...]) -> np.ndarray:
+    """(len(ks), stop - start) distance sums of columns [start, stop) of a
+    bare (n, m) float64 matrix, by the window kernel in this process, for
+    the strictly ascending tuple ks; scored as many whole framed columns per
+    _window_block call as fit in a block, at least one. Each column has the
+    bits knn_distance_sums gives it, for any range. This is one
+    knn_distance_sums part, and bench times the kernel on one core with it."""
     n = len(values)
+    if not ks or list(ks) != sorted(set(ks)):
+        raise ValueError(f"ks must be a non-empty, strictly ascending tuple, got {ks}")
+    for k in ks:
+        _require_kernel_args(n, k)
     step = max(1, _window_block_values(ks) // (n + 2 * ks[-1]))
     sums = np.empty((len(ks), stop - start))
     for lo in range(start, stop, step):
@@ -311,7 +318,7 @@ def knn_distance_sums(values: np.ndarray, k, mode: str = "optimized") -> np.ndar
     rows = np.empty((len(grid), m))
     if mode == "optimized":
         bounds = cut(m, min(m, n * m // _PART_VALUES))
-        jobs = [functools.partial(_window_part, values, a, b, grid) for a, b in zip(bounds, bounds[1:])]
+        jobs = [functools.partial(window_sums, values, a, b, grid) for a, b in zip(bounds, bounds[1:])]
         with in_parts(jobs) as parts:
             for a, b, sums in zip(bounds, bounds[1:], parts):
                 rows[:, a:b] = sums

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+import csufs.evaluation
 import csufs.io
 import csufs.parts
 import csufs.preprocess
@@ -32,21 +33,24 @@ def count_normalizations(monkeypatch):
 
 @dataclass
 class Forks:
-    """What csufs.parts forked for csufs.io and csufs.scoring: the (start,
-    stop) byte range of each load range, the row count of each written
-    matrix part and the (start, stop) column range of each kernel part."""
+    """What csufs.parts forked for csufs.io, csufs.scoring and
+    csufs.evaluation: the (start, stop) byte range of each load range, the
+    row count of each written matrix part, the (start, stop) column range
+    of each kernel part and, for each fit part, the column lists of the
+    selections it evaluates."""
 
     loads: list = field(default_factory=list)
     writes: list = field(default_factory=list)
     kernels: list = field(default_factory=list)
+    fits: list = field(default_factory=list)
 
 
 def count_forks(monkeypatch, cpus):
     """Make csufs.parts see `cpus` usable CPUs and record each child it
     forks, read off the job handed to csufs.parts._fork: the byte range a
-    load job parses, the row count a write job writes or the column range
-    a kernel job scores. Any other job fails the test. Returns the Forks
-    they land in."""
+    load job parses, the row count a write job writes, the column range
+    a kernel job scores or the selections a fit job evaluates. Any other
+    job fails the test. Returns the Forks they land in."""
     fork = csufs.parts._fork
     forks = Forks()
 
@@ -56,10 +60,13 @@ def count_forks(monkeypatch, cpus):
             forks.loads.append((start, stop))
         elif job.func is csufs.io._write_part:
             forks.writes.append(len(job.args[1]))
-        else:
-            assert job.func is csufs.scoring._window_part, f"unknown job {job!r}"
+        elif job.func is csufs.scoring.window_sums:
             _, start, stop, _ = job.args
             forks.kernels.append((start, stop))
+        else:
+            assert job.func is csufs.evaluation._evaluate_each, f"unknown job {job!r}"
+            _, selections, _, _, _ = job.args
+            forks.fits.append([columns.tolist() for columns in selections])
         return fork(job)
 
     monkeypatch.setattr(csufs.parts, "usable_cpus", lambda: cpus)

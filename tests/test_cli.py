@@ -11,7 +11,7 @@ import pytest
 import csufs
 from csufs import Method, evaluate_selection, read_report, run_benchmark
 from csufs.cli import main, parse_grid, parse_seed_list
-from helpers import count_normalizations, make_two_class_data
+from helpers import count_forks, count_normalizations, make_two_class_data
 
 
 @pytest.fixture()
@@ -261,6 +261,16 @@ def test_nonpositive_counts_are_flag_misuse(labeled_csv, tmp_path, capsys, argv)
 def test_run_benchmark_rejects_nonpositive_m():
     with pytest.raises(ValueError, match="m must be positive"):
         run_benchmark([50], m=0, k=3)
+
+
+def test_run_benchmark_times_a_split_sized_cell_in_one_process(monkeypatch):
+    """100 x 5000 is 2 x _PART_VALUES values, which knn_distance_sums cuts
+    into two column ranges; the benchmark times both kernels unsplit."""
+    assert 100 * 5000 >= 2 * csufs.scoring._PART_VALUES
+    forks = count_forks(monkeypatch, 2)
+    report = run_benchmark([100], m=5000, k=3, reps=1)
+    assert report.all_agree
+    assert forks.kernels == []
 
 
 def test_negative_conv_tol_is_flag_misuse(labeled_csv, capsys):

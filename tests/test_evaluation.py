@@ -1,9 +1,11 @@
 import importlib
+import os
 
 import numpy as np
 import pytest
 
 import csufs
+import csufs.parts
 from csufs import (
     EvalConfig,
     LabelVector,
@@ -18,7 +20,10 @@ from csufs import (
     sweep,
     validate_dataset,
 )
-from helpers import count_normalizations, make_two_class_data
+from helpers import count_forks, count_normalizations, make_two_class_data
+from test_parts import assert_no_children, fail_first_fork, truncate_pickles
+
+evaluation = importlib.import_module("csufs.evaluation")
 
 
 @pytest.fixture(scope="module")
@@ -308,3 +313,113 @@ def test_normalized_input_is_used_as_it_is(clustered_dataset, monkeypatch):
     got = (evaluate_selection(Xn, np.arange(4), truth, cfg), csufs.csufs(Xn, 3), select_max_variance(Xn, 3))
     assert got == expected
     assert calls == []
+
+
+# A sweep whose fits hold at least 3 x evaluation._FIT_VALUES values
+# clustered (1500 samples x 100 columns x 10 seeds over the four selections
+# of k = 5, more when k = 3 ranks otherwise), so up to three parts run; its
+# 50 columns keep the kernel in one part.
+FIT_GRID = dict(d_values=[10, 20, 30, 40], k_values=[5, 3])
+
+
+@pytest.fixture(scope="module")
+def fit_sized():
+    rng = np.random.default_rng(31)
+    X, labels = make_two_class_data(rng, n=1500, informative=10, noise=40)
+    return normalize_samples(validate_dataset(X)), LabelVector.from_raw(labels), EvalConfig(2, seeds=range(10))
+
+
+def distinct_selections(Xn, d_values, k_values):
+    """Each distinct column list of a csufs sweep, first seen first."""
+    distinct = {}
+    for k in k_values:
+        ranking = score_all_features(Xn, ScoringConfig(k=k)).ranking()
+        for d in d_values:
+            distinct.setdefault(tuple(ranking[:d].tolist()), None)
+    return [list(key) for key in distinct]
+
+
+def one_part_sweep(monkeypatch, Xn, truth, cfg, d_values, k_values):
+    with monkeypatch.context() as patch:
+        patch.setattr(csufs.parts, "usable_cpus", lambda: 1)
+        return sweep(Xn, truth, Method.CSUFS_OPTIMIZED, d_values, k_values, cfg)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_sweep_report_is_the_same_for_any_cpu_count(monkeypatch, fit_sized, cpus):
+    Xn, truth, cfg = fit_sized
+    expected = one_part_sweep(monkeypatch, Xn, truth, cfg, **FIT_GRID)
+    forks = count_forks(monkeypatch, cpus)
+    assert sweep(Xn, truth, Method.CSUFS_OPTIMIZED, cfg=cfg, **FIT_GRID) == expected
+    selections = distinct_selections(Xn, **FIT_GRID)
+    assert forks.fits == [selections[p::cpus] for p in range(1, cpus)]  # dealt, every cpus-th selection a part
+    assert forks.kernels == []
+    assert_no_children()
+
+
+@pytest.mark.parametrize(
+    "lose",
+    [fail_first_fork, lambda patch: truncate_pickles(patch, lambda obj: True)],
+    ids=["fork-fails", "truncated-pickle"],
+)
+def test_lost_fit_part_gives_the_same_report(monkeypatch, fit_sized, lose):
+    Xn, truth, cfg = fit_sized
+    expected = one_part_sweep(monkeypatch, Xn, truth, cfg, **FIT_GRID)
+    forks = count_forks(monkeypatch, 3)
+    lose(monkeypatch)
+    assert sweep(Xn, truth, Method.CSUFS_OPTIMIZED, cfg=cfg, **FIT_GRID) == expected
+    assert len(forks.fits) == 2
+    assert_no_children()
+
+
+def test_sweep_keeps_one_part_without_blas_thread_control(monkeypatch, fit_sized):
+    Xn, truth, cfg = fit_sized
+    expected = one_part_sweep(monkeypatch, Xn, truth, cfg, **FIT_GRID)
+    monkeypatch.setattr(csufs.parts, "_blas_threads", lambda: None)
+    forks = count_forks(monkeypatch, 3)
+    assert sweep(Xn, truth, Method.CSUFS_OPTIMIZED, cfg=cfg, **FIT_GRID) == expected
+    assert forks.fits == []
+
+
+def test_fit_parts_run_on_one_blas_thread_which_is_restored_after(monkeypatch, fit_sized):
+    threads = csufs.parts._blas_threads()
+    if threads is None:
+        pytest.skip("no OpenBLAS thread control in this process")
+    get, put = threads
+    before = get()
+    put(2)
+    try:
+        held = get()  # 2, or fewer where OpenBLAS was built for fewer
+        Xn, truth, cfg = fit_sized
+        original, parent = evaluation.evaluate_selection, os.getpid()
+
+        def recording(*args, **kwargs):
+            report = original(*args, **kwargs)
+            report.blas = (os.getpid() == parent, get())  # not a field, so == ignores it
+            return report
+
+        monkeypatch.setattr(evaluation, "evaluate_selection", recording)
+        forks = count_forks(monkeypatch, 2)
+        swept = sweep(Xn, truth, Method.CSUFS_OPTIMIZED, cfg=cfg, **FIT_GRID)
+        assert len(forks.fits) == 1
+        assert {cell.report.blas for cell in swept.cells} == {(True, 1), (False, 1)}
+        assert get() == held
+    finally:
+        put(before)
+
+
+@pytest.mark.parametrize(
+    "n, d_values, seeds",
+    [(60, [2, 4, 12], 10), (1000, [10, 20, 30, 39], 10)],
+    ids=["small", "just-under-two-parts"],
+)
+def test_sweep_below_the_floor_forks_no_fit_part(monkeypatch, n, d_values, seeds):
+    """990000 values clustered (1000 samples x 99 columns x 10 seeds) is
+    under 2 x evaluation._FIT_VALUES, so it is one part, as is a small sweep."""
+    rng = np.random.default_rng(32)
+    X, labels = make_two_class_data(rng, n=n, informative=4, noise=36)
+    Xn = normalize_samples(validate_dataset(X))
+    assert n * seeds * sum(map(len, distinct_selections(Xn, d_values, [5]))) < 2 * evaluation._FIT_VALUES
+    forks = count_forks(monkeypatch, 4)
+    sweep(Xn, LabelVector.from_raw(labels), Method.CSUFS_OPTIMIZED, d_values, [5], EvalConfig(2, seeds=range(seeds)))
+    assert forks.fits == []

@@ -116,6 +116,24 @@ def test_negative_conv_tol_rejected():
     assert kmeans_fit(X, 2, seed=0, conv_tol=0.0).n_iter >= 1
 
 
+@pytest.mark.parametrize(
+    "args, name",
+    [((2.5, 0), "n_clusters"), ((True, 0), "n_clusters"), ((np.float64(2), 0), "n_clusters"),
+     ((2, 1.5), "seed"), ((2, False), "seed"), ((2, 0, 10.0), "max_iter"), ((2, 0, True), "max_iter")],
+)
+def test_non_integer_counts_rejected_naming_the_argument(args, name):
+    X = np.random.default_rng(0).normal(size=(20, 2))
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        kmeans_fit(X, *args)
+
+
+def test_numpy_integer_counts_accepted():
+    X = np.random.default_rng(0).normal(size=(20, 2))
+    expected = kmeans_fit(X, 2, 3, max_iter=5)
+    got = kmeans_fit(X, np.int64(2), np.uint8(3), max_iter=np.int32(5))
+    assert np.array_equal(got.labels, expected.labels) and got.n_iter == expected.n_iter
+
+
 # Gate for the matrix-form k-means: on every family below, labels and
 # iteration counts must equal the frozen row-subset implementation in
 # tests/helpers.py, in C and Fortran order alike. Only the last bits of the

@@ -425,3 +425,14 @@ def test_non_integer_k_is_rejected_before_any_part_forks(monkeypatch, split_valu
     with pytest.raises(ValueError, match="k must be a positive integer"):
         knn_distance_sums(split_values, k)
     assert forks.kernels == []
+
+
+@pytest.mark.parametrize(
+    "ks, error",
+    [((), ValueError), ((7, 3), ValueError), ((3, 3), ValueError), ((2.5, 3), ValueError), ((5, 999), KTooLarge)],
+    ids=["empty", "descending", "repeated", "float", "k-too-large"],
+)
+def test_window_sums_checks_its_ks(ks, error):
+    values = np.random.default_rng(23).normal(size=(999, 4))
+    with pytest.raises(error):
+        scoring.window_sums(values, 0, 4, ks)

@@ -102,6 +102,7 @@ def test_command_peak_stays_within_two_matrix_buffers(wide_csv, named_csv, tmp_p
     assert len(forks.loads) == 1
     assert len(forks.writes) == (1 if "--write-matrix" in argv else 0)
     assert forks.kernels == ([] if "--method" in argv else [(M // 2, M)])
+    assert forks.fits == []  # a sweep here clusters 2600 x 30 x 1 values at most, one fit part
     assert peak <= C * MATRIX_BYTES + SLACK, f"peak {peak / MATRIX_BYTES:.2f}x the matrix"
 
 

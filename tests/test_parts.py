@@ -10,7 +10,7 @@ import time
 import pytest
 
 import csufs.parts
-from csufs.parts import cut, in_parts
+from csufs.parts import cut, in_parts, one_blas_thread
 
 
 def assert_no_children():
@@ -138,3 +138,31 @@ def test_cut_gives_one_part_without_fork(monkeypatch):
     monkeypatch.setattr(csufs.parts, "usable_cpus", lambda: 4)
     monkeypatch.delattr(os, "fork")
     assert cut(10, 5) == [0, 10]
+
+
+def blas_threads_or_skip():
+    threads = csufs.parts._blas_threads()
+    if threads is None:
+        pytest.skip("no OpenBLAS thread control in this process")
+    return threads
+
+
+def test_one_blas_thread_restores_the_count_after_an_error():
+    get, put = blas_threads_or_skip()
+    before = get()
+    put(2)
+    try:
+        held = get()  # 2, or fewer where OpenBLAS was built for fewer
+        with pytest.raises(RuntimeError):
+            with one_blas_thread() as pinned:
+                assert pinned and get() == 1
+                raise RuntimeError("stopped")
+        assert get() == held
+    finally:
+        put(before)
+
+
+def test_one_blas_thread_yields_false_without_a_library(monkeypatch):
+    monkeypatch.setattr(csufs.parts, "_blas_threads", lambda: None)
+    with one_blas_thread() as pinned:
+        assert pinned is False
