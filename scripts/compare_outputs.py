@@ -5,8 +5,9 @@
 
 For each seed given (--seed once per seed; default 0), the inputs are
 written once to a temp directory: the benchmark's fixtures at that seed
-(scripts/memory_peaks.py's write_fixtures) and a 300 x 30 fixture from
-perfbench/fixtures.py for the slow and edge cases. The benchmark's
+(scripts/memory_peaks.py's write_fixtures), a 300 x 30 fixture from
+perfbench/fixtures.py for the slow and edge cases, and an 80 x 10000 one
+from the same recipe for the naive kernel on a wide matrix. The benchmark's
 fixtures are 11 MB and more, so csufs.io.load_csv splits them into byte
 ranges on a host with two usable CPUs, while the 300 x 30 fixture is one
 range: one run covers both sides of that choice. Likewise every reduced
@@ -16,7 +17,10 @@ is written in row ranges, while the 300 x 30 fixture's matrices, 9000
 cells at most, are written in one. And every csufs kernel run on a
 benchmark fixture (40000 x 25, 5000 x 500, 3000 x 200, at least
 2 x csufs.scoring._PART_VALUES values) scores its columns in ranges on
-such a host, while on the 300 x 30 fixture the kernel is one range. A
+such a host, while on the 300 x 30 fixture the kernel is one range.
+Either kernel shares that rule: the naive select on the 80 x 10000
+fixture (800000 values) scores its columns in two ranges on such a host,
+while every naive command on the 300 x 30 fixture is one range. A
 sweep deals its distinct selections' fits to parts from
 2 x csufs.evaluation._FIT_VALUES values clustered (samples x selected
 columns x seeds, summed). On such a host the sweep_grid command (3000
@@ -29,7 +33,8 @@ commands() (the three workloads, the named-label copy, maxvar and all
 selects with --write-matrix, csufs and all evaluates) plus SMALL on the
 300 x 30 fixture: naive and all selects with --write-matrix, optimized
 and naive sweeps over a k grid with a duplicate and k = n - 1, maxvar
-and all sweeps, and a sweep at k = n that must fail with KTooLarge.
+and all sweeps, and a sweep at k = n that must fail with KTooLarge; and
+WIDE on the 80 x 10000 fixture: a naive select with --write-matrix.
 
 Each command runs once per tree as `python -m csufs.cli` in a fresh
 process, in that tree's own work directory, with the same relative paths
@@ -55,6 +60,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SMALL_SHAPE = (300, 3, 5, 25)  # fixtures.build's n, classes, informative, noise
+WIDE_SHAPE = (80, 2, 10, 9990)  # 800000 values: over 2 x csufs.scoring._PART_VALUES
 SMALL = {  # name -> CLI arguments after the shared input flags, on small.csv
     "small_select_naive": ["select", "--mode", "naive", "--d", "10", "--output", "report.json",
                            "--write-matrix", "reduced.csv"],
@@ -70,6 +76,11 @@ SMALL = {  # name -> CLI arguments after the shared input flags, on small.csv
     "small_sweep_k_too_large": ["sweep", "--d-grid", "5", "--k-grid", "300", "--seeds", "0",
                                 "--output", "report.json"],
 }
+WIDE = {  # name -> CLI arguments after the shared input flags, on wide.csv
+    "wide_select_naive": ["select", "--mode", "naive", "--d", "20", "--output", "report.json",
+                          "--write-matrix", "reduced.csv"],
+}
+FIXTURES = {"small.csv": (SMALL_SHAPE, SMALL), "wide.csv": (WIDE_SHAPE, WIDE)}  # input -> its shape and commands
 FAILS = {"small_sweep_k_too_large": "KTooLarge"}  # commands that must exit 1 naming this error; the rest exit 0
 INPUTS = Path("..", "..", "..", "inputs")  # from runs/TREE/COMMAND to the shared inputs
 
@@ -89,15 +100,17 @@ def command_set(memory_peaks) -> dict[str, list[str]]:
     for name, (argv, _) in memory_peaks.commands().items():
         i = argv.index("--input") + 1
         out[name] = [*argv[:i], str(INPUTS / argv[i]), *argv[i + 1:]]
-    for name, rest in SMALL.items():
-        out[name] = [rest[0], "--input", str(INPUTS / "small.csv"), "--has-header", "--label-col", "class", *rest[1:]]
+    for csv_name, (_, commands) in FIXTURES.items():
+        for name, rest in commands.items():
+            out[name] = [rest[0], "--input", str(INPUTS / csv_name), "--has-header", "--label-col", "class", *rest[1:]]
     return out
 
 
 def write_inputs(memory_peaks, inputs: Path, seed: int) -> None:
     memory_peaks.write_fixtures(inputs, seed)
-    X, labels = memory_peaks.fixtures.build(*SMALL_SHAPE, seed)
-    memory_peaks.fixtures.write_csv(inputs / "small.csv", X, labels)
+    for csv_name, (shape, _) in FIXTURES.items():
+        X, labels = memory_peaks.fixtures.build(*shape, seed)
+        memory_peaks.fixtures.write_csv(inputs / csv_name, X, labels)
 
 
 def run_tree(src: Path, runs: Path, commands: dict[str, list[str]]) -> None:

@@ -1,4 +1,4 @@
-"""Wall-clock comparison of the naive and sorted-window distance kernels."""
+"""Wall-clock comparison of the naive and sorted-window distance kernels, on one core each."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scoring import MODES, knn_distance_sums, window_sums
+from .scoring import MODES, range_sums
 
 AGREEMENT_RTOL = 1e-9
 _MIN_TIMED_SECONDS = 0.1
@@ -48,26 +48,17 @@ def _time_call(fn) -> tuple[float, object]:
     return (time.perf_counter() - t0) / calls, value
 
 
-def _one_core_sums(X: np.ndarray, k: int, mode: str) -> np.ndarray:
-    """knn_distance_sums(X, k, mode), computed in this process: the window
-    kernel's columns as one range, so that neither kernel is timed across
-    forked parts and a speedup compares the kernels, not the core count."""
-    if mode == "optimized":
-        return window_sums(X, 0, X.shape[1], (k,))[0]
-    return knn_distance_sums(X, k, mode=mode)
-
-
 def run_benchmark(n_list, m: int, k: int, reps: int = 3, seed: int = 0) -> BenchReport:
     """Time full distance-sum vectors per kernel on seeded uniform matrices.
 
     Each (n, m) cell regenerates its matrix from the same seed, so reruns
     with identical arguments time identical data. Every rep times one kernel
     on all cells back to back, so a drift in the host's speed moves the
-    cells alike. Both kernels run in this process, on one core: the
-    window kernel's columns are one range at any size. The two kernels'
-    output vectors must agree within a relative 1e-9 for the cell to count
-    as agreeing; timings are medians of the seconds per call over reps
-    runs.
+    cells alike. Both kernels run in this process, through one range_sums
+    call over every column, so a speedup compares the kernels on one core
+    each. The two kernels' output vectors must agree within a relative
+    1e-9 for the cell to count as agreeing; timings are medians of the
+    seconds per call over reps runs.
     """
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
@@ -79,7 +70,7 @@ def run_benchmark(n_list, m: int, k: int, reps: int = 3, seed: int = 0) -> Bench
     for _ in range(reps):
         for mode in MODES:
             for i, X in enumerate(matrices):
-                t, sums[mode, i] = _time_call(lambda: _one_core_sums(X, k, mode))
+                t, sums[mode, i] = _time_call(lambda: range_sums(X, 0, X.shape[1], (k,), mode)[0])
                 seconds[mode, i].append(t)
     cells: list[BenchCell] = []
     for i, n in enumerate(n_list):

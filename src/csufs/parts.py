@@ -139,8 +139,9 @@ def _fork(job):
     numpy has not loaded already (pickle is one it has), and return a
     picklable result. The jobs today keep this contract. io._parse_range
     parses a byte range with np.loadtxt; io._write_part formats rows with
-    repr into a part file; scoring.window_sums scores a column range with
-    numpy's sort, subtractions, additions and minimums and returns one
+    repr into a part file; scoring.range_sums scores a column range by
+    either kernel with numpy's sort, abs, subtractions, additions, sums
+    and minimums, which take no lock and start no thread, and returns one
     small array of sums. None of these calls BLAS. evaluation._evaluate_each
     fits k-means, whose products do call BLAS, and returns a list of
     EvalReports of plain numbers. It is safe because OpenBLAS registers a

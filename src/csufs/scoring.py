@@ -21,7 +21,8 @@ Each kernel has one routine that scores a whole k grid within one block
 of memory. The window routine frames each sorted column with kmax -inf
 below and kmax +inf above, so batched short columns, a long column and
 the trace alike are one flat run, scored in chunks with a halo of kmax.
-A matrix of at least 2 x _PART_VALUES values is cut into contiguous column
+range_sums is the one path to either kernel over a range of columns. A
+matrix of at least 2 x _PART_VALUES values is cut into contiguous column
 ranges, at most one per usable CPU and one per _PART_VALUES values, and
 csufs.parts scores every range past the first in a forked child. A
 column's sums do not depend on the columns it shares a block with, so the
@@ -161,30 +162,38 @@ def _window_block(values: np.ndarray, ks: tuple[int, ...]) -> np.ndarray:
     return out.reshape(len(ks), c, n + 2 * kmax)[:, :, kmax : kmax + n]
 
 
-# The least values a kernel part holds. One part against two,
-# knn_distance_sums medians of 15 calls at k = 5 on 2 shared cores, in a
-# process holding 60 MB: 3.6 / 4.8 ms at 200000 values, 5.2 / 5.7 ms at
-# 300000, 8.7 / 7.5 ms at 500000, 9.8 / 8.0 ms at 600000. The crossover is
-# near 350000 values, so the smallest matrix split, 500000 values, saves
-# about a seventh. A3's 2000 x 50 and 4000 x 50 matrices stay one part, so
-# its doubling ratio times the kernel, not a fork.
+# The least values a kernel part holds, for either kernel. One part against
+# two, window-kernel knn_distance_sums medians of 15 calls at k = 5 on 2
+# shared cores, in a process holding 60 MB: 3.6 / 4.8 ms at 200000 values,
+# 5.2 / 5.7 ms at 300000, 8.7 / 7.5 ms at 500000, 9.8 / 8.0 ms at 600000.
+# The crossover is near 350000 values, so the smallest matrix split, 500000
+# values, saves about a seventh. The naive kernel does far more work per
+# value, so a part pays for its fork sooner: 80 x 10000 at k = (7, 3, 7),
+# median of 7, took 0.27 s in one part and 0.14 s in two.
 _PART_VALUES = 250_000
 
 
-def window_sums(values: np.ndarray, start: int, stop: int, ks: tuple[int, ...]) -> np.ndarray:
+def range_sums(values: np.ndarray, start: int, stop: int, ks: tuple[int, ...], mode: str) -> np.ndarray:
     """(len(ks), stop - start) distance sums of columns [start, stop) of a
-    bare (n, m) float64 matrix, by the window kernel in this process, for
-    the strictly ascending tuple ks; scored as many whole framed columns per
-    _window_block call as fit in a block, at least one. Each column has the
-    bits knn_distance_sums gives it, for any range. This is one
-    knn_distance_sums part, and bench times the kernel on one core with it."""
+    bare (n, m) float64 matrix, by mode's kernel in this process, for the
+    strictly ascending tuple ks: the naive kernel one column at a time, the
+    window kernel as many whole framed columns per _window_block call as fit
+    in a block, at least one. Each column has the bits knn_distance_sums
+    gives it, for any range. This is one knn_distance_sums part, and bench
+    times each kernel on one core with it."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     n = len(values)
     if not ks or list(ks) != sorted(set(ks)):
         raise ValueError(f"ks must be a non-empty, strictly ascending tuple, got {ks}")
     for k in ks:
         _require_kernel_args(n, k)
-    step = max(1, _window_block_values(ks) // (n + 2 * ks[-1]))
     sums = np.empty((len(ks), stop - start))
+    if mode == "naive":
+        for r in range(start, stop):
+            sums[:, r - start] = _naive_per_sample(np.ascontiguousarray(values[:, r]), ks).sum(axis=1)
+        return sums
+    step = max(1, _window_block_values(ks) // (n + 2 * ks[-1]))
     for lo in range(start, stop, step):
         hi = min(lo + step, stop)
         sums[:, lo - start : hi - start] = _window_block(values[:, lo:hi], ks).sum(axis=2)
@@ -294,13 +303,14 @@ def knn_distance_sums(values: np.ndarray, k, mode: str = "optimized") -> np.ndar
     in one pass: the window kernel takes as many whole framed columns per
     block as fit, at least one; the naive kernel one column at a time.
 
-    The window kernel cuts a matrix of at least 2 x _PART_VALUES values into
+    Either kernel cuts a matrix of at least 2 x _PART_VALUES values into
     contiguous column ranges of about equal width, at most one per usable
-    CPU and one per _PART_VALUES values (csufs.parts.cut). This process
-    scores the first range while a forked child scores each other one; a
-    range whose child does not deliver is scored here. Every other call,
-    the naive kernel's included, is one range. The sums have the same bits
-    for any number of ranges. Every k is checked before any child forks.
+    CPU and one per _PART_VALUES values (csufs.parts.cut), each scored by
+    one range_sums call. This process scores the first range while a
+    forked child scores each other one; a range whose child does not
+    deliver is scored here. A smaller matrix is one range. The sums have
+    the same bits for any number of ranges. Every k is checked before any
+    child forks.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -316,15 +326,11 @@ def knn_distance_sums(values: np.ndarray, k, mode: str = "optimized") -> np.ndar
         _require_kernel_args(n, kk)
     grid = tuple(sorted(set(ks)))
     rows = np.empty((len(grid), m))
-    if mode == "optimized":
-        bounds = cut(m, min(m, n * m // _PART_VALUES))
-        jobs = [functools.partial(window_sums, values, a, b, grid) for a, b in zip(bounds, bounds[1:])]
-        with in_parts(jobs) as parts:
-            for a, b, sums in zip(bounds, bounds[1:], parts):
-                rows[:, a:b] = sums
-    else:
-        for r, col in enumerate(values.T):
-            rows[:, r] = _naive_per_sample(np.ascontiguousarray(col), grid).sum(axis=1)
+    bounds = cut(m, min(m, n * m // _PART_VALUES))
+    jobs = [functools.partial(range_sums, values, a, b, grid, mode) for a, b in zip(bounds, bounds[1:])]
+    with in_parts(jobs) as parts:
+        for a, b, sums in zip(bounds, bounds[1:], parts):
+            rows[:, a:b] = sums
     rows = rows[[grid.index(kk) for kk in ks]]
     return rows[0] if single else rows
 

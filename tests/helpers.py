@@ -60,8 +60,8 @@ def count_forks(monkeypatch, cpus):
             forks.loads.append((start, stop))
         elif job.func is csufs.io._write_part:
             forks.writes.append(len(job.args[1]))
-        elif job.func is csufs.scoring.window_sums:
-            _, start, stop, _ = job.args
+        elif job.func is csufs.scoring.range_sums:
+            _, start, stop, _, _ = job.args
             forks.kernels.append((start, stop))
         else:
             assert job.func is csufs.evaluation._evaluate_each, f"unknown job {job!r}"

@@ -364,6 +364,9 @@ def test_k_grid_rejects_a_too_large_or_empty_grid():
 
 
 SPLIT_SHAPE = (2500, 307)  # 767500 values: up to three kernel parts, of 102, 102 and 103 columns
+# 800000 values, up to three parts of 3333, 3333 and 3334 columns: short and
+# wide, since 2500 rows are too slow for the naive kernel's O(n^2 log n) columns
+WIDE_SHAPE = (80, 10_000)
 
 
 @pytest.fixture(scope="module")
@@ -371,35 +374,52 @@ def split_values():
     return np.random.default_rng(21).normal(size=SPLIT_SHAPE)
 
 
-def one_part_sums(monkeypatch, values, k):
+@pytest.fixture(scope="module")
+def split_matrices(split_values):
+    """The matrix each kernel is split on."""
+    return {"optimized": split_values, "naive": np.random.default_rng(24).normal(size=WIDE_SHAPE)}
+
+
+def one_part_sums(monkeypatch, values, k, mode):
     with monkeypatch.context() as patch:
         patch.setattr(csufs.parts, "usable_cpus", lambda: 1)
-        return knn_distance_sums(values, k)
+        return knn_distance_sums(values, k, mode=mode)
 
 
-@pytest.mark.parametrize("k", [5, (7, 3, 7)], ids=["single-k", "grid-with-duplicate"])
+@pytest.mark.parametrize(
+    "k, mode",
+    [(5, "optimized"), ((7, 3, 7), "optimized"), (5, "naive"), ((7, 3, 7), "naive")],
+    ids=["single-k", "grid-with-duplicate", "naive-single-k", "naive-grid-with-duplicate"],
+)
 @pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_kernel_parts_give_the_same_bits_for_any_cpu_count(monkeypatch, split_values, cpus, k):
-    expected = one_part_sums(monkeypatch, split_values, k)
+def test_kernel_parts_give_the_same_bits_for_any_cpu_count(monkeypatch, split_matrices, cpus, k, mode):
+    values = split_matrices[mode]
+    expected = one_part_sums(monkeypatch, values, k, mode)
     forks = count_forks(monkeypatch, cpus)
-    sums = knn_distance_sums(split_values, k)
+    sums = knn_distance_sums(values, k, mode=mode)
     assert sums.shape == expected.shape and sums.tobytes() == expected.tobytes()
-    m = SPLIT_SHAPE[1]
+    m = values.shape[1]
     bounds = [i * m // cpus for i in range(cpus)] + [m]
     assert forks.kernels == list(zip(bounds[1:-1], bounds[2:]))
     assert_no_children()
 
 
 @pytest.mark.parametrize(
-    "lose",
-    [fail_first_fork, lambda patch: truncate_pickles(patch, lambda obj: True)],
-    ids=["fork-fails", "truncated-pickle"],
+    "lose, mode",
+    [
+        (fail_first_fork, "optimized"),
+        (lambda patch: truncate_pickles(patch, lambda obj: True), "optimized"),
+        (fail_first_fork, "naive"),
+        (lambda patch: truncate_pickles(patch, lambda obj: True), "naive"),
+    ],
+    ids=["fork-fails", "truncated-pickle", "naive-fork-fails", "naive-truncated-pickle"],
 )
-def test_lost_kernel_part_gives_the_same_sums(monkeypatch, split_values, lose):
-    expected = one_part_sums(monkeypatch, split_values, (7, 3, 7))
+def test_lost_kernel_part_gives_the_same_sums(monkeypatch, split_matrices, lose, mode):
+    values = split_matrices[mode]
+    expected = one_part_sums(monkeypatch, values, (7, 3, 7), mode)
     forks = count_forks(monkeypatch, 3)
     lose(monkeypatch)
-    assert knn_distance_sums(split_values, (7, 3, 7)).tobytes() == expected.tobytes()
+    assert knn_distance_sums(values, (7, 3, 7), mode=mode).tobytes() == expected.tobytes()
     assert len(forks.kernels) == 2
     assert_no_children()
 
@@ -407,12 +427,11 @@ def test_lost_kernel_part_gives_the_same_sums(monkeypatch, split_values, lose):
 @pytest.mark.parametrize(
     "n, m, mode",
     [(2000, 50, "optimized"), (4000, 50, "optimized"), (999, 500, "optimized"), (600_000, 1, "optimized"),
-     (50, 10_000, "naive")],
+     (50, 9_999, "naive")],
 )
 def test_kernel_stays_one_part_below_two_parts_of_values_or_on_one_column(monkeypatch, n, m, mode):
     """A3's 2000 x 50 and 4000 x 50 matrices and one just under two parts'
-    worth are one part; so are a long single column and the naive kernel
-    at any size."""
+    worth are one part, with either kernel; so is a long single column."""
     values = np.random.default_rng(22).normal(size=(n, m))
     forks = count_forks(monkeypatch, 4)
     knn_distance_sums(values, 5, mode=mode)
@@ -433,6 +452,13 @@ def test_non_integer_k_is_rejected_before_any_part_forks(monkeypatch, split_valu
     ids=["empty", "descending", "repeated", "float", "k-too-large"],
 )
 def test_window_sums_checks_its_ks(ks, error):
+    """scoring.range_sums checks its ks in either mode."""
     values = np.random.default_rng(23).normal(size=(999, 4))
-    with pytest.raises(error):
-        scoring.window_sums(values, 0, 4, ks)
+    for mode in ("optimized", "naive"):
+        with pytest.raises(error):
+            scoring.range_sums(values, 0, 4, ks, mode)
+
+
+def test_range_sums_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="mode must be one of"):
+        scoring.range_sums(np.ones((4, 2)), 0, 2, (1,), "fast")
