@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import is_integer, require_integer
 from .scoring import MODES, range_sums
 
 AGREEMENT_RTOL = 1e-9
@@ -58,13 +59,16 @@ def run_benchmark(n_list, m: int, k: int, reps: int = 3, seed: int = 0) -> Bench
     call over every column, so a speedup compares the kernels on one core
     each. The two kernels' output vectors must agree within a relative
     1e-9 for the cell to count as agreeing; timings are medians of the
-    seconds per call over reps runs.
+    seconds per call over reps runs. n_list must be a non-empty list of
+    positive integers, m and reps positive integers and seed a
+    non-negative one (a bool is not an integer).
     """
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
-    if reps < 1:
-        raise ValueError(f"reps must be positive, got {reps}")
-    matrices = [np.asfortranarray(np.random.default_rng(seed).random((int(n), int(m)))) for n in n_list]
+    n_list = list(n_list)
+    if not n_list or not all(is_integer(n) and n >= 1 for n in n_list):
+        raise ValueError(f"n_list must be a non-empty list of positive integers, got {n_list}")
+    for name, value, least in (("m", m, 1), ("reps", reps, 1), ("seed", seed, 0)):
+        require_integer(name, value, least)
+    matrices = [np.asfortranarray(np.random.default_rng(seed).random((n, m))) for n in n_list]
     seconds = {(mode, i): [] for mode in MODES for i in range(len(matrices))}
     sums = {}
     for _ in range(reps):

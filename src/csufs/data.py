@@ -15,6 +15,15 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def require_integer(name: str, value, least: int) -> None:
+    """Raise a ValueError naming name unless value is an integer (see
+    is_integer) of at least least, which is 0 or 1."""
+    if not is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be {'positive' if least else 'non-negative'}, got {value}")
+
+
 class Method(str, Enum):
     """Selector identities recorded in results and reports."""
 
@@ -92,10 +101,7 @@ class LabelVector:
             raise ValueError("labels must be a non-empty 1-D sequence")
         if not np.issubdtype(arr.dtype, np.integer):  # bool included: it is no class index
             raise ValueError(f"labels must be integers, got dtype {arr.dtype}")
-        if not is_integer(self.n_classes):
-            raise ValueError(f"n_classes must be an integer, got {self.n_classes!r}")
-        if self.n_classes < 1:
-            raise ValueError(f"n_classes must be positive, got {self.n_classes}")
+        require_integer("n_classes", self.n_classes, 1)
         if arr.min() < 0 or arr.max() >= self.n_classes:
             raise ValueError(f"labels must lie in 0..{self.n_classes - 1}")
         arr = arr.astype(np.int64)  # always a copy, so freezing it leaves the caller's array alone

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, LabelVector, Method, is_integer
+from .data import Dataset, LabelVector, Method, is_integer, require_integer
 from .errors import LengthMismatch
 from .kmeans import DEFAULT_CONV_TOL, DEFAULT_MAX_ITER, kmeans
 from .metrics import clustering_accuracy, normalized_mutual_information
@@ -52,11 +52,7 @@ class EvalConfig:
         if min(self.seeds) < 0:
             raise ValueError(f"seeds must be non-negative, got {min(self.seeds)}")
         for name in ("n_clusters", "max_iter"):
-            value = getattr(self, name)
-            if not is_integer(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be positive, got {value}")
+            require_integer(name, getattr(self, name), 1)
         if not self.conv_tol >= 0:  # NaN included: like a negative, it never stops a run
             raise ValueError(f"conv_tol must be non-negative, got {self.conv_tol}")
 
@@ -141,7 +137,7 @@ def _evaluate_all(X: Dataset, selections: list, truth: LabelVector, cfg: EvalCon
     """evaluate_selection's report of each of selections, in order, dealt
     to parts as sweep says."""
     values = X.n_samples * len(cfg.seeds) * sum(map(len, selections))
-    count = len(cut(len(selections), min(len(selections), values // _FIT_VALUES))) - 1
+    count = len(cut(len(selections), values // _FIT_VALUES)) - 1
     reports = [None] * len(selections)
     with one_blas_thread() if count > 1 else contextlib.nullcontext(False) as held:
         count = count if held else 1

@@ -59,12 +59,12 @@ def load_csv(path, has_header: bool = False, label_column: int | str | None = No
     or names, are collected as they are read. A file of at least 2 x
     _PART_BYTES whose first line is non-blank, holds no quote and ends in
     "\\n" is cut just after line ends into byte ranges of about equal size,
-    at most one per usable CPU and one per _PART_BYTES; this process parses
-    the first range while a forked child parses each other one, every range
-    with the same loadtxt pass. A range whose child does not deliver is
-    parsed in this process, and no other range is parsed again. Any other
-    file, and every file where os.fork is missing, is one range. The result
-    and every error are the same either way.
+    at most one per usable CPU and one per _PART_BYTES. This process reads
+    the header, then parses every range, the first included, by one
+    routine: the first here, each other in a forked child. A range whose
+    child does not deliver is parsed here, and no other range is parsed
+    again. Any other file, and every file where os.fork is missing, is one
+    range. The result and every error are the same either way.
 
     loadtxt reads a strict subset of the cells float() reads, to the same
     bits, so whenever it rejects a range, the ranges differ in width, or the
@@ -97,38 +97,37 @@ _SCAN_BYTES = 1 << 16  # bytes read per step while looking for a line end
 def _parse_vectorized(path: Path, has_header: bool, label_column):
     """(header, float tables, label tokens) of a CSV, parsed by np.loadtxt
     in one or more byte ranges (see load_csv): the non-empty ranges' tables
-    in file order, all of one width. This process reads the header and
-    resolves the label column, then parses the first range while in_parts
-    forks a child for each other one with that label index; parts are read
-    in range order and stop at the first rejected one. A label column that
-    resolves before parsing has its tokens collected (0.0 stands in the
-    tables); any other is parsed as numbers and tokens is None, so
-    _split_columns reports it as the cell reader would. The tables are None
-    when the cell-by-cell reader must decide: loadtxt rejected a cell or a
-    row (a quoted label included) in some range, the ranges differ in
-    width, there are no data rows, or the header width differs from the
-    rows'."""
+    in file order, all of one width. This process reads the header (the
+    first non-blank csv row) and resolves the label column; then in_parts
+    runs one _parse_range job per range, the first skipping the header's
+    lines, and its parts are read in range order up to the first rejected
+    one. A label column that resolves before parsing has its tokens
+    collected (0.0 stands in the tables); any other is parsed as numbers
+    and tokens is None, so _split_columns reports it as the cell reader
+    would. The tables are None when the cell-by-cell reader must decide:
+    loadtxt rejected a range (a quoted label included), the ranges differ
+    in width, there are no data rows, or the header width differs from
+    the rows'."""
     with path.open("rb") as file:
         fd = file.fileno()
         bounds = _range_bounds(fd, os.fstat(fd).st_size)
-        with _open_range(fd, bounds[0], bounds[1]) as fh:
-            header = None
-            if has_header:
-                header = next(([cell.strip() for cell in row] for _, row in _csv_rows(fh)), None)
-            try:
-                label_idx = None if label_column is None else _resolve_label_column(label_column, header, math.inf)
-            except LabelColumnMissing:
-                label_idx = None
-            jobs = [functools.partial(_load_rows, fh, label_idx)]
-            for start, stop in zip(bounds[1:-1], bounds[2:]):
-                jobs.append(functools.partial(_parse_range, fd, start, stop, label_idx))
-            parts = []
-            with in_parts(jobs) as results:
-                for table, tokens in results:
-                    if table is None:
-                        return header, None, None
-                    if table.size:  # a range of blank lines parses empty
-                        parts.append((table, tokens))
+        header, skip = None, 0
+        if has_header:
+            with _open_range(fd, 0, bounds[1]) as fh:
+                header, skip = next((([cell.strip() for cell in row], num) for num, row in _csv_rows(fh)), (None, 0))
+        try:
+            label_idx = None if label_column is None else _resolve_label_column(label_column, header, math.inf)
+        except LabelColumnMissing:
+            label_idx = None
+        jobs = [functools.partial(_parse_range, fd, a, b, label_idx, skip if a == 0 else 0)
+                for a, b in zip(bounds, bounds[1:])]
+        parts = []
+        with in_parts(jobs) as results:
+            for table, tokens in results:
+                if table is None:
+                    return header, None, None
+                if table.size:  # a range of blank lines parses empty
+                    parts.append((table, tokens))
     widths = {table.shape[1] for table, _ in parts}
     if len(widths) != 1 or (header is not None and len(header) not in widths):
         return header, None, None
@@ -213,25 +212,22 @@ class _RangeReader(RawIOBase):
         return len(data)
 
 
-def _load_rows(fh, label_idx: int | None):
-    """(table, tokens) of the rows left in fh, in one np.loadtxt pass; the
-    label column's tokens are collected when label_idx is set. The table is
-    None when loadtxt rejects a row or a cell."""
+def _parse_range(fd: int, start: int, stop: int, label_idx: int | None, skip: int):
+    """(table, tokens) of bytes [start, stop) of fd past its first skip
+    lines, in one np.loadtxt pass, whose skiprows counts lines as a csv
+    reader's line_num does ("\\n", "\\r\\n" or a lone "\\r", quoted or not);
+    the label column's tokens are collected when label_idx is set. The
+    table is None when loadtxt rejects a row or a cell."""
     tokens = None if label_idx is None else []
     converters = None if label_idx is None else {label_idx: _token_collector(tokens)}
     try:
-        with warnings.catch_warnings():
+        with _open_range(fd, start, stop) as fh, warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            table = np.loadtxt(fh, delimiter=",", comments=None, dtype=np.float64, ndmin=2, converters=converters)
+            table = np.loadtxt(fh, delimiter=",", comments=None, dtype=np.float64, ndmin=2, converters=converters,
+                               skiprows=skip)
     except ValueError:  # a UnicodeDecodeError included
         return None, None
     return table, tokens
-
-
-def _parse_range(fd: int, start: int, stop: int, label_idx: int | None):
-    """(table, tokens) of bytes [start, stop) of fd; see _load_rows."""
-    with _open_range(fd, start, stop) as fh:
-        return _load_rows(fh, label_idx)
 
 
 def _token_collector(tokens: list[str]):
@@ -371,8 +367,7 @@ def write_matrix_csv(path, values, header=None) -> None:
         raise ValueError(f"values must be a 2-D matrix, got ndim={values.ndim}")
     if header is not None and len(header) != values.shape[1]:
         raise ValueError(f"got {len(header)} header names for {values.shape[1]} columns")
-    rows = len(values)
-    bounds = cut(rows, min(rows, rows * values.shape[1] // _PART_CELLS))
+    bounds = cut(len(values), values.size // _PART_CELLS)
     stem = f"{path}.{secrets.token_hex(6)}"
     parts = [f"{stem}.{i}.part" for i in range(1, len(bounds) - 1)]
     try:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabelVector, is_integer
+from .data import LabelVector, require_integer
 from .errors import TooFewSamples
 
 DEFAULT_MAX_ITER = 300
@@ -73,19 +73,15 @@ def kmeans_fit(
     assigned centroid; each grab marks its point so later empty clusters
     pick distinct points. The objective never increases from one iteration
     to the next. A float64 X is used as it is, in C or Fortran order.
-    n_clusters, seed and max_iter must be integers (a bool is not one).
+    n_clusters and max_iter must be positive integers and seed a
+    non-negative one (a bool is not an integer).
     """
     X = np.asarray(X_sub, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("expected a 2-D matrix of samples")
-    for name, value in (("n_clusters", n_clusters), ("seed", seed), ("max_iter", max_iter)):
-        if not is_integer(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+    for name, value, least in (("n_clusters", n_clusters, 1), ("seed", seed, 0), ("max_iter", max_iter, 1)):
+        require_integer(name, value, least)
     n = X.shape[0]
-    if n_clusters < 1:
-        raise ValueError(f"n_clusters must be positive, got {n_clusters}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be positive, got {max_iter}")
     if not conv_tol >= 0:  # NaN included: like a negative, it never fires
         raise ValueError(f"conv_tol must be non-negative, got {conv_tol}")
     if n < n_clusters:

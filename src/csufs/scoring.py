@@ -326,7 +326,7 @@ def knn_distance_sums(values: np.ndarray, k, mode: str = "optimized") -> np.ndar
         _require_kernel_args(n, kk)
     grid = tuple(sorted(set(ks)))
     rows = np.empty((len(grid), m))
-    bounds = cut(m, min(m, n * m // _PART_VALUES))
+    bounds = cut(m, n * m // _PART_VALUES)
     jobs = [functools.partial(range_sums, values, a, b, grid, mode) for a, b in zip(bounds, bounds[1:])]
     with in_parts(jobs) as parts:
         for a, b, sums in zip(bounds, bounds[1:], parts):

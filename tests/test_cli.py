@@ -263,6 +263,23 @@ def test_run_benchmark_rejects_nonpositive_m():
         run_benchmark([50], m=0, k=3)
 
 
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"n_list": [60.7]}, "n_list"),
+        ({"m": 3.9}, "m"),
+        ({"m": True}, "m"),
+        ({"n_list": []}, "n_list"),
+        ({"reps": 1.5}, "reps"),
+    ],
+    ids=["float-n", "float-m", "bool-m", "no-n", "float-reps"],
+)
+def test_run_benchmark_rejects_counts_that_are_not_integers(kwargs, field):
+    args = {"n_list": [60], "m": 3, "k": 3, "reps": 1, **kwargs}
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        run_benchmark(**args)
+
+
 def test_run_benchmark_times_a_split_sized_cell_in_one_process(monkeypatch):
     """100 x 5000 is 2 x _PART_VALUES values, which knn_distance_sums cuts
     into two column ranges; the benchmark times both kernels unsplit."""

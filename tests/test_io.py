@@ -379,6 +379,43 @@ def test_first_line_that_keeps_a_file_whole(tmp_path, forks, data):
     assert forks == []
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 3], ids=["1-cpu", "2-cpus", "3-cpus"])
+@pytest.mark.parametrize(
+    "data, has_header, label_column, error",
+    [
+        pytest.param(b"\n\r\n\n0,1\n1,2\n3,4\n5,6\n7,8\n", True, None, None, id="blank-lines-before-header"),
+        pytest.param(b"0,1\r\n1,2\r\n3,4\r\n5,6\r\n7,8\r\n", True, None, None, id="crlf"),
+        pytest.param(b"0,1\n1,2\r3,4\n5,6\n7,8\n9,10\n", True, None, None, id="lone-cr-in-first-range"),
+        pytest.param(b"0,1\r1,2\n3,4\n5,6\n7,8\n", True, None, None, id="header-ended-by-lone-cr"),
+        pytest.param(BOM + b"0,1\n1,2\n3,4\n5,6\n7,8\n", True, None, None, id="byte-order-mark"),
+        pytest.param(b"x,class,y\r\n1,a,2\r\n3,b,4\r\n5,a,6\r\n7,c,8\r\n", True, "class", None, id="middle-label"),
+        # split at byte 8: the first range's rows hold the label alone, a
+        # table of width 1 that must not pass for a range of blank lines
+        pytest.param(b"a,a\n1\r1\n1,0.0\n", True, 0, RaggedRows, id="label-only-range"),
+        pytest.param(b'"a\nb",c\n1,2\n3,4\n5,6\n7,8\n', True, None, None, id="quoted-multi-line-header"),
+    ],
+)
+def test_split_load_case_matches_cell_reader(tmp_path, monkeypatch, cpus, data, has_header, label_column, error):
+    """Each case loads as the cell reader loads it whether or not it
+    splits, through loadtxt unless it is an error; it splits whenever more
+    than one CPU is usable and must_split says so, and the quoted header
+    keeps its file one range. A numeric header read as a data row, or a
+    data row skipped with it, would change the outcome."""
+    monkeypatch.setattr(csufs.io, "_PART_BYTES", 1)
+    forks = count_forks(monkeypatch, cpus).loads
+    fallbacks = []
+    monkeypatch.setattr(csufs.io, "_load_csv_cells", lambda *args: fallbacks.append(args) or _load_csv_cells(*args))
+    path = tmp_path / "data.csv"
+    path.write_bytes(data)
+    expected = load_outcome(_load_csv_cells, path, has_header, label_column)
+    assert load_outcome(load_csv, path, has_header, label_column) == expected
+    assert expected[0] is error if error else expected[2] is not None
+    assert bool(fallbacks) == (error is not None)
+    assert bool(forks) == (cpus > 1 and must_split(data))
+    if label_column == 0 and cpus > 1:
+        assert forks[0][0] == 8
+
+
 @pytest.mark.parametrize("short, forked", [(1, False), (0, True)], ids=["one-byte-short", "two-parts"])
 def test_a_file_splits_from_two_parts(tmp_path, monkeypatch, short, forked):
     forks = count_forks(monkeypatch, 2).loads
@@ -407,16 +444,17 @@ def split_file(tmp_path, monkeypatch):
 
 
 def ranges_parsed_here(monkeypatch):
-    """Record the (start, stop) of each byte range this process opens to
-    parse, in order; returns the list they land in."""
-    parent, open_range, here = os.getpid(), csufs.io._open_range, []
+    """Record the (start, stop) of each byte range this process parses, in
+    order; returns the list they land in. The header read, which opens the
+    first range once more, parses no range."""
+    parent, parse_range, here = os.getpid(), csufs.io._parse_range, []
 
-    def opening(fd, start, stop):
+    def parsing(fd, start, stop, label_idx, skip):
         if os.getpid() == parent:
             here.append((start, stop))
-        return open_range(fd, start, stop)
+        return parse_range(fd, start, stop, label_idx, skip)
 
-    monkeypatch.setattr(csufs.io, "_open_range", opening)
+    monkeypatch.setattr(csufs.io, "_parse_range", parsing)
     return here
 
 
@@ -444,14 +482,14 @@ def test_range_whose_child_exits_before_it_writes_is_parsed_here(split_file, mon
     path, expected = split_file
     forks = count_forks(monkeypatch, 3).loads
     here = ranges_parsed_here(monkeypatch)
-    parent, load_rows = os.getpid(), csufs.io._load_rows
+    parent, parse_range = os.getpid(), csufs.io._parse_range
 
-    def load(fh, label_idx):
+    def parse(*args):
         if os.getpid() != parent:
             os._exit(1)
-        return load_rows(fh, label_idx)
+        return parse_range(*args)
 
-    monkeypatch.setattr(csufs.io, "_load_rows", load)
+    monkeypatch.setattr(csufs.io, "_parse_range", parse)
     assert load_outcome(load_csv, path, True, "class") == expected
     assert len(forks) == 2
     assert here == [(0, forks[0][0])] + forks
@@ -490,14 +528,14 @@ def test_rejected_range_stops_the_load_and_kills_the_children(split_file, monkey
     expected = load_outcome(_load_csv_cells, path, True, "class")
     assert expected[1][:8] == np.float64(10.0).tobytes()
     forks = count_forks(monkeypatch, 3).loads
-    parent, load_rows = os.getpid(), csufs.io._load_rows
+    parent, parse_range = os.getpid(), csufs.io._parse_range
 
-    def load(fh, label_idx):
+    def parse(*args):
         if os.getpid() != parent:
             time.sleep(60)  # a child still parsing
-        return load_rows(fh, label_idx)
+        return parse_range(*args)
 
-    monkeypatch.setattr(csufs.io, "_load_rows", load)
+    monkeypatch.setattr(csufs.io, "_parse_range", parse)
     started = time.perf_counter()
     assert load_outcome(load_csv, path, True, "class") == expected
     assert time.perf_counter() - started < 30, "the children were waited for, not killed"
@@ -509,15 +547,15 @@ def test_rejected_range_stops_the_load_and_kills_the_children(split_file, monkey
 def test_error_in_own_range_kills_the_children(split_file, monkeypatch, error):
     path, _ = split_file
     forks = count_forks(monkeypatch, 3).loads
-    parent, load_rows = os.getpid(), csufs.io._load_rows
+    parent, parse_range = os.getpid(), csufs.io._parse_range
 
-    def load(fh, label_idx):
+    def parse(*args):
         if os.getpid() == parent:
             raise error("parse interrupted")
         time.sleep(60)  # a child still parsing
-        return load_rows(fh, label_idx)
+        return parse_range(*args)
 
-    monkeypatch.setattr(csufs.io, "_load_rows", load)
+    monkeypatch.setattr(csufs.io, "_parse_range", parse)
     started = time.perf_counter()
     with pytest.raises(error):
         load_csv(path, has_header=True, label_column="class")

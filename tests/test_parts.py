@@ -124,10 +124,16 @@ def test_cut_gives_equal_shares_up_to_the_cpus_and_the_limit(monkeypatch, cpus):
     for total in range(13):
         for limit in range(-1, 7):
             bounds = cut(total, limit)
-            assert len(bounds) - 1 == max(1, min(cpus, limit))
+            assert len(bounds) - 1 == max(1, min(cpus, limit, total))
             assert bounds[0] == 0 and bounds[-1] == total
             sizes = [b - a for a, b in zip(bounds, bounds[1:])]
             assert min(sizes) >= 0 and max(sizes) - min(sizes) <= 1
+
+
+@pytest.mark.parametrize("total, limit, bounds", [(3, 10, [0, 1, 2, 3]), (0, 5, [0, 0])], ids=["three-items", "none"])
+def test_cut_never_gives_more_parts_than_items(monkeypatch, total, limit, bounds):
+    monkeypatch.setattr(csufs.parts, "usable_cpus", lambda: 4)
+    assert cut(total, limit) == bounds
 
 
 def test_cut_never_exceeds_the_usable_cpus():
