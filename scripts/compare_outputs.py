@@ -35,13 +35,14 @@ selects with --write-matrix, csufs and all evaluates) plus SMALL on the
 and naive sweeps over a k grid with a duplicate and k = n - 1, maxvar
 and all sweeps, and a sweep at k = n that must fail with KTooLarge;
 WIDE on the 80 x 10000 fixture: a naive select with --write-matrix; and
-the same select --d 20 --write-matrix on two 3000 x 60 copies of one
+the same select --d 20 --write-matrix on three 3000 x 60 copies of one
 fixture laid out unlike the others: CRLF line ends and the class column
-in the middle. crlf.csv (about 3.5 MB, over the 2 MiB split size) starts
-with its header, so on such a host its load splits into byte ranges
-whose first skips the one-line header. crlf_blank.csv has two blank
-lines before the header, and a blank first line keeps a file one range,
-so its load does not split and skips three lines for its header.
+in the middle. Each is about 3.5 MB, over the 2 MiB split size, so on
+such a host its load splits into byte ranges, the first starting where
+the header ends. crlf.csv starts with its one-line header;
+crlf_blank.csv has two blank lines before it; crlf_quoted.csv starts
+with a byte-order mark and one blank line, and its header's first name
+is quoted and holds a CRLF, so its header spans two lines.
 
 Each command runs once per tree as `python -m csufs.cli` in a fresh
 process, in that tree's own work directory, with the same relative paths
@@ -89,11 +90,12 @@ WIDE = {  # name -> CLI arguments after the shared input flags, on wide.csv
 }
 CRLF_SHAPE = (3000, 2, 10, 50)  # about 3.5 MB written: over 2 x csufs.io._PART_BYTES
 CRLF_SELECT = ["select", "--d", "20", "--output", "report.json", "--write-matrix", "reduced.csv"]
-FIXTURES = {  # input -> its shape, blank lines before its CRLF header (None: perfbench's layout) and commands
+FIXTURES = {  # input -> its shape, (text before, first name) of its CRLF header (None: perfbench's layout), commands
     "small.csv": (SMALL_SHAPE, None, SMALL),
     "wide.csv": (WIDE_SHAPE, None, WIDE),
-    "crlf.csv": (CRLF_SHAPE, 0, {"crlf_select": CRLF_SELECT}),
-    "crlf_blank.csv": (CRLF_SHAPE, 2, {"crlf_blank_select": CRLF_SELECT}),
+    "crlf.csv": (CRLF_SHAPE, ("", "f0"), {"crlf_select": CRLF_SELECT}),
+    "crlf_blank.csv": (CRLF_SHAPE, ("\r\n\r\n", "f0"), {"crlf_blank_select": CRLF_SELECT}),
+    "crlf_quoted.csv": (CRLF_SHAPE, ("\ufeff\r\n", '"f\r\n0"'), {"crlf_quoted_select": CRLF_SELECT}),
 }
 FAILS = {"small_sweep_k_too_large": "KTooLarge"}  # commands that must exit 1 naming this error; the rest exit 0
 INPUTS = Path("..", "..", "..", "inputs")  # from runs/TREE/COMMAND to the shared inputs
@@ -122,24 +124,25 @@ def command_set(memory_peaks) -> dict[str, list[str]]:
 
 def write_inputs(memory_peaks, inputs: Path, seed: int) -> None:
     memory_peaks.write_fixtures(inputs, seed)
-    for csv_name, (shape, blank_lines, _) in FIXTURES.items():
+    for csv_name, (shape, layout, _) in FIXTURES.items():
         X, labels = memory_peaks.fixtures.build(*shape, seed)
-        if blank_lines is None:
+        if layout is None:
             memory_peaks.fixtures.write_csv(inputs / csv_name, X, labels)
         else:
-            write_crlf_csv(inputs / csv_name, X, labels, blank_lines)
+            write_crlf_csv(inputs / csv_name, X, labels, *layout)
 
 
-def write_crlf_csv(path: Path, X, labels, blank_lines: int) -> None:
-    """X and labels as a CSV with CRLF line ends, blank_lines empty lines
-    before the header and the class column in the middle of the features."""
+def write_crlf_csv(path: Path, X, labels, lead: str, first_name: str) -> None:
+    """X and labels as a CSV with CRLF line ends, lead written before the
+    header, first_name as the header's first cell and the class column in
+    the middle of the features."""
     mid = X.shape[1] // 2
-    names = [f"f{j}" for j in range(X.shape[1])]
-    lines = [""] * blank_lines + [",".join([*names[:mid], "class", *names[mid:]])]
+    names = [first_name, *(f"f{j}" for j in range(1, X.shape[1]))]
+    lines = [",".join([*names[:mid], "class", *names[mid:]])]
     for row, label in zip(X.tolist(), labels.tolist()):
         cells = list(map(repr, row))
         lines.append(",".join([*cells[:mid], str(label), *cells[mid:]]))
-    path.write_bytes(("\r\n".join(lines) + "\r\n").encode("utf-8"))
+    path.write_bytes((lead + "\r\n".join(lines) + "\r\n").encode("utf-8"))
 
 
 def run_tree(src: Path, runs: Path, commands: dict[str, list[str]]) -> None:

@@ -26,6 +26,7 @@ import functools
 import itertools
 import json
 import math
+import mmap
 import os
 import secrets
 import shutil
@@ -41,7 +42,7 @@ import numpy as np
 
 from ._version import __version__
 from .bench import BenchReport
-from .data import LabelVector, SelectionResult, validate_dataset
+from .data import LabelVector, SelectionResult, is_integer, validate_dataset
 from .errors import EmptyMatrix, LabelColumnMissing, MalformedCsv, ParseError, RaggedRows
 from .evaluation import EvalReport, SweepReport
 from .parts import cut, in_parts
@@ -56,15 +57,14 @@ def load_csv(path, has_header: bool = False, label_column: int | str | None = No
     otherwise as strings. Blank lines are skipped.
 
     The body is parsed by np.loadtxt, and the label column's tokens, numbers
-    or names, are collected as they are read. A file of at least 2 x
-    _PART_BYTES whose first line is non-blank, holds no quote and ends in
-    "\\n" is cut just after line ends into byte ranges of about equal size,
-    at most one per usable CPU and one per _PART_BYTES. This process reads
-    the header, then parses every range, the first included, by one
-    routine: the first here, each other in a forked child. A range whose
-    child does not deliver is parsed here, and no other range is parsed
-    again. Any other file, and every file where os.fork is missing, is one
-    range. The result and every error are the same either way.
+    or names, are collected as they are read. This process reads the header
+    first; the bytes after it, of a file of at least 2 x _PART_BYTES, are
+    cut just after line ends into byte ranges of about equal size, at most
+    one per usable CPU and one per _PART_BYTES. Every range is parsed by
+    one routine: the first here, each other in a forked child. A range
+    whose child does not deliver is parsed here, and no other range is
+    parsed again. Any other file, and every file where os.fork is missing,
+    is one range. The result and every error are the same either way.
 
     loadtxt reads a strict subset of the cells float() reads, to the same
     bits, so whenever it rejects a range, the ranges differ in width, or the
@@ -91,36 +91,38 @@ def load_csv(path, has_header: bool = False, label_column: int | str | None = No
 # 0.5 MB, 20.4 / 18.7 ms at 1 MB, 42.4 / 33.4 ms at 2 MB. The crossover is
 # near 0.5 MB, so the smallest file split, 2 MiB, saves about a fifth.
 _PART_BYTES = 1 << 20
-_SCAN_BYTES = 1 << 16  # bytes read per step while looking for a line end
 
 
 def _parse_vectorized(path: Path, has_header: bool, label_column):
     """(header, float tables, label tokens) of a CSV, parsed by np.loadtxt
     in one or more byte ranges (see load_csv): the non-empty ranges' tables
     in file order, all of one width. This process reads the header (the
-    first non-blank csv row) and resolves the label column; then in_parts
-    runs one _parse_range job per range, the first skipping the header's
-    lines, and its parts are read in range order up to the first rejected
-    one. A label column that resolves before parsing has its tokens
-    collected (0.0 stands in the tables); any other is parsed as numbers
-    and tokens is None, so _split_columns reports it as the cell reader
-    would. The tables are None when the cell-by-cell reader must decide:
-    loadtxt rejected a range (a quoted label included), the ranges differ
-    in width, there are no data rows, or the header width differs from
-    the rows'."""
+    first non-blank csv row) and resolves the label column; the ranges
+    start where the header's last line ends (byte 0 without a header), and
+    in_parts runs one _parse_range job per range, whose parts are read in
+    range order up to the first rejected one. A label column that resolves
+    before parsing has its tokens collected (0.0 stands in the tables); any
+    other is parsed as numbers and tokens is None, so _split_columns
+    reports it as the cell reader would. The tables are None when the
+    cell-by-cell reader must decide: loadtxt rejected a range (a quoted
+    label included), the ranges differ in width, there are no data rows,
+    or the header width differs from the rows'."""
     with path.open("rb") as file:
         fd = file.fileno()
-        bounds = _range_bounds(fd, os.fstat(fd).st_size)
-        header, skip = None, 0
+        size = os.fstat(fd).st_size
+        header, first = None, 0
         if has_header:
-            with _open_range(fd, 0, bounds[1]) as fh:
-                header, skip = next((([cell.strip() for cell in row], num) for num, row in _csv_rows(fh)), (None, 0))
+            with _open_range(fd, 0, size) as fh:
+                read = []  # the lines the csv reader consumes: the header's and the blank ones before it
+                rows = _csv_rows(read.append(line) or line for line in fh)
+                header = next(([cell.strip() for cell in row] for _, row in rows), None)
+            first = len("".join(read).encode()) + 3 * (os.pread(fd, 3, 0) == codecs.BOM_UTF8)
         try:
             label_idx = None if label_column is None else _resolve_label_column(label_column, header, math.inf)
         except LabelColumnMissing:
             label_idx = None
-        jobs = [functools.partial(_parse_range, fd, a, b, label_idx, skip if a == 0 else 0)
-                for a, b in zip(bounds, bounds[1:])]
+        bounds = _range_bounds(fd, first, size)
+        jobs = [functools.partial(_parse_range, fd, a, b, label_idx) for a, b in zip(bounds, bounds[1:])]
         parts = []
         with in_parts(jobs) as results:
             for table, tokens in results:
@@ -157,33 +159,21 @@ def _join_tables(tables: list, label_idx: int | None) -> np.ndarray:
     return out
 
 
-def _range_bounds(fd: int, size: int) -> list[int]:
-    """[0, ..., size]: where load_csv's byte ranges of fd start and end. Each
-    inner bound falls just after the first "\\n" at or past its share of the
-    file (see parts.cut). The first line's conditions keep the header, when
-    there is one, wholly in the first range."""
+def _range_bounds(fd: int, first: int, size: int) -> list[int]:
+    """[first, ..., size]: where load_csv's byte ranges of fd start and end,
+    first being the byte just past the header. Each inner bound falls just
+    after the first "\\n" at or past both its share of the file (see
+    parts.cut) and the bound before it."""
     shares = cut(size, size // _PART_BYTES)
     if len(shares) < 3:
-        return [0, size]
-    first_end = _find(fd, b"\n", 0, size) + 1
-    head = os.pread(fd, min(first_end, _SCAN_BYTES), 0).removeprefix(codecs.BOM_UTF8)
-    if not head.strip(b"\r\n") or _find(fd, b'"', 0, first_end) >= 0:  # blank, no "\n" at all, or quoted
-        return [0, size]
-    bounds = [0]
-    for share in shares[1:-1]:
-        end = _find(fd, b"\n", max(share, bounds[-1]), size) + 1
-        if bounds[-1] < end < size:
-            bounds.append(end)
+        return [first, size]
+    bounds = [first]
+    with mmap.mmap(fd, size, access=mmap.ACCESS_READ) as data:
+        for share in shares[1:-1]:
+            end = data.find(b"\n", max(share, bounds[-1])) + 1
+            if bounds[-1] < end < size:
+                bounds.append(end)
     return bounds + [size]
-
-
-def _find(fd: int, byte: bytes, start: int, stop: int) -> int:
-    """Offset of the first `byte` in bytes [start, stop) of fd, or -1."""
-    for pos in range(start, stop, _SCAN_BYTES):
-        at = os.pread(fd, min(_SCAN_BYTES, stop - pos), pos).find(byte)
-        if at >= 0:
-            return pos + at
-    return -1
 
 
 def _open_range(fd: int, start: int, stop: int) -> TextIOWrapper:
@@ -212,19 +202,17 @@ class _RangeReader(RawIOBase):
         return len(data)
 
 
-def _parse_range(fd: int, start: int, stop: int, label_idx: int | None, skip: int):
-    """(table, tokens) of bytes [start, stop) of fd past its first skip
-    lines, in one np.loadtxt pass, whose skiprows counts lines as a csv
-    reader's line_num does ("\\n", "\\r\\n" or a lone "\\r", quoted or not);
-    the label column's tokens are collected when label_idx is set. The
-    table is None when loadtxt rejects a row or a cell."""
+def _parse_range(fd: int, start: int, stop: int, label_idx: int | None):
+    """(table, tokens) of bytes [start, stop) of fd, which hold data rows and
+    blank lines only, in one np.loadtxt pass; the label column's tokens are
+    collected when label_idx is set. The table is None when loadtxt rejects
+    a row or a cell."""
     tokens = None if label_idx is None else []
     converters = None if label_idx is None else {label_idx: _token_collector(tokens)}
     try:
         with _open_range(fd, start, stop) as fh, warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            table = np.loadtxt(fh, delimiter=",", comments=None, dtype=np.float64, ndmin=2, converters=converters,
-                               skiprows=skip)
+            table = np.loadtxt(fh, delimiter=",", comments=None, dtype=np.float64, ndmin=2, converters=converters)
     except ValueError:  # a UnicodeDecodeError included
         return None, None
     return table, tokens
@@ -313,10 +301,10 @@ def _split_columns(label_column, header, width: int) -> tuple[int | None, list[i
 def _resolve_label_column(label_column, header, width: int) -> int:
     if isinstance(label_column, bool):
         raise LabelColumnMissing(f"label column must be an index or name, got {label_column!r}")
-    if isinstance(label_column, int):
+    if is_integer(label_column):
         if not 0 <= label_column < width:
             raise LabelColumnMissing(f"label column index {label_column} out of range for {width} columns")
-        return label_column
+        return int(label_column)
     name = str(label_column)
     if header is None:
         raise LabelColumnMissing(f"label column {name!r} needs a header row to resolve")

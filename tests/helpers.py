@@ -56,7 +56,7 @@ def count_forks(monkeypatch, cpus):
 
     def counting(job):
         if job.func is csufs.io._parse_range:
-            _, start, stop, _, _ = job.args
+            _, start, stop, _ = job.args
             forks.loads.append((start, stop))
         elif job.func is csufs.io._write_part:
             forks.writes.append(len(job.args[1]))

@@ -1,4 +1,6 @@
 import contextlib
+import csv
+import io
 import math
 import os
 import pickle
@@ -121,6 +123,18 @@ def test_label_column_true_is_not_an_index(tmp_path):
     path = write(tmp_path, "a,b\n1,2\n")
     with pytest.raises(LabelColumnMissing, match="index or name"):
         load_csv(path, has_header=True, label_column=True)
+
+
+@pytest.mark.parametrize("loader", [load_csv, _load_csv_cells], ids=["load-csv", "cell-reader"])
+@pytest.mark.parametrize("header", ["", "1,a,b\n"], ids=["no-header", "header"])
+def test_numpy_integer_label_column_is_an_index(tmp_path, loader, header):
+    """np.int64(1) is column 1, as 1 is, not a name to look up: with the
+    header "1,a,b" the name "1" would pick column 0."""
+    path = write(tmp_path, header + "1,0,2\n3,1,4\n5,0,6\n")
+    ds, labels = loader(path, has_header=bool(header), label_column=np.int64(1))
+    assert ds.values.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+    assert ds.feature_names == (("1", "b") if header else None)
+    assert labels.labels.tolist() == [0, 1, 0]
 
 
 def test_label_index_out_of_range(tmp_path):
@@ -288,12 +302,24 @@ def test_load_csv_matches_cell_reader(tmp_path, case):
 BOM = b"\xef\xbb\xbf"
 
 
-def must_split(data: bytes) -> bool:
-    """A file with a "\\n" past its middle (its last byte aside), whose first
-    line is non-blank, holds no quote and ends in "\\n": with _PART_BYTES at 1
-    and two or three usable CPUs, load_csv parses it in more than one range."""
-    first = data[: data.find(b"\n") + 1]
-    return b"\n" in data[len(data) // 2 : -1] and b'"' not in first and bool(first.removeprefix(BOM).strip(b"\r\n"))
+def header_end(data: bytes, has_header: bool) -> int:
+    """The byte just past the header's last line, 0 without a header: a
+    leading byte-order mark and every line a csv reader reads up to and
+    including the first non-blank row (the whole file when there is none)."""
+    if not has_header:
+        return 0
+    text = data.removeprefix(BOM).decode()
+    lines = io.StringIO(text, newline="").readlines()  # split at "\n", "\r\n" and a lone "\r", as csv reads them
+    reader = csv.reader(lines)
+    next((row for row in reader if row), None)
+    return len(data) - len(text.encode()) + len("".join(lines[: reader.line_num]).encode())
+
+
+def must_split(data: bytes, has_header: bool) -> bool:
+    """A file with a "\\n" past both its middle and its header's end (its
+    last byte aside): with _PART_BYTES at 1 and two or three usable CPUs,
+    load_csv parses it in more than one range."""
+    return b"\n" in data[max(len(data) // 2, header_end(data, has_header)) : -1]
 
 
 @pytest.fixture(params=[2, 3], ids=["2-cpus", "3-cpus"])
@@ -314,8 +340,8 @@ def test_split_load_matches_cell_reader(tmp_path, forks, case):
     forks.clear()
     expected = load_outcome(_load_csv_cells, path, has_header, label_column)
     assert load_outcome(load_csv, path, has_header, label_column) == expected
-    assert forks or not must_split(data)
-    assert all(data[start - 1 : start] == b"\n" for start, _ in forks)
+    assert forks or not must_split(data, has_header)
+    assert all(start >= header_end(data, has_header) and data[start - 1 : start] == b"\n" for start, _ in forks)
 
 
 @pytest.mark.parametrize(
@@ -367,16 +393,19 @@ def test_named_label_column_splits(tmp_path, forks):
 
 
 @pytest.mark.parametrize(
-    "data",
-    [b"\na,b\n1,2\n3,4\n5,6\n", b'"a",b\n1,2\n3,4\n5,6\n', b"a,b\r1,2\r3,4\r5,6\r"],
+    "data, splits",
+    [(b"\na,b\n1,2\n3,4\n5,6\n", True), (b'"a",b\n1,2\n3,4\n5,6\n', True), (b"a,b\r1,2\r3,4\r5,6\r", False)],
     ids=["blank", "quoted", "no-newline"],
 )
-def test_first_line_that_keeps_a_file_whole(tmp_path, forks, data):
+def test_first_line_that_keeps_a_file_whole(tmp_path, forks, data, splits):
+    """Only a file with no "\\n" at all stays one range: a blank or quoted
+    first line splits like any other, every range past the header."""
     path = tmp_path / "data.csv"
     path.write_bytes(data)
     expected = load_outcome(_load_csv_cells, path, True, None)
     assert load_outcome(load_csv, path, True, None) == expected
-    assert forks == []
+    assert bool(forks) == splits
+    assert all(start >= header_end(data, True) for start, _ in forks)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3], ids=["1-cpu", "2-cpus", "3-cpus"])
@@ -393,13 +422,18 @@ def test_first_line_that_keeps_a_file_whole(tmp_path, forks, data):
         # table of width 1 that must not pass for a range of blank lines
         pytest.param(b"a,a\n1\r1\n1,0.0\n", True, 0, RaggedRows, id="label-only-range"),
         pytest.param(b'"a\nb",c\n1,2\n3,4\n5,6\n7,8\n', True, None, None, id="quoted-multi-line-header"),
+        pytest.param(b'"1\n2\n3\n4",5\n6,7\n8,9\n10,11\n', True, None, None, id="header-past-the-first-share"),
+        pytest.param(BOM + b'\r\n\r\n"0\r\n1",2\r\n1,2\r\n3,4\r\n5,6\r\n', True, None, None,
+                     id="bom-blank-crlf-quoted-header"),
+        pytest.param(b"0,1\n", True, None, EmptyMatrix, id="header-only"),
+        pytest.param(b"0,1", True, None, EmptyMatrix, id="header-only-no-final-newline"),
     ],
 )
 def test_split_load_case_matches_cell_reader(tmp_path, monkeypatch, cpus, data, has_header, label_column, error):
     """Each case loads as the cell reader loads it whether or not it
     splits, through loadtxt unless it is an error; it splits whenever more
-    than one CPU is usable and must_split says so, and the quoted header
-    keeps its file one range. A numeric header read as a data row, or a
+    than one CPU is usable and must_split says so, and no range starts
+    before the header's end. A numeric header read as a data row, or a
     data row skipped with it, would change the outcome."""
     monkeypatch.setattr(csufs.io, "_PART_BYTES", 1)
     forks = count_forks(monkeypatch, cpus).loads
@@ -411,7 +445,8 @@ def test_split_load_case_matches_cell_reader(tmp_path, monkeypatch, cpus, data, 
     assert load_outcome(load_csv, path, has_header, label_column) == expected
     assert expected[0] is error if error else expected[2] is not None
     assert bool(fallbacks) == (error is not None)
-    assert bool(forks) == (cpus > 1 and must_split(data))
+    assert bool(forks) == (cpus > 1 and must_split(data, has_header))
+    assert all(start >= header_end(data, has_header) for start, _ in forks)
     if label_column == 0 and cpus > 1:
         assert forks[0][0] == 8
 
@@ -437,7 +472,7 @@ def assert_no_children():
 @pytest.fixture
 def split_file(tmp_path, monkeypatch):
     """(path, its outcome through the cell reader) of a file that splits
-    into three ranges."""
+    into three ranges after its 10-byte header."""
     monkeypatch.setattr(csufs.io, "_PART_BYTES", 1)
     path = write(tmp_path, "a,class,b\n" + "".join(f"{i}.5,c{i % 3},{-i}\n" for i in range(60)))
     return path, load_outcome(_load_csv_cells, path, True, "class")
@@ -445,14 +480,13 @@ def split_file(tmp_path, monkeypatch):
 
 def ranges_parsed_here(monkeypatch):
     """Record the (start, stop) of each byte range this process parses, in
-    order; returns the list they land in. The header read, which opens the
-    first range once more, parses no range."""
+    order; returns the list they land in. The header read parses no range."""
     parent, parse_range, here = os.getpid(), csufs.io._parse_range, []
 
-    def parsing(fd, start, stop, label_idx, skip):
+    def parsing(fd, start, stop, label_idx):
         if os.getpid() == parent:
             here.append((start, stop))
-        return parse_range(fd, start, stop, label_idx, skip)
+        return parse_range(fd, start, stop, label_idx)
 
     monkeypatch.setattr(csufs.io, "_parse_range", parsing)
     return here
@@ -474,7 +508,7 @@ def test_range_whose_fork_fails_is_parsed_here(split_file, monkeypatch, fails_at
     monkeypatch.setattr(os, "fork", fork)
     assert load_outcome(load_csv, path, True, "class") == expected
     assert len(forks) == len(calls) == 2
-    assert here == [(0, forks[0][0])] + forks[fails_at:]  # its own range and each unforked one, each once
+    assert here == [(10, forks[0][0])] + forks[fails_at:]  # its own range and each unforked one, each once
     assert_no_children()
 
 
@@ -492,7 +526,7 @@ def test_range_whose_child_exits_before_it_writes_is_parsed_here(split_file, mon
     monkeypatch.setattr(csufs.io, "_parse_range", parse)
     assert load_outcome(load_csv, path, True, "class") == expected
     assert len(forks) == 2
-    assert here == [(0, forks[0][0])] + forks
+    assert here == [(10, forks[0][0])] + forks
     assert_no_children()
 
 
@@ -513,7 +547,7 @@ def test_range_whose_child_sends_a_truncated_pickle_is_parsed_here(split_file, m
     monkeypatch.setattr(pickle, "dump", truncated)  # the children inherit it; this process only loads
     assert load_outcome(load_csv, path, True, "class") == expected
     assert len(forks) == 2
-    assert here == [(0, forks[0][0])] + forks
+    assert here == [(10, forks[0][0])] + forks
     assert_no_children()
 
 
