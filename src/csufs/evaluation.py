@@ -2,12 +2,12 @@
 
 evaluate_selection clusters one column list once per seed and scores the
 labels against the truth. A sweep evaluates each distinct column list of
-its grid once. It deals them to parts (csufs.parts), every count-th
-selection to one part, when its fits hold at least 2 x _FIT_VALUES values
-clustered (samples x columns x seeds) and csufs.parts can hold BLAS to one
-thread; the calling process evaluates the first part and a forked child
-each other one. A profile or trace of the caller sees only the first
-part's evaluations.
+its grid once. It deals them to parts (csufs.parts), longest first, each
+to the part holding the fewest columns so far, when its fits hold at least
+2 x _FIT_VALUES values clustered (samples x columns x seeds) and
+csufs.parts can hold BLAS to one thread; the calling process evaluates the
+first part and a forked child each other one. A profile or trace of the
+caller sees only the first part's evaluations.
 """
 
 from __future__ import annotations
@@ -124,27 +124,44 @@ def _evaluate_each(X: Dataset, selections: list, truth: LabelVector, cfg: EvalCo
 # The least fit work a part holds, in values clustered: samples x selected
 # columns x seeds, summed over a sweep's distinct selections. One part
 # against two, a sweep's fits alone (rankings done beforehand), medians of
-# 33 calls on 2 shared cores in a process holding 60 MB: under 1000000
-# values the outcome depends on the shape (9.5 / 7.5 ms at 300000, 5.3 /
-# 6.2 at 500000 over 3 fits, 9.9 / 9.9 at 540000, 15.9 / 11.2 at 720000);
-# from 1000000 two parts won in all 8 shapes measured (27.0 / 19.7 ms at
-# 1000000, 30.4 / 18.1 at 1200000, 366 / 218 at sweep_grid's 33000000).
-# So a sweep splits from 2 x _FIT_VALUES.
+# 33 calls on 2 shared cores in a process holding 60 MB, with the (K, n)
+# Lloyd loop: two parts won in all 15 shapes measured, from 300000 values
+# (7.9 / 7.0 ms at 300000, 15.1 / 13.8 at 500000, 10.2 / 8.6 at 540000,
+# 12.7 / 9.1 at 720000, 21.4 / 13.5 at 1000000, 20.6 / 13.3 at 1200000,
+# 366 / 223 at sweep_grid's 33000000). An earlier probe on other
+# selections, with slower fits, lost at 500000 and tied at 540000, and
+# won in all 8 shapes from 1000000; so a sweep still splits from
+# 2 x _FIT_VALUES.
 _FIT_VALUES = 500_000
+
+
+def _deal(sizes: list, count: int) -> list:
+    """The indices of sizes dealt to count parts: largest first (the first
+    of equal sizes first), each to the part with the smallest total so far
+    (the first of equal totals)."""
+    dealt = [[] for _ in range(count)]
+    totals = [0] * count
+    for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
+        p = totals.index(min(totals))
+        dealt[p].append(i)
+        totals[p] += sizes[i]
+    return dealt
 
 
 def _evaluate_all(X: Dataset, selections: list, truth: LabelVector, cfg: EvalConfig, method: Method) -> list:
     """evaluate_selection's report of each of selections, in order, dealt
     to parts as sweep says."""
-    values = X.n_samples * len(cfg.seeds) * sum(map(len, selections))
+    sizes = [len(columns) for columns in selections]
+    values = X.n_samples * len(cfg.seeds) * sum(sizes)
     count = len(cut(len(selections), values // _FIT_VALUES)) - 1
     reports = [None] * len(selections)
     with one_blas_thread() if count > 1 else contextlib.nullcontext(False) as held:
-        count = count if held else 1
-        jobs = [functools.partial(_evaluate_each, X, selections[p::count], truth, cfg, method) for p in range(count)]
+        dealt = _deal(sizes, count if held else 1)
+        jobs = [functools.partial(_evaluate_each, X, [selections[i] for i in part], truth, cfg, method) for part in dealt]
         with in_parts(jobs) as parts:
-            for p, part in enumerate(parts):
-                reports[p::count] = part
+            for part, part_reports in zip(dealt, parts):
+                for i, report in zip(part, part_reports):
+                    reports[i] = report
     return reports
 
 
@@ -183,16 +200,18 @@ def sweep(
     them.
 
     The distinct selections are evaluated after every ranking is known,
-    with one csufs.parts.in_parts call: with count parts, part p takes
-    every count-th selection from the p-th, so short and long ones mix.
-    There is at most one part per usable CPU and one per _FIT_VALUES values
-    clustered, and one where the loaded BLAS cannot be held to one thread
-    (csufs.parts.one_blas_thread), which it is while more than one part
-    runs. A part whose child does not deliver is evaluated here. The
-    reports have the same bits for any number of parts: the fits are the
-    same calls, and OpenBLAS on one thread has given the same products as
-    its thread pool in every check so far (tests/test_evaluation.py,
-    scripts/compare_outputs.py).
+    with one csufs.parts.in_parts call. They are dealt longest first (the
+    first seen of equal lengths first), each to the part holding the fewest
+    columns so far (the first of equal parts); every selection is clustered
+    on the same samples with the same seeds, so the parts' column totals
+    differ by at most the longest selection. There is at most one part per
+    usable CPU and one per _FIT_VALUES values clustered, and one where the
+    loaded BLAS cannot be held to one thread (csufs.parts.one_blas_thread),
+    which it is while more than one part runs. A part whose child does not
+    deliver is evaluated here. The reports have the same bits for any
+    number of parts: the fits are the same calls, and OpenBLAS on one
+    thread has given the same products as its thread pool in every check
+    so far (tests/test_evaluation.py, scripts/compare_outputs.py).
     """
     method = Method(method)
     d_values, k_values = list(d_values), list(k_values)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabelVector, require_integer
-from .errors import TooFewSamples
+from .errors import NonFiniteEntry, TooFewSamples
 
 DEFAULT_MAX_ITER = 300
 DEFAULT_CONV_TOL = 1e-4
@@ -33,7 +33,7 @@ def _plusplus_init(X: np.ndarray, n_clusters: int, x_sq: np.ndarray, rng: np.ran
     n = X.shape[0]
     centers = np.empty((n_clusters, X.shape[1]))
     centers[0] = X[int(rng.integers(n))]
-    d2 = _squared_distances(X, centers[:1], x_sq)[:, 0]
+    d2 = _squared_distances(X, centers[:1], x_sq)[0]
     for c in range(1, n_clusters):
         total = float(d2.sum())
         if total > 0.0:
@@ -41,17 +41,20 @@ def _plusplus_init(X: np.ndarray, n_clusters: int, x_sq: np.ndarray, rng: np.ran
         else:
             idx = int(rng.integers(n))  # every point already sits on a center
         centers[c] = X[idx]
-        np.minimum(d2, _squared_distances(X, centers[c : c + 1], x_sq)[:, 0], out=d2)
+        np.minimum(d2, _squared_distances(X, centers[c : c + 1], x_sq)[0], out=d2)
     return centers
 
 
 def _squared_distances(X: np.ndarray, centers: np.ndarray, x_sq: np.ndarray) -> np.ndarray:
-    # |x - c|^2 = |x|^2 - 2 x.c + |c|^2, clipped at zero against fp dips;
-    # formed in place in the product's buffer, no n x d temporary
-    d2 = X @ centers.T
+    """(K, n) squared distances of every point to every center: row c holds
+    center c's. |x - c|^2 = |x|^2 - 2 x.c + |c|^2, clipped at zero against
+    fp dips, formed in place in one K x n buffer, so every broadcast runs
+    along a contiguous row. The product is X @ centers.T, transposed once;
+    each cell has the bits it had when the buffer was n x K."""
+    d2 = (X @ centers.T).T.copy()
     d2 *= -2.0
-    d2 += x_sq[:, np.newaxis]
-    d2 += np.einsum("ij,ij->i", centers, centers)[np.newaxis, :]
+    d2 += x_sq[np.newaxis, :]
+    d2 += np.einsum("ij,ij->i", centers, centers)[:, np.newaxis]
     np.maximum(d2, 0.0, out=d2)
     return d2
 
@@ -67,12 +70,18 @@ def kmeans_fit(
 
     Stops at an assignment fixpoint, when the relative drop of the
     within-cluster squared-distance objective falls under conv_tol, or at
-    max_iter. Each update takes every center at once from one product of the
-    one-hot cluster membership matrix with X, divided by the cluster sizes.
-    A cluster left with no members grabs the point farthest from its
-    assigned centroid; each grab marks its point so later empty clusters
-    pick distinct points. The objective never increases from one iteration
-    to the next. A float64 X is used as it is, in C or Fortran order.
+    max_iter. Each iteration holds its distances in one (K, n) buffer, a row
+    per center (see _squared_distances): a point's squared distance to its
+    own center is the minimum down its column, and its label the first
+    cluster at that minimum, as argmin would pick. Each update takes every
+    center at once from one product of the one-hot cluster membership
+    matrix with X, divided by the cluster sizes. A cluster left with no
+    members grabs the point farthest from its assigned centroid; each grab
+    marks its point so later empty clusters pick distinct points. The
+    objective never increases from one iteration to the next. A float64 X
+    is used as it is, in C or Fortran order. A NaN or an infinity raises
+    NonFiniteEntry at the first row holding one, a finite row whose squared
+    norm overflows ValueError.
     n_clusters and max_iter must be positive integers and seed a
     non-negative one (a bool is not an integer).
     """
@@ -88,19 +97,31 @@ def kmeans_fit(
         raise TooFewSamples(f"{n} samples cannot fill {n_clusters} clusters")
     rng = np.random.default_rng(seed)
     x_sq = np.einsum("ij,ij->i", X, X)
+    finite = np.isfinite(x_sq)
+    if not finite.all():
+        row = int(np.flatnonzero(~finite)[0])
+        bad = np.flatnonzero(~np.isfinite(X[row]))
+        if bad.size:
+            raise NonFiniteEntry(row, int(bad[0]))
+        raise ValueError(f"row {row}'s squared norm overflows")
     centers = _plusplus_init(X, n_clusters, x_sq, rng)
     ids = np.arange(n_clusters)
-    rows = np.arange(n)
     labels = np.full(n, -1, dtype=np.int64)
     history: list[float] = []
     prev_inertia = np.inf
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
         d2 = _squared_distances(X, centers, x_sq)
-        new_labels = d2.argmin(axis=1)
-        own = d2[rows, new_labels]
-        sizes = np.bincount(new_labels, minlength=n_clusters)
-        empty = np.flatnonzero(sizes == 0)
+        own = d2.min(axis=0)
+        # a point's label counts the leading clusters it is not nearest to:
+        # argmin's lowest id on a tie, without argmin's strided scan
+        behind = d2[0] != own
+        new_labels = behind.astype(np.int64)
+        for row in d2[1:-1]:
+            behind &= row != own
+            new_labels += behind
+        counts = np.bincount(new_labels, minlength=n_clusters)
+        empty = np.flatnonzero(counts == 0)
         if empty.size:
             # claim mask, not own itself: keeps picks distinct even when
             # every distance is zero, and keeps the inertia sum finite
@@ -111,6 +132,7 @@ def kmeans_fit(
                 claim[far] = -np.inf
                 own[far] = 0.0
                 centers[c] = X[far]
+            counts = np.bincount(new_labels, minlength=n_clusters)
         inertia = float(own.sum())
         history.append(inertia)
         if np.array_equal(new_labels, labels):
@@ -125,10 +147,8 @@ def kmeans_fit(
         # every cluster's sum in one product with the one-hot membership
         # matrix; a relocation can steal a singleton's only member, so an
         # empty cluster keeps its old center instead of averaging nothing
-        onehot = (labels == ids[:, np.newaxis]).astype(np.float64)
-        counts = np.bincount(labels, minlength=n_clusters)
-        filled = counts > 0
-        centers[filled] = (onehot @ X)[filled] / counts[filled, np.newaxis]
+        sums = (labels == ids[:, np.newaxis]).astype(np.float64) @ X
+        np.divide(sums, counts[:, np.newaxis], out=centers, where=(counts > 0)[:, np.newaxis])
     return KMeansResult(
         labels=labels,
         centers=centers,

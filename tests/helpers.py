@@ -198,3 +198,67 @@ def kmeans_fit_reference(X_sub, n_clusters, seed, max_iter=300, conv_tol=1e-4):
             else:
                 kept += 1
     return labels, n_iter, reseeds, kept
+
+
+def kmeans_fit_matrix_reference(X_sub, n_clusters, seed, max_iter=300, conv_tol=1e-4):
+    """k-means as csufs ran it in matrix form with (n, K) distances, frozen
+    as a bit-for-bit oracle: argmin labels, every center from one product of
+    the one-hot membership matrix with X. Returns (labels, centers,
+    inertia history, n_iter)."""
+    X = np.asarray(X_sub, dtype=np.float64)
+    n = X.shape[0]
+    rng = np.random.default_rng(seed)
+    x_sq = np.einsum("ij,ij->i", X, X)
+
+    def squared_distances(centers):
+        d2 = X @ centers.T
+        d2 *= -2.0
+        d2 += x_sq[:, np.newaxis]
+        d2 += np.einsum("ij,ij->i", centers, centers)[np.newaxis, :]
+        np.maximum(d2, 0.0, out=d2)
+        return d2
+
+    centers = np.empty((n_clusters, X.shape[1]))
+    centers[0] = X[int(rng.integers(n))]
+    d2 = squared_distances(centers[:1])[:, 0]
+    for c in range(1, n_clusters):
+        total = float(d2.sum())
+        idx = int(rng.choice(n, p=d2 / total)) if total > 0.0 else int(rng.integers(n))
+        centers[c] = X[idx]
+        np.minimum(d2, squared_distances(centers[c : c + 1])[:, 0], out=d2)
+
+    ids = np.arange(n_clusters)
+    rows = np.arange(n)
+    labels = np.full(n, -1, dtype=np.int64)
+    history = []
+    prev_inertia = np.inf
+    n_iter = 0
+    for n_iter in range(1, max_iter + 1):
+        d2 = squared_distances(centers)
+        new_labels = d2.argmin(axis=1)
+        own = d2[rows, new_labels]
+        empty = np.flatnonzero(np.bincount(new_labels, minlength=n_clusters) == 0)
+        if empty.size:
+            claim = own.copy()
+            for c in empty:
+                far = int(claim.argmax())
+                new_labels[far] = c
+                claim[far] = -np.inf
+                own[far] = 0.0
+                centers[c] = X[far]
+        inertia = float(own.sum())
+        history.append(inertia)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        if np.isfinite(prev_inertia):
+            if prev_inertia <= 0.0:
+                break
+            if (prev_inertia - inertia) / prev_inertia < conv_tol:
+                break
+        prev_inertia = inertia
+        onehot = (labels == ids[:, np.newaxis]).astype(np.float64)
+        counts = np.bincount(labels, minlength=n_clusters)
+        filled = counts > 0
+        centers[filled] = (onehot @ X)[filled] / counts[filled, np.newaxis]
+    return labels, centers, history, n_iter

@@ -1,3 +1,4 @@
+import heapq
 import importlib
 import os
 
@@ -339,6 +340,18 @@ def distinct_selections(Xn, d_values, k_values):
     return [list(key) for key in distinct]
 
 
+def dealt_longest_first(selections, cpus):
+    """selections dealt to cpus parts, longest first (the first seen of equal
+    lengths first), each to the part holding the fewest columns so far (the
+    lowest part of equal totals)."""
+    parts = [(0, p, []) for p in range(cpus)]
+    for columns in sorted(selections, key=len, reverse=True):  # stable: first seen first among equals
+        total, p, held = heapq.heappop(parts)
+        held.append(columns)
+        heapq.heappush(parts, (total + len(columns), p, held))
+    return [held for _, _, held in sorted(parts, key=lambda part: part[1])]
+
+
 def one_part_sweep(monkeypatch, Xn, truth, cfg, d_values, k_values):
     with monkeypatch.context() as patch:
         patch.setattr(csufs.parts, "usable_cpus", lambda: 1)
@@ -352,9 +365,20 @@ def test_sweep_report_is_the_same_for_any_cpu_count(monkeypatch, fit_sized, cpus
     forks = count_forks(monkeypatch, cpus)
     assert sweep(Xn, truth, Method.CSUFS_OPTIMIZED, cfg=cfg, **FIT_GRID) == expected
     selections = distinct_selections(Xn, **FIT_GRID)
-    assert forks.fits == [selections[p::cpus] for p in range(1, cpus)]  # dealt, every cpus-th selection a part
+    assert forks.fits == dealt_longest_first(selections, cpus)[1:]  # the caller evaluates part 0
     assert forks.kernels == []
     assert_no_children()
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 5])
+def test_deal_keeps_part_totals_within_the_largest_size(count):
+    rng = np.random.default_rng(count)
+    for _ in range(200):
+        sizes = rng.integers(1, 50, int(rng.integers(count, 25))).tolist()
+        dealt = evaluation._deal(sizes, count)
+        assert sorted(i for part in dealt for i in part) == list(range(len(sizes)))
+        totals = [sum(sizes[i] for i in part) for part in dealt]
+        assert max(totals) - min(totals) <= max(sizes)
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from csufs import LabelVector, TooFewSamples, clustering_accuracy, kmeans, kmeans_fit
-from helpers import kmeans_fit_reference
+from csufs import LabelVector, NonFiniteEntry, TooFewSamples, clustering_accuracy, kmeans, kmeans_fit
+from helpers import kmeans_fit_matrix_reference, kmeans_fit_reference
 
 
 def blobs(rng, centers, per, spread=0.1):
@@ -137,8 +137,21 @@ def test_numpy_integer_counts_accepted():
 # Gate for the matrix-form k-means: on every family below, labels and
 # iteration counts must equal the frozen row-subset implementation in
 # tests/helpers.py, in C and Fortran order alike. Only the last bits of the
-# centers may differ.
+# centers may differ from it. Every fit must also have all the bits of the
+# frozen (n, K) matrix form, centers and inertias included.
 FITS_PER_FAMILY = 300
+
+
+def fit_with_matrix_form_bits(X, k, fit_seed, where):
+    """kmeans_fit's result, once it is shown bit-identical to the frozen
+    (n, K) matrix form in tests/helpers.py."""
+    labels, centers, history, n_iter = kmeans_fit_matrix_reference(X, k, fit_seed)
+    got = kmeans_fit(X, k, fit_seed)
+    assert np.array_equal(got.labels, labels), where
+    assert got.centers.tobytes() == centers.tobytes(), where
+    assert got.inertia_history == history, where
+    assert got.n_iter == n_iter, where
+    return got
 
 
 def corpus_matrix(family, rng, k):
@@ -185,7 +198,7 @@ def test_fit_matches_frozen_reference(family, seed):
     fits = reseeds = kept = 0
     for X, k, fit_seed in corpus(family, seed):
         want_labels, want_iter, fit_reseeds, fit_kept = kmeans_fit_reference(X, k, fit_seed)
-        got = kmeans_fit(X, k, fit_seed)
+        got = fit_with_matrix_form_bits(X, k, fit_seed, (family, k, fit_seed, X.flags.f_contiguous))
         assert np.array_equal(got.labels, want_labels), (family, k, fit_seed, X.flags.f_contiguous)
         assert got.n_iter == want_iter, (family, k, fit_seed, X.flags.f_contiguous)
         fits += 1
@@ -219,9 +232,49 @@ def test_fit_matches_frozen_reference_through_empty_cluster_reseeds(points, k, f
                 X = np.asarray(scaled, order=order)
                 want_labels, want_iter, reseeds, _ = kmeans_fit_reference(X, k, fit_seed)
                 assert reseeds > 0  # the case still exercises the re-seed path
-                got = kmeans_fit(X, k, fit_seed)
+                got = fit_with_matrix_form_bits(X, k, fit_seed, (power, pad, order))
                 assert np.array_equal(got.labels, want_labels), (power, pad, order)
                 assert got.n_iter == want_iter, (power, pad, order)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_one_and_two_clusters_have_the_bits_of_the_frozen_matrix_form(k):
+    rng = np.random.default_rng(20 + k)
+    for fit_seed in range(40):
+        X = rng.normal(size=(int(rng.integers(k, 80)), int(rng.integers(1, 8))))
+        for order in "CF":
+            fit_with_matrix_form_bits(np.asarray(X, order=order), k, fit_seed, (k, fit_seed, order))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+def test_ties_between_duplicated_centers_have_the_bits_of_the_frozen_matrix_form(k):
+    # two or three distinct points repeated: plus-plus runs out of distance
+    # and draws centers onto points it already took, so whole rows of the
+    # distance matrix tie and every tied point goes to the lowest id
+    rng = np.random.default_rng(k)
+    for fit_seed in range(40):
+        distinct = rng.integers(-2, 3, (int(rng.integers(2, 4)), 3)).astype(np.float64)
+        X = distinct[np.arange(3 * k) % distinct.shape[0]]
+        fit_with_matrix_form_bits(X, k, fit_seed, (k, fit_seed))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("fit_seed", range(4))
+def test_non_finite_matrix_rejected(bad, fit_seed):
+    X = np.random.default_rng(0).normal(size=(20, 3))
+    X[7, 1] = bad
+    X[12, 2] = 1e200  # a later row's overflow is not the one reported
+    with pytest.raises(NonFiniteEntry) as exc:
+        kmeans_fit(X, 3, fit_seed)
+    assert (exc.value.row, exc.value.col) == (7, 1)
+
+
+@pytest.mark.parametrize("fit_seed", range(4))
+def test_overflowing_squared_norm_rejected(fit_seed):
+    X = np.random.default_rng(0).normal(size=(20, 3))
+    X[7, 1] = 1e200  # finite, but its square overflows
+    with pytest.raises(ValueError, match="row 7's squared norm overflows"):
+        kmeans_fit(X, 3, fit_seed)
 
 
 def labeling_objective(X, labels, k):
@@ -232,7 +285,7 @@ def test_coincident_points_reach_a_zero_objective():
     # more clusters than distinct points: many labelings are optimal, and the
     # centers' last bits may pick a different one than the reference does
     for X, k, fit_seed in corpus("coincident", 6):
-        got = kmeans_fit(X, k, fit_seed)
+        got = fit_with_matrix_form_bits(X, k, fit_seed, (k, fit_seed, X.flags.f_contiguous))
         assert got.labels.shape == (X.shape[0],)
         assert np.array_equal(np.unique(got.labels), np.arange(k))
         assert labeling_objective(X, got.labels, k) <= 1e-12 * float((X**2).sum())
