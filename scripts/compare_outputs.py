@@ -42,7 +42,10 @@ such a host its load splits into byte ranges, the first starting where
 the header ends. crlf.csv starts with its one-line header;
 crlf_blank.csv has two blank lines before it; crlf_quoted.csv starts
 with a byte-order mark and one blank line, and its header's first name
-is quoted and holds a CRLF, so its header spans two lines.
+is quoted and holds a CRLF, so its header spans two lines. Last,
+one_row.csv holds the 300 x 30 fixture's recipe at one sample, and its
+select must fail with TooFewSamples: with the KTooLarge sweep above, it
+compares both kernel-argument errors the CLI can print.
 
 Each command runs once per tree as `python -m csufs.cli` in a fresh
 process, in that tree's own work directory, with the same relative paths
@@ -51,7 +54,8 @@ and exit code are kept beside the files it wrote. Every tree is then
 compared with the first, file by file and byte by byte; only the
 "timestamp" line of a JSON report is left out. Exits 0 when every tree
 matches at every seed and every command exits as expected (0, or 1 for
-the KTooLarge run), 1 naming each difference with its seed.
+the KTooLarge and TooFewSamples runs), 1 naming each difference with its
+seed.
 
 Both trees run on one host: report bytes have not been shown to be the
 same across hosts, so no golden output is kept.
@@ -96,8 +100,10 @@ FIXTURES = {  # input -> its shape, (text before, first name) of its CRLF header
     "crlf.csv": (CRLF_SHAPE, ("", "f0"), {"crlf_select": CRLF_SELECT}),
     "crlf_blank.csv": (CRLF_SHAPE, ("\r\n\r\n", "f0"), {"crlf_blank_select": CRLF_SELECT}),
     "crlf_quoted.csv": (CRLF_SHAPE, ("\ufeff\r\n", '"f\r\n0"'), {"crlf_quoted_select": CRLF_SELECT}),
+    "one_row.csv": ((1, *SMALL_SHAPE[1:]), None, {"one_row_select": ["select", "--d", "5", "--output", "report.json"]}),
 }
-FAILS = {"small_sweep_k_too_large": "KTooLarge"}  # commands that must exit 1 naming this error; the rest exit 0
+# commands that must exit 1 naming this error; the rest exit 0
+FAILS = {"small_sweep_k_too_large": "KTooLarge", "one_row_select": "TooFewSamples"}
 INPUTS = Path("..", "..", "..", "inputs")  # from runs/TREE/COMMAND to the shared inputs
 
 

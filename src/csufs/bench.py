@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import statistics
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import is_integer, require_integer
+from .data import require_integer, require_integers
 from .scoring import MODES, range_sums
 
 AGREEMENT_RTOL = 1e-9
@@ -63,9 +62,7 @@ def run_benchmark(n_list, m: int, k: int, reps: int = 3, seed: int = 0) -> Bench
     positive integers, m and reps positive integers and seed a
     non-negative one (a bool is not an integer).
     """
-    n_list = list(n_list)
-    if not n_list or not all(is_integer(n) and n >= 1 for n in n_list):
-        raise ValueError(f"n_list must be a non-empty list of positive integers, got {n_list}")
+    n_list = require_integers("n_list", n_list, 1)
     for name, value, least in (("m", m, 1), ("reps", reps, 1), ("seed", seed, 0)):
         require_integer(name, value, least)
     matrices = [np.asfortranarray(np.random.default_rng(seed).random((n, m))) for n in n_list]
@@ -78,8 +75,8 @@ def run_benchmark(n_list, m: int, k: int, reps: int = 3, seed: int = 0) -> Bench
                 seconds[mode, i].append(t)
     cells: list[BenchCell] = []
     for i, n in enumerate(n_list):
-        naive_t, opt_t = (float(statistics.median(seconds[mode, i])) for mode in ("naive", "optimized"))
+        naive_t, opt_t = (float(np.median(seconds[mode, i])) for mode in ("naive", "optimized"))
         agree = bool(np.allclose(sums["naive", i], sums["optimized", i], rtol=AGREEMENT_RTOL, atol=0.0))
-        cells.append(BenchCell(n=int(n), m=int(m), k=int(k), naive_seconds=naive_t, optimized_seconds=opt_t,
+        cells.append(BenchCell(n=n, m=int(m), k=int(k), naive_seconds=naive_t, optimized_seconds=opt_t,
                                speedup=naive_t / opt_t, agreement=agree))
     return BenchReport(grid=cells, repetitions=int(reps))

@@ -24,6 +24,19 @@ def require_integer(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be {'positive' if least else 'non-negative'}, got {value}")
 
 
+def require_integers(name: str, values, least: int) -> list[int]:
+    """values as a list of ints: a ValueError naming name unless values is
+    non-empty and holds only integers (see is_integer) of at least least,
+    which is 0 or 1."""
+    values = list(values)
+    if not values:
+        raise ValueError(f"{name} must be non-empty")
+    if not all(is_integer(v) for v in values):
+        raise ValueError(f"{name} must be integers, got {values}")
+    require_integer(name, min(values), least)
+    return [int(v) for v in values]
+
+
 class Method(str, Enum):
     """Selector identities recorded in results and reports."""
 

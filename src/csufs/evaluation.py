@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, LabelVector, Method, is_integer, require_integer
+from .data import Dataset, LabelVector, Method, require_integer, require_integers
 from .errors import LengthMismatch
 from .kmeans import DEFAULT_CONV_TOL, DEFAULT_MAX_ITER, kmeans
 from .metrics import clustering_accuracy, normalized_mutual_information
@@ -43,14 +43,7 @@ class EvalConfig:
     conv_tol: float = DEFAULT_CONV_TOL
 
     def __post_init__(self):
-        self.seeds = tuple(self.seeds)
-        if not all(is_integer(s) for s in self.seeds):
-            raise ValueError(f"seeds must be integers, got {self.seeds}")
-        self.seeds = tuple(int(s) for s in self.seeds)
-        if not self.seeds:
-            raise ValueError("seeds must be non-empty")
-        if min(self.seeds) < 0:
-            raise ValueError(f"seeds must be non-negative, got {min(self.seeds)}")
+        self.seeds = tuple(require_integers("seeds", self.seeds, 0))
         for name in ("n_clusters", "max_iter"):
             require_integer(name, getattr(self, name), 1)
         if not self.conv_tol >= 0:  # NaN included: like a negative, it never stops a run
@@ -214,11 +207,7 @@ def sweep(
     so far (tests/test_evaluation.py, scripts/compare_outputs.py).
     """
     method = Method(method)
-    d_values, k_values = list(d_values), list(k_values)
-    for name, values in (("d_values", d_values), ("k_values", k_values)):
-        if not values or not all(is_integer(v) and v >= 1 for v in values):
-            raise ValueError(f"{name} must be a non-empty list of positive integers, got {values}")
-    d_values, k_values = [int(d) for d in d_values], [int(k) for k in k_values]
+    d_values, k_values = require_integers("d_values", d_values, 1), require_integers("k_values", k_values, 1)
     Xn = ensure_normalized(X)
     selections: dict[tuple[int, ...], np.ndarray] = {}  # each distinct column list, first seen first
     grid: list[tuple[int, int, tuple[int, ...]]] = []

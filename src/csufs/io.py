@@ -28,7 +28,6 @@ import json
 import math
 import mmap
 import os
-import secrets
 import shutil
 import typing
 import warnings
@@ -356,7 +355,7 @@ def write_matrix_csv(path, values, header=None) -> None:
     if header is not None and len(header) != values.shape[1]:
         raise ValueError(f"got {len(header)} header names for {values.shape[1]} columns")
     bounds = cut(len(values), values.size // _PART_CELLS)
-    stem = f"{path}.{secrets.token_hex(6)}"
+    stem = f"{path}.{os.urandom(6).hex()}"
     parts = [f"{stem}.{i}.part" for i in range(1, len(bounds) - 1)]
     try:
         with _atomic_file(path) as fh:
@@ -409,7 +408,7 @@ def _atomic_file(path: Path):
     the block ends and removed if it raises. The temp file is created with
     mode 0o666 less the umask, as open() creates a new file (mkstemp would
     make it 0o600)."""
-    tmp = f"{path}.{secrets.token_hex(6)}.tmp"
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:

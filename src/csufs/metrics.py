@@ -8,14 +8,11 @@ from .data import LabelVector
 from .errors import LengthMismatch
 
 
-def _check_paired(s: LabelVector, r: LabelVector) -> None:
+def contingency_table(s: LabelVector, r: LabelVector) -> np.ndarray:
+    """counts[i, j] = number of samples labeled i in s and j in r; every
+    metric here checks that s and r pair up through this call."""
     if len(s) != len(r):
         raise LengthMismatch(f"label vectors differ in length: {len(s)} vs {len(r)}")
-
-
-def contingency_table(s: LabelVector, r: LabelVector) -> np.ndarray:
-    """counts[i, j] = number of samples labeled i in s and j in r."""
-    _check_paired(s, r)
     cells = s.n_classes * r.n_classes
     return np.bincount(s.labels * r.n_classes + r.labels, minlength=cells).reshape(s.n_classes, r.n_classes)
 
@@ -96,7 +93,6 @@ def normalized_mutual_information(s: LabelVector, r: LabelVector) -> float:
     the result is defined as 1.0; when exactly one marginal entropy is zero
     the mutual information (and so the result) is 0.0.
     """
-    _check_paired(s, r)
     n = len(s)
     counts = contingency_table(s, r)
     row = counts.sum(axis=1)

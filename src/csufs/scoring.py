@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, FeatureScores, Method, SelectionResult, is_integer
+from .data import Dataset, FeatureScores, Method, SelectionResult, require_integer
 from .errors import KTooLarge, TooFewSamples
 from .parts import cut, in_parts
 from .preprocess import ensure_normalized
@@ -65,19 +65,33 @@ class ScoringConfig:
     mode: str = "optimized"
 
     def __post_init__(self):
-        if not is_integer(self.k) or self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        _kernel_grid(None, (self.k,), self.mode)
 
 
-def _require_kernel_args(n: int, k: int) -> None:
-    if n < 2:
+def _kernel_grid(n: int | None, ks: tuple, mode: str) -> tuple[int, ...]:
+    """Every kernel call's argument check; returns the sorted distinct ks.
+    mode must be one of MODES, n at least 2 and each k of ks, in the order
+    given, an integer from 1 to n - 1. n is None where the sample count is
+    not known yet, as in ScoringConfig."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if n is not None and n < 2:
         raise TooFewSamples(f"need at least 2 samples for distance sums, got {n}")
-    if not is_integer(k) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
-    if k >= n:
-        raise KTooLarge(f"k={k} needs at least k+1={k + 1} samples, got {n}")
+    if not ks:
+        raise ValueError("k must hold at least one neighbor count")
+    for k in ks:
+        require_integer("k", k, 1)
+        if n is not None and k >= n:
+            raise KTooLarge(f"k={k} needs at least k+1={k + 1} samples, got {n}")
+    return tuple(sorted(set(ks)))
+
+
+def _matrix(values) -> np.ndarray:
+    """values as a float64 array, which must be 2-D."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2:
+        raise ValueError(f"values must be a 2-D matrix, got ndim={values.ndim}")
+    return values
 
 
 def _as_feature(f) -> np.ndarray:
@@ -180,14 +194,15 @@ def range_sums(values: np.ndarray, start: int, stop: int, ks: tuple[int, ...], m
     window kernel as many whole framed columns per _window_block call as fit
     in a block, at least one. Each column has the bits knn_distance_sums
     gives it, for any range. This is one knn_distance_sums part, and bench
-    times each kernel on one core with it."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    n = len(values)
-    if not ks or list(ks) != sorted(set(ks)):
-        raise ValueError(f"ks must be a non-empty, strictly ascending tuple, got {ks}")
-    for k in ks:
-        _require_kernel_args(n, k)
+    times each kernel on one core with it. Checks its arguments as
+    knn_distance_sums does, and raises ValueError unless ks is strictly
+    ascending and 0 <= start <= stop <= m, before any column is scored."""
+    values = _matrix(values)
+    n, m = values.shape
+    if tuple(ks) != _kernel_grid(n, ks, mode):
+        raise ValueError(f"ks must be strictly ascending, got {ks}")
+    if not 0 <= start <= stop <= m:
+        raise ValueError(f"column range [{start}, {stop}) is not within the matrix's {m} columns")
     sums = np.empty((len(ks), stop - start))
     if mode == "naive":
         for r in range(start, stop):
@@ -234,11 +249,9 @@ class KernelTrace:
 
 def knn_distance_trace(f, k: int, mode: str = "optimized") -> KernelTrace:
     """Run one kernel and keep its per-sample workings for inspection."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     f = _as_feature(f)
-    _require_kernel_args(f.size, k)
     n = f.size
+    _kernel_grid(n, (k,), mode)
     if mode == "naive":
         sums = _naive_per_sample(f, (k,))[0]
         counts = np.full(n, n - 1, dtype=np.int64)
@@ -312,19 +325,11 @@ def knn_distance_sums(values: np.ndarray, k, mode: str = "optimized") -> np.ndar
     the same bits for any number of ranges. Every k is checked before any
     child forks.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2:
-        raise ValueError("values must be a 2-D matrix")
+    values = _matrix(values)
     n, m = values.shape
     single = np.ndim(k) == 0
     ks = (k,) if single else tuple(k)
-    if not ks:
-        raise ValueError("k must hold at least one neighbor count")
-    for kk in ks:
-        _require_kernel_args(n, kk)
-    grid = tuple(sorted(set(ks)))
+    grid = _kernel_grid(n, ks, mode)
     rows = np.empty((len(grid), m))
     bounds = cut(m, n * m // _PART_VALUES)
     jobs = [functools.partial(range_sums, values, a, b, grid, mode) for a, b in zip(bounds, bounds[1:])]
@@ -338,8 +343,7 @@ def knn_distance_sums(values: np.ndarray, k, mode: str = "optimized") -> np.ndar
 def _prefix_selection(order: np.ndarray, scores: FeatureScores, d: int, method: Method) -> SelectionResult:
     """The first d entries of a full ranking. d > m clamps to all m with a
     warning aimed at the line that called the public selector."""
-    if not is_integer(d) or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d}")
+    require_integer("d", d, 1)
     m = order.size
     if d > m:
         warnings.warn(f"requested d={d} features but only {m} exist; selecting all {m}", stacklevel=3)

@@ -62,3 +62,12 @@ def test_unexpected_exit_codes_are_named(tmp_path):
     assert compare_outputs.unexpected_exits(runs, ["sweep", "small_sweep_k_too_large"]) == [
         "sweep: exited 1, expected 0"
     ]
+
+
+def test_a_failure_naming_another_error_is_named(tmp_path):
+    runs = make_run(tmp_path, "a")
+    (runs / "one_row_select.exit").write_text("1\n")
+    (runs / "one_row_select.stderr").write_text("error: KTooLarge: k=5 needs at least k+1=6 samples, got 1\n")
+    assert compare_outputs.unexpected_exits(runs, ["sweep", "one_row_select"]) == [
+        "one_row_select: exited 1, expected 1 with TooFewSamples"
+    ]

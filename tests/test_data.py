@@ -13,6 +13,7 @@ from csufs import (
     SelectionResult,
     validate_dataset,
 )
+from csufs.data import require_integers
 
 
 def test_validate_accepts_rectangular_matrix():
@@ -132,6 +133,27 @@ def test_label_vector_rejects_non_integer_class_count():
     for n_classes in (2.0, 2.5, True, np.float64(2)):
         with pytest.raises(ValueError, match="n_classes must be an integer"):
             LabelVector(labels=[0, 1], n_classes=n_classes)
+
+
+@pytest.mark.parametrize(
+    "values, least, rule",
+    [([], 1, "^grid must be non-empty$"),
+     ([3, 2.0], 1, r"^grid must be integers, got \[3, 2.0\]$"),
+     ([True], 0, r"^grid must be integers, got \[True\]$"),
+     ([4, 0, -2], 1, "^grid must be positive, got -2$"),
+     ((5, -1), 0, "^grid must be non-negative, got -1$")],
+    ids=["empty", "float", "bool", "below-one", "negative"],
+)
+def test_require_integers_names_the_list_and_the_rule(values, least, rule):
+    with pytest.raises(ValueError, match=rule):
+        require_integers("grid", values, least)
+
+
+def test_require_integers_returns_python_ints_in_order():
+    got = require_integers("grid", np.array([3, 0, 3], dtype=np.uint8), 0)
+    assert got == [3, 0, 3]
+    assert all(type(v) is int for v in got)
+    assert require_integers("grid", iter([7, 1]), 1) == [7, 1]
 
 
 def test_label_vector_accepts_numpy_integers():

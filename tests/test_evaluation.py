@@ -214,14 +214,21 @@ def test_sweep_all_features_ignores_d(clustered_dataset):
 def test_sweep_rejects_empty_grid(clustered_dataset):
     X, truth = clustered_dataset
     cfg = EvalConfig(n_clusters=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^d_values must be non-empty"):
         sweep(X, truth, Method.CSUFS_OPTIMIZED, [], [1], cfg)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^k_values must be non-empty"):
         sweep(X, truth, Method.CSUFS_OPTIMIZED, [1], [], cfg)
     for method in Method:
-        for d_values, k_values in [([-1], [1]), ([0], [1]), ([2, 0], [1]), ([2], [0, -4]), ([2], [3, -1]),
-                                   ([2.5], [1]), ([2], [1.0]), ([True], [1]), ([2], [np.float64(3)])]:
-            with pytest.raises(ValueError, match="must be a non-empty list of positive integers"):
+        for d_values, k_values, rule in [([-1], [1], "d_values must be positive, got -1"),
+                                         ([0], [1], "d_values must be positive, got 0"),
+                                         ([2, 0], [1], "d_values must be positive, got 0"),
+                                         ([2], [0, -4], "k_values must be positive, got -4"),
+                                         ([2], [3, -1], "k_values must be positive, got -1"),
+                                         ([2.5], [1], "d_values must be integers"),
+                                         ([2], [1.0], "k_values must be integers"),
+                                         ([True], [1], "d_values must be integers"),
+                                         ([2], [np.float64(3)], "k_values must be integers")]:
+            with pytest.raises(ValueError, match=f"^{rule}"):
                 sweep(X, truth, method, d_values, k_values, cfg)
 
 

@@ -1,6 +1,11 @@
-"""Each module keeps its private names to itself."""
+"""What csufs's modules import and call: each keeps its private names to
+itself, only parts forks, and the CLI loads no stdlib module it has no use
+for."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import csufs
@@ -79,3 +84,12 @@ def test_process_calls_sees_calls_and_imports():
         "other.kill(pid, 9)\n"
     )
     assert sorted(process_calls(tree)) == ["os._exit", "os.fork", "os.waitpid"]
+
+
+def test_cli_import_loads_neither_secrets_nor_statistics():
+    """Each costs a few ms of start-up and neither is needed: io names its
+    temp files with os.urandom and bench takes medians with numpy."""
+    probe = "import sys, csufs.cli; print(sorted({'secrets', 'statistics'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
+    assert out.stdout == "[]\n"

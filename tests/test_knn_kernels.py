@@ -441,24 +441,68 @@ def test_kernel_stays_one_part_below_two_parts_of_values_or_on_one_column(monkey
 @pytest.mark.parametrize("k", [2.5, (5, 2.5), True], ids=["float", "float-in-grid", "bool"])
 def test_non_integer_k_is_rejected_before_any_part_forks(monkeypatch, split_values, k):
     forks = count_forks(monkeypatch, 3)
-    with pytest.raises(ValueError, match="k must be a positive integer"):
+    with pytest.raises(ValueError, match="^k must be an integer"):
         knn_distance_sums(split_values, k)
     assert forks.kernels == []
 
 
 @pytest.mark.parametrize(
-    "ks, error",
-    [((), ValueError), ((7, 3), ValueError), ((3, 3), ValueError), ((2.5, 3), ValueError), ((5, 999), KTooLarge)],
-    ids=["empty", "descending", "repeated", "float", "k-too-large"],
+    "ks, error, rule",
+    [((), ValueError, "^k must hold at least one"), ((7, 3), ValueError, "^ks must be strictly ascending"),
+     ((3, 3), ValueError, "^ks must be strictly ascending"), ([3, 7, 5], ValueError, "^ks must be strictly ascending"),
+     ((2.5, 3), ValueError, "^k must be an integer"), ((5, 999), KTooLarge, "^k=999 needs")],
+    ids=["empty", "descending", "repeated", "unsorted-list", "float", "k-too-large"],
 )
-def test_window_sums_checks_its_ks(ks, error):
+def test_window_sums_checks_its_ks(ks, error, rule):
     """scoring.range_sums checks its ks in either mode."""
     values = np.random.default_rng(23).normal(size=(999, 4))
     for mode in ("optimized", "naive"):
-        with pytest.raises(error):
+        with pytest.raises(error, match=rule):
             scoring.range_sums(values, 0, 4, ks, mode)
+
+
+@pytest.mark.parametrize("start, stop", [(-2, 1), (0, 6), (3, 2), (5, 5)])
+def test_range_sums_rejects_a_range_outside_the_matrix(start, stop):
+    """Unchecked, (-2, 1) would score columns 2, 3 and 0 through negative
+    indexing, and (0, 6) would overrun the sums' columns."""
+    values = np.random.default_rng(24).normal(size=(50, 4))
+    for mode in ("optimized", "naive"):
+        with pytest.raises(ValueError, match=rf"^column range \[{start}, {stop}\) is not within"):
+            scoring.range_sums(values, start, stop, (3,), mode)
+
+
+def test_range_sums_takes_any_range_within_the_matrix():
+    values = np.random.default_rng(25).normal(size=(50, 4))
+    for mode in ("optimized", "naive"):
+        whole = knn_distance_sums(values, (1, 3), mode)
+        for start, stop in [(0, 4), (1, 3), (4, 4), (0, 0)]:
+            assert scoring.range_sums(values, start, stop, (1, 3), mode).tolist() == whole[:, start:stop].tolist()
+
+
+@pytest.mark.parametrize("values", [np.arange(50.0), np.ones((2, 3, 4))], ids=["1-D", "3-D"])
+def test_range_sums_rejects_values_that_are_not_a_matrix(values):
+    for mode in ("optimized", "naive"):
+        with pytest.raises(ValueError, match="^values must be a 2-D matrix"):
+            scoring.range_sums(values, 0, 1, (3,), mode)
 
 
 def test_range_sums_rejects_an_unknown_mode():
     with pytest.raises(ValueError, match="mode must be one of"):
         scoring.range_sums(np.ones((4, 2)), 0, 2, (1,), "fast")
+
+
+@pytest.mark.parametrize("k, rule", [(2.5, "^k must be an integer"), (True, "^k must be an integer"),
+                                     (0, "^k must be positive")], ids=["float", "bool", "zero"])
+def test_trace_rejects_a_k_that_is_not_a_positive_integer(k, rule):
+    for mode in ("optimized", "naive"):
+        with pytest.raises(ValueError, match=rule):
+            knn_distance_trace(np.arange(10.0), k, mode=mode)
+
+
+def test_trace_names_a_bad_mode_too_few_samples_and_too_large_a_k():
+    with pytest.raises(ValueError, match="mode must be one of"):
+        knn_distance_trace(np.arange(10.0), 2, mode="fast")
+    with pytest.raises(TooFewSamples, match="^need at least 2 samples for distance sums, got 1$"):
+        knn_distance_trace([1.0], 1)
+    with pytest.raises(KTooLarge, match=r"^k=10 needs at least k\+1=11 samples, got 10$"):
+        knn_distance_trace(np.arange(10.0), 10, mode="naive")

@@ -271,8 +271,8 @@ def test_scoring_config_validation():
 @pytest.mark.parametrize("count", [2.5, 3.0, True, "3"])
 def test_non_integer_k_and_d_rejected_naming_the_field(count):
     X = validate_dataset(np.random.default_rng(23).normal(size=(20, 6)))
-    with pytest.raises(ValueError, match="k must be a positive integer"):
+    with pytest.raises(ValueError, match="^k must be an integer"):
         ScoringConfig(k=count)
     for select in (csufs, select_max_variance):
-        with pytest.raises(ValueError, match="d must be a positive integer"):
+        with pytest.raises(ValueError, match="^d must be an integer"):
             select(X, count)
