@@ -16,18 +16,20 @@ more) has at least 2 x csufs.io._PART_CELLS cells, so on such a host it
 is written in row ranges, while the 300 x 30 fixture's matrices, 9000
 cells at most, are written in one. And every csufs kernel run on a
 benchmark fixture (40000 x 25, 5000 x 500, 3000 x 200, at least
-2 x csufs.scoring._PART_VALUES values) scores its columns in ranges on
+2 x csufs.scoring.PART_VALUES values) scores its columns in ranges on
 such a host, while on the 300 x 30 fixture the kernel is one range.
 Either kernel shares that rule: the naive select on the 80 x 10000
 fixture (800000 values) scores its columns in two ranges on such a host,
 while every naive command on the 300 x 30 fixture is one range. A
-sweep deals its distinct selections' fits to parts from
-2 x csufs.evaluation._FIT_VALUES values clustered (samples x selected
-columns x seeds, summed). On such a host the sweep_grid command (3000
-samples x 1100 columns x 10 seeds) runs in two parts, while every SMALL
-sweep (54000 values at most) is one part. So are the sweep_kgrid command
-and its named-label copy (40000 x 5 x 1 per distinct ranking) while their
-six k values give at most four distinct rankings, as at seeds 0, 5 and 9.
+sweep deals its distinct selections' fits to parts from the same
+2 x csufs.scoring.PART_VALUES values, counted as values clustered
+(samples x selected columns x seeds, summed). On such a host the
+sweep_grid command (3000 samples x 1100 columns x 10 seeds) runs in two
+parts, and so do the sweep_kgrid command and its named-label copy
+(40000 x 5 x 1 per distinct ranking) when their six k values give three
+distinct rankings or more: four at seed 0, three at seed 9, and one at
+seed 5, where they are one part. Every SMALL sweep (54000 values at
+most) is one part.
 The command set is memory_peaks.py's
 commands() (the three workloads, the named-label copy, maxvar and all
 selects with --write-matrix, csufs and all evaluates) plus SMALL on the
@@ -72,7 +74,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SMALL_SHAPE = (300, 3, 5, 25)  # fixtures.build's n, classes, informative, noise
-WIDE_SHAPE = (80, 2, 10, 9990)  # 800000 values: over 2 x csufs.scoring._PART_VALUES
+WIDE_SHAPE = (80, 2, 10, 9990)  # 800000 values: over 2 x csufs.scoring.PART_VALUES
 SMALL = {  # name -> CLI arguments after the shared input flags, on small.csv
     "small_select_naive": ["select", "--mode", "naive", "--d", "10", "--output", "report.json",
                            "--write-matrix", "reduced.csv"],

@@ -4,10 +4,11 @@ evaluate_selection clusters one column list once per seed and scores the
 labels against the truth. A sweep evaluates each distinct column list of
 its grid once. It deals them to parts (csufs.parts), longest first, each
 to the part holding the fewest columns so far, when its fits hold at least
-2 x _FIT_VALUES values clustered (samples x columns x seeds) and
-csufs.parts can hold BLAS to one thread; the calling process evaluates the
-first part and a forked child each other one. A profile or trace of the
-caller sees only the first part's evaluations.
+2 x scoring.PART_VALUES values clustered (samples x columns x seeds), the
+kernel's own floor, and csufs.parts can hold BLAS to one thread; the
+calling process evaluates the first part and a forked child each other
+one. A profile or trace of the caller sees only the first part's
+evaluations.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .kmeans import DEFAULT_CONV_TOL, DEFAULT_MAX_ITER, kmeans
 from .metrics import clustering_accuracy, normalized_mutual_information
 from .parts import cut, in_parts, one_blas_thread
 from .preprocess import ensure_normalized
-from .scoring import rankings
+from .scoring import PART_VALUES, rankings
 
 DEFAULT_SEEDS = tuple(range(10))
 
@@ -114,20 +115,6 @@ def _evaluate_each(X: Dataset, selections: list, truth: LabelVector, cfg: EvalCo
     return [evaluate_selection(X, columns, truth, cfg, method=method) for columns in selections]
 
 
-# The least fit work a part holds, in values clustered: samples x selected
-# columns x seeds, summed over a sweep's distinct selections. One part
-# against two, a sweep's fits alone (rankings done beforehand), medians of
-# 33 calls on 2 shared cores in a process holding 60 MB, with the (K, n)
-# Lloyd loop: two parts won in all 15 shapes measured, from 300000 values
-# (7.9 / 7.0 ms at 300000, 15.1 / 13.8 at 500000, 10.2 / 8.6 at 540000,
-# 12.7 / 9.1 at 720000, 21.4 / 13.5 at 1000000, 20.6 / 13.3 at 1200000,
-# 366 / 223 at sweep_grid's 33000000). An earlier probe on other
-# selections, with slower fits, lost at 500000 and tied at 540000, and
-# won in all 8 shapes from 1000000; so a sweep still splits from
-# 2 x _FIT_VALUES.
-_FIT_VALUES = 500_000
-
-
 def _deal(sizes: list, count: int) -> list:
     """The indices of sizes dealt to count parts: largest first (the first
     of equal sizes first), each to the part with the smallest total so far
@@ -146,7 +133,7 @@ def _evaluate_all(X: Dataset, selections: list, truth: LabelVector, cfg: EvalCon
     to parts as sweep says."""
     sizes = [len(columns) for columns in selections]
     values = X.n_samples * len(cfg.seeds) * sum(sizes)
-    count = len(cut(len(selections), values // _FIT_VALUES)) - 1
+    count = len(cut(len(selections), values // PART_VALUES)) - 1
     reports = [None] * len(selections)
     with one_blas_thread() if count > 1 else contextlib.nullcontext(False) as held:
         dealt = _deal(sizes, count if held else 1)
@@ -198,13 +185,14 @@ def sweep(
     columns so far (the first of equal parts); every selection is clustered
     on the same samples with the same seeds, so the parts' column totals
     differ by at most the longest selection. There is at most one part per
-    usable CPU and one per _FIT_VALUES values clustered, and one where the
-    loaded BLAS cannot be held to one thread (csufs.parts.one_blas_thread),
-    which it is while more than one part runs. A part whose child does not
-    deliver is evaluated here. The reports have the same bits for any
-    number of parts: the fits are the same calls, and OpenBLAS on one
-    thread has given the same products as its thread pool in every check
-    so far (tests/test_evaluation.py, scripts/compare_outputs.py).
+    usable CPU and one per scoring.PART_VALUES values clustered, and one
+    where the loaded BLAS cannot be held to one thread
+    (csufs.parts.one_blas_thread), which it is while more than one part
+    runs. A part whose child does not deliver is evaluated here. The
+    reports have the same bits for any number of parts: the fits are the
+    same calls, and OpenBLAS on one thread has given the same products as
+    its thread pool in every check so far (tests/test_evaluation.py,
+    scripts/compare_outputs.py).
     """
     method = Method(method)
     d_values, k_values = require_integers("d_values", d_values, 1), require_integers("k_values", k_values, 1)

@@ -407,9 +407,12 @@ def _atomic_file(path: Path):
     """A text handle on a new temp file beside path, renamed into place once
     the block ends and removed if it raises. The temp file is created with
     mode 0o666 less the umask, as open() creates a new file (mkstemp would
-    make it 0o600)."""
+    make it 0o600). An OSError creating it names path, not the temp file."""
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             yield fh

@@ -22,8 +22,8 @@ of memory. The window routine frames each sorted column with kmax -inf
 below and kmax +inf above, so batched short columns, a long column and
 the trace alike are one flat run, scored in chunks with a halo of kmax.
 range_sums is the one path to either kernel over a range of columns. A
-matrix of at least 2 x _PART_VALUES values is cut into contiguous column
-ranges, at most one per usable CPU and one per _PART_VALUES values, and
+matrix of at least 2 x PART_VALUES values is cut into contiguous column
+ranges, at most one per usable CPU and one per PART_VALUES values, and
 csufs.parts scores every range past the first in a forked child. A
 column's sums do not depend on the columns it shares a block with, so the
 bits are the same for any number of ranges.
@@ -50,9 +50,9 @@ MODE_METHODS = {"optimized": Method.CSUFS_OPTIMIZED, "naive": Method.CSUFS_NAIVE
 
 # caps on one block: pairwise distances for the naive kernel (16 MB); framed
 # sorted values for one window chunk, whose working set is about kmax + 5
-# times that, up to the naive kernel's cap (reached at kmax = 57). Every n
-# gets the same per-block footprint, so timings follow the arithmetic rather
-# than the cache
+# times that, held to the naive kernel's cap from kmax = 57 to about 815 (see
+# _window_block_values). Every n gets the same per-block footprint, so
+# timings follow the arithmetic rather than the cache
 _BLOCK_ELEMENTS = 2_000_000
 _WINDOW_BLOCK_ELEMENTS = 32_768
 
@@ -116,6 +116,7 @@ def _naive_per_sample(f: np.ndarray, ks: tuple[int, ...]) -> np.ndarray:
         # single leading zero excludes it even when duplicates add more zeros
         for row, k in zip(sums, ks):
             row[start:stop] = dist[:, 1 : k + 1].sum(axis=1)
+        del dist  # freed before the next block is formed, so one block is held at a time
     return sums
 
 
@@ -147,7 +148,8 @@ def _window_per_sample(s: np.ndarray, ks: tuple[int, ...]) -> np.ndarray:
 def _window_block_values(ks: tuple[int, ...]) -> int:
     """Values per window block for ascending ks: a grid holds kmax + len(ks) + 4
     block-sized arrays, so its blocks shrink to one k = kmax's footprint,
-    which is at most _BLOCK_ELEMENTS values."""
+    at most _BLOCK_ELEMENTS values, until a chunk's least span of 3 x kmax
+    (kmax of core, 2 x kmax of halo) outgrows that, near kmax = 815."""
     return min((ks[-1] + 5) * _WINDOW_BLOCK_ELEMENTS, _BLOCK_ELEMENTS) // (ks[-1] + len(ks) + 4)
 
 
@@ -176,15 +178,19 @@ def _window_block(values: np.ndarray, ks: tuple[int, ...]) -> np.ndarray:
     return out.reshape(len(ks), c, n + 2 * kmax)[:, :, kmax : kmax + n]
 
 
-# The least values a kernel part holds, for either kernel. One part against
+# The least values a part holds: kernel values for either kernel, and values
+# clustered (samples x columns x seeds) for a sweep's fits. One part against
 # two, window-kernel knn_distance_sums medians of 15 calls at k = 5 on 2
 # shared cores, in a process holding 60 MB: 3.6 / 4.8 ms at 200000 values,
 # 5.2 / 5.7 ms at 300000, 8.7 / 7.5 ms at 500000, 9.8 / 8.0 ms at 600000.
 # The crossover is near 350000 values, so the smallest matrix split, 500000
 # values, saves about a seventh. The naive kernel does far more work per
 # value, so a part pays for its fork sooner: 80 x 10000 at k = (7, 3, 7),
-# median of 7, took 0.27 s in one part and 0.14 s in two.
-_PART_VALUES = 250_000
+# median of 7, took 0.27 s in one part and 0.14 s in two. A sweep's fits
+# alone, at 4 clusters, won with two parts at all 15 shapes probed from
+# 300000 values (BENCH_fit_loop.json); at 2 clusters, sweep_kgrid's 800000
+# lost by 5-9 ms, about 1% of that command (BENCH_value_floor.json).
+PART_VALUES = 250_000
 
 
 def range_sums(values: np.ndarray, start: int, stop: int, ks: tuple[int, ...], mode: str) -> np.ndarray:
@@ -316,9 +322,9 @@ def knn_distance_sums(values: np.ndarray, k, mode: str = "optimized") -> np.ndar
     in one pass: the window kernel takes as many whole framed columns per
     block as fit, at least one; the naive kernel one column at a time.
 
-    Either kernel cuts a matrix of at least 2 x _PART_VALUES values into
+    Either kernel cuts a matrix of at least 2 x PART_VALUES values into
     contiguous column ranges of about equal width, at most one per usable
-    CPU and one per _PART_VALUES values (csufs.parts.cut), each scored by
+    CPU and one per PART_VALUES values (csufs.parts.cut), each scored by
     one range_sums call. This process scores the first range while a
     forked child scores each other one; a range whose child does not
     deliver is scored here. A smaller matrix is one range. The sums have
@@ -331,7 +337,7 @@ def knn_distance_sums(values: np.ndarray, k, mode: str = "optimized") -> np.ndar
     ks = (k,) if single else tuple(k)
     grid = _kernel_grid(n, ks, mode)
     rows = np.empty((len(grid), m))
-    bounds = cut(m, n * m // _PART_VALUES)
+    bounds = cut(m, n * m // PART_VALUES)
     jobs = [functools.partial(range_sums, values, a, b, grid, mode) for a, b in zip(bounds, bounds[1:])]
     with in_parts(jobs) as parts:
         for a, b, sums in zip(bounds, bounds[1:], parts):

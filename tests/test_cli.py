@@ -190,6 +190,27 @@ def test_sweep_flat_csv_written_atomically(labeled_csv, tmp_path):
     expected = ["d,k,mean_acc,mean_nmi"] + [f"{c.d},{c.k},{c.report.mean_acc!r},{c.report.mean_nmi!r}" for c in cells]
     assert (tmp_path / "sweep_flat.csv").read_bytes() == ("\n".join(expected) + "\n").encode()
 
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["select", "--d", "3", "--write-matrix", "MISSING"],
+        ["select", "--d", "3", "--output", "MISSING"],
+        ["sweep", "--d-grid", "2", "--k-grid", "1", "--seeds", "0", "--output", "MISSING"],
+    ],
+    ids=["select-write-matrix", "select-output", "sweep-output"],
+)
+def test_write_into_a_missing_directory_names_the_requested_path(labeled_csv, tmp_path, capsys, argv):
+    requested = tmp_path / "nodir" / "out.csv"
+    argv = [str(requested) if a == "MISSING" else a for a in argv]
+    code = main(argv[:1] + ["--input", str(labeled_csv), "--label-col", "class"] + argv[1:])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"'{requested}'" in err
+    assert ".tmp" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
+
 def test_sweep_empty_grid_is_flag_misuse(labeled_csv, tmp_path, capsys):
     code = main(
         ["sweep", "--input", str(labeled_csv), "--label-col", "class",
@@ -281,9 +302,9 @@ def test_run_benchmark_rejects_counts_that_are_not_integers(kwargs, field):
 
 
 def test_run_benchmark_times_a_split_sized_cell_in_one_process(monkeypatch):
-    """100 x 5000 is 2 x _PART_VALUES values, which knn_distance_sums cuts
+    """100 x 5000 is 2 x PART_VALUES values, which knn_distance_sums cuts
     into two column ranges; the benchmark times both kernels unsplit."""
-    assert 100 * 5000 >= 2 * csufs.scoring._PART_VALUES
+    assert 100 * 5000 >= 2 * csufs.scoring.PART_VALUES
     forks = count_forks(monkeypatch, 2)
     report = run_benchmark([100], m=5000, k=3, reps=1)
     assert report.all_agree

@@ -323,15 +323,17 @@ def test_normalized_input_is_used_as_it_is(clustered_dataset, monkeypatch):
     assert calls == []
 
 
-# A sweep whose fits hold at least 3 x evaluation._FIT_VALUES values
-# clustered (1500 samples x 100 columns x 10 seeds over the four selections
-# of k = 5, more when k = 3 ranks otherwise), so up to three parts run; its
-# 50 columns keep the kernel in one part.
 FIT_GRID = dict(d_values=[10, 20, 30, 40], k_values=[5, 3])
 
 
 @pytest.fixture(scope="module")
 def fit_sized():
+    """A sweep over FIT_GRID whose fits hold at least 6 x
+    scoring.PART_VALUES values clustered (1500 samples x 100 columns x 10
+    seeds over the four selections of k = 5, more when k = 3 ranks
+    otherwise), so up to three parts run; its 50 columns keep the kernel in
+    one part."""
+    assert 1500 * (10 + 20 + 30 + 40) * 10 >= 6 * csufs.scoring.PART_VALUES
     rng = np.random.default_rng(31)
     X, labels = make_two_class_data(rng, n=1500, informative=10, noise=40)
     return normalize_samples(validate_dataset(X)), LabelVector.from_raw(labels), EvalConfig(2, seeds=range(10))
@@ -439,18 +441,42 @@ def test_fit_parts_run_on_one_blas_thread_which_is_restored_after(monkeypatch, f
         put(before)
 
 
-@pytest.mark.parametrize(
-    "n, d_values, seeds",
-    [(60, [2, 4, 12], 10), (1000, [10, 20, 30, 39], 10)],
-    ids=["small", "just-under-two-parts"],
-)
-def test_sweep_below_the_floor_forks_no_fit_part(monkeypatch, n, d_values, seeds):
-    """990000 values clustered (1000 samples x 99 columns x 10 seeds) is
-    under 2 x evaluation._FIT_VALUES, so it is one part, as is a small sweep."""
+def floor_sized(n, d_values):
+    """A normalized n x 40 matrix, its labels, and the distinct selections
+    of a csufs sweep over d_values at k = 5."""
     rng = np.random.default_rng(32)
     X, labels = make_two_class_data(rng, n=n, informative=4, noise=36)
     Xn = normalize_samples(validate_dataset(X))
-    assert n * seeds * sum(map(len, distinct_selections(Xn, d_values, [5]))) < 2 * evaluation._FIT_VALUES
+    return Xn, LabelVector.from_raw(labels), distinct_selections(Xn, d_values, [5])
+
+
+@pytest.mark.parametrize(
+    "n, d_values, seeds",
+    [(60, [2, 4, 12], 10), (1000, [10, 20, 19], 10)],
+    ids=["small", "just-under-two-parts"],
+)
+def test_sweep_below_the_floor_forks_no_fit_part(monkeypatch, n, d_values, seeds):
+    """490000 values clustered (1000 samples x 49 columns x 10 seeds) is
+    under 2 x scoring.PART_VALUES, so it is one part, as is a small sweep."""
+    Xn, truth, selections = floor_sized(n, d_values)
+    assert n * seeds * sum(map(len, selections)) < 2 * csufs.scoring.PART_VALUES
     forks = count_forks(monkeypatch, 4)
-    sweep(Xn, LabelVector.from_raw(labels), Method.CSUFS_OPTIMIZED, d_values, [5], EvalConfig(2, seeds=range(seeds)))
+    sweep(Xn, truth, Method.CSUFS_OPTIMIZED, d_values, [5], EvalConfig(2, seeds=range(seeds)))
     assert forks.fits == []
+
+
+def test_sweep_from_two_floors_forks_one_fit_part_on_two_cpus(monkeypatch):
+    """990000 values clustered (1000 samples x 99 columns x 10 seeds) is
+    at least 2 x scoring.PART_VALUES, the kernel's own floor, so on two
+    usable CPUs a child evaluates the second of two parts; the 40000 kernel
+    values are one part."""
+    d_values = [10, 20, 30, 39]
+    Xn, truth, selections = floor_sized(1000, d_values)
+    assert 2 * csufs.scoring.PART_VALUES <= 1000 * 10 * sum(map(len, selections)) < 4 * csufs.scoring.PART_VALUES
+    cfg = EvalConfig(2, seeds=range(10))
+    expected = one_part_sweep(monkeypatch, Xn, truth, cfg, d_values, [5])
+    forks = count_forks(monkeypatch, 2)
+    assert sweep(Xn, truth, Method.CSUFS_OPTIMIZED, d_values, [5], cfg) == expected
+    assert forks.fits == dealt_longest_first(selections, 2)[1:]
+    assert forks.kernels == []
+    assert_no_children()

@@ -102,7 +102,7 @@ def test_command_peak_stays_within_two_matrix_buffers(wide_csv, named_csv, tmp_p
     assert len(forks.loads) == 1
     assert len(forks.writes) == (1 if "--write-matrix" in argv else 0)
     assert forks.kernels == ([] if "--method" in argv else [(M // 2, M)])
-    assert forks.fits == []  # a sweep here clusters 2600 x 30 x 1 values at most, one fit part
+    assert forks.fits == []  # 2600 x 60 x 1 values clustered at most (sweep_kgrid), under 2 x PART_VALUES
     assert peak <= C * MATRIX_BYTES + SLACK, f"peak {peak / MATRIX_BYTES:.2f}x the matrix"
 
 
@@ -147,4 +147,15 @@ def test_window_kernel_block_stays_within_the_naive_cap_at_large_k():
     values = np.random.default_rng(14).normal(size=(n, m))
     _, peak = traced_peak(knn_distance_sums, values, k)
     bound = scoring._BLOCK_ELEMENTS * 8 + 4 * n * m * 8 + SLACK
+    assert peak <= bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
+
+
+def test_naive_kernel_holds_one_distance_block_at_a_time():
+    """The naive kernel forms a block of _BLOCK_ELEMENTS pairwise distances
+    at a time and frees it before forming the next, so a long column peaks
+    at one block plus a few column-length buffers."""
+    n, k = 5000, 5
+    column = np.random.default_rng(15).normal(size=(n, 1))
+    _, peak = traced_peak(knn_distance_sums, column, k, "naive")
+    bound = scoring._BLOCK_ELEMENTS * 8 + SLACK
     assert peak <= bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
