@@ -44,7 +44,9 @@ such a host its load splits into byte ranges, the first starting where
 the header ends. crlf.csv starts with its one-line header;
 crlf_blank.csv has two blank lines before it; crlf_quoted.csv starts
 with a byte-order mark and one blank line, and its header's first name
-is quoted and holds a CRLF, so its header spans two lines. Last,
+is quoted and holds a CRLF, so its header spans two lines. crlf.csv is
+also selected at --k 1000, where a window chunk's halo, 1000 values on
+each side, outgrows its 1990 core positions. Last,
 one_row.csv holds the 300 x 30 fixture's recipe at one sample, and its
 select must fail with TooFewSamples: with the KTooLarge sweep above, it
 compares both kernel-argument errors the CLI can print.
@@ -96,10 +98,11 @@ WIDE = {  # name -> CLI arguments after the shared input flags, on wide.csv
 }
 CRLF_SHAPE = (3000, 2, 10, 50)  # about 3.5 MB written: over 2 x csufs.io._PART_BYTES
 CRLF_SELECT = ["select", "--d", "20", "--output", "report.json", "--write-matrix", "reduced.csv"]
+LARGE_K_SELECT = ["select", "--d", "20", "--k", "1000", "--output", "report.json", "--write-matrix", "reduced.csv"]
 FIXTURES = {  # input -> its shape, (text before, first name) of its CRLF header (None: perfbench's layout), commands
     "small.csv": (SMALL_SHAPE, None, SMALL),
     "wide.csv": (WIDE_SHAPE, None, WIDE),
-    "crlf.csv": (CRLF_SHAPE, ("", "f0"), {"crlf_select": CRLF_SELECT}),
+    "crlf.csv": (CRLF_SHAPE, ("", "f0"), {"crlf_select": CRLF_SELECT, "crlf_select_large_k": LARGE_K_SELECT}),
     "crlf_blank.csv": (CRLF_SHAPE, ("\r\n\r\n", "f0"), {"crlf_blank_select": CRLF_SELECT}),
     "crlf_quoted.csv": (CRLF_SHAPE, ("\ufeff\r\n", '"f\r\n0"'), {"crlf_quoted_select": CRLF_SELECT}),
     "one_row.csv": ((1, *SMALL_SHAPE[1:]), None, {"one_row_select": ["select", "--d", "5", "--output", "report.json"]}),

@@ -14,7 +14,7 @@ from .bench import run_benchmark
 from .data import Method
 from .errors import CsufsError, LabelColumnMissing
 from .evaluation import DEFAULT_SEEDS, EvalConfig, evaluate_selection, sweep
-from .io import ReportDocument, load_csv, write_matrix_csv, write_report, write_sweep_csv
+from .io import ReportDocument, load_csv, require_directory, write_matrix_csv, write_report, write_sweep_csv
 from .kmeans import DEFAULT_CONV_TOL, DEFAULT_MAX_ITER
 from .preprocess import normalize_samples
 from .scoring import DEFAULT_K, MODE_METHODS, MODES, ScoringConfig, csufs, select_all, select_max_variance
@@ -255,6 +255,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code is None else int(exc.code)
     try:
+        for path in (args.output, vars(args).get("write_matrix")):  # sweep's flat CSV lands beside --output
+            if path is not None:
+                require_directory(path)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -22,6 +22,7 @@ import codecs
 import contextlib
 import csv
 import dataclasses
+import errno
 import functools
 import itertools
 import json
@@ -29,6 +30,7 @@ import math
 import mmap
 import os
 import shutil
+import stat
 import typing
 import warnings
 from dataclasses import dataclass, field
@@ -400,6 +402,19 @@ def _atomic_write_text(path: Path, chunks: typing.Iterable[str]) -> None:
     """Write chunks to a temp file beside path, then rename it into place."""
     with _atomic_file(path) as fh:
         fh.writelines(chunks)
+
+
+def require_directory(path) -> None:
+    """Raise the OSError _atomic_file would raise on creating its temp file
+    beside path when path's directory is missing or is not a directory, so
+    a command can fail before it does any work."""
+    parent = os.path.dirname(path) or "."
+    try:
+        is_dir = stat.S_ISDIR(os.stat(parent).st_mode)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    if not is_dir:
+        raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(path))
 
 
 @contextlib.contextmanager

@@ -20,7 +20,8 @@ largest k, and every k takes its own minimums from them.
 Each kernel has one routine that scores a whole k grid within one block
 of memory. The window routine frames each sorted column with kmax -inf
 below and kmax +inf above, so batched short columns, a long column and
-the trace alike are one flat run, scored in chunks with a halo of kmax.
+the trace alike are one flat run, scored in chunks that read kmax values
+of halo on each side and score only their core, within one block at any k.
 range_sums is the one path to either kernel over a range of columns. A
 matrix of at least 2 x PART_VALUES values is cut into contiguous column
 ranges, at most one per usable CPU and one per PART_VALUES values, and
@@ -48,9 +49,9 @@ DEFAULT_VARIANCE_TOL = 1e-12
 MODES = ("optimized", "naive")
 MODE_METHODS = {"optimized": Method.CSUFS_OPTIMIZED, "naive": Method.CSUFS_NAIVE}  # the Method a csufs run reports
 
-# caps on one block: pairwise distances for the naive kernel (16 MB); framed
-# sorted values for one window chunk, whose working set is about kmax + 5
-# times that, held to the naive kernel's cap from kmax = 57 to about 815 (see
+# caps on one block: pairwise distances for the naive kernel (16 MB); core
+# positions of one window chunk, whose working set is about kmax + 5 times
+# that, held to the naive kernel's cap from kmax = 57 on (see
 # _window_block_values). Every n gets the same per-block footprint, so
 # timings follow the arithmetic rather than the cache
 _BLOCK_ELEMENTS = 2_000_000
@@ -121,24 +122,23 @@ def _naive_per_sample(f: np.ndarray, ks: tuple[int, ...]) -> np.ndarray:
 
 
 def _window_per_sample(s: np.ndarray, ks: tuple[int, ...]) -> np.ndarray:
-    """Per-position kNN sums of a 1-D ascending run for each k of the strictly
-    ascending tuple ks, shape (len(ks), s.size). A position whose window runs
-    past either end of s gets no true sum; callers read only positions with
-    kmax values on both sides. Every k reads the same running sums and adds
-    them in the same order as a kernel run for that k alone, so each row has
-    the same bits."""
-    size = s.size
+    """Per-position kNN sums of the core of a 1-D ascending run for each k of
+    the strictly ascending tuple ks, shape (len(ks), s.size - 2 * kmax): s
+    holds kmax values of halo on each side of its core, read but not scored.
+    Every k reads the same running sums and adds them in the same order as a
+    kernel run for that k alone, so each row has the same bits."""
     kmax = ks[-1]
-    above = np.zeros((kmax + 1, size))  # above[t]: summed gaps to the t positions above
-    below = np.zeros(size)
-    work = np.empty(size)
+    stop = s.size - kmax  # the core is s[kmax:stop]
+    above = np.zeros((kmax + 1, stop - kmax))  # above[t]: summed gaps to the t positions above
+    below = np.zeros(stop - kmax)
+    work = np.empty(stop - kmax)
     for t in range(1, kmax + 1):
-        np.subtract(s[t:], s[:-t], out=above[t, : size - t])
-        above[t, : size - t] += above[t - 1, : size - t]
+        np.subtract(s[kmax + t : stop + t], s[kmax:stop], out=above[t])
+        above[t] += above[t - 1]
     best = above[list(ks)]
     for j in range(1, kmax + 1):  # j neighbors below, k - j above
-        np.subtract(s[j:], s[:-j], out=work[j:])
-        below[j:] += work[j:]
+        np.subtract(s[kmax:stop], s[kmax - j : stop - j], out=work)
+        below += work
         for k, row in zip(ks, best):
             if k >= j:
                 np.minimum(row, np.add(below, above[k - j], out=work), out=row)
@@ -146,11 +146,11 @@ def _window_per_sample(s: np.ndarray, ks: tuple[int, ...]) -> np.ndarray:
 
 
 def _window_block_values(ks: tuple[int, ...]) -> int:
-    """Values per window block for ascending ks: a grid holds kmax + len(ks) + 4
-    block-sized arrays, so its blocks shrink to one k = kmax's footprint,
-    at most _BLOCK_ELEMENTS values, until a chunk's least span of 3 x kmax
-    (kmax of core, 2 x kmax of halo) outgrows that, near kmax = 815."""
-    return min((ks[-1] + 5) * _WINDOW_BLOCK_ELEMENTS, _BLOCK_ELEMENTS) // (ks[-1] + len(ks) + 4)
+    """Core positions per window chunk, and values per block of framed
+    columns, for ascending ks: a chunk holds kmax + len(ks) + 4 core-sized
+    arrays, so its core shrinks to one k = kmax's footprint, at most
+    _BLOCK_ELEMENTS values, down to one position."""
+    return max(1, min((ks[-1] + 5) * _WINDOW_BLOCK_ELEMENTS, _BLOCK_ELEMENTS) // (ks[-1] + len(ks) + 4))
 
 
 def _window_block(values: np.ndarray, ks: tuple[int, ...]) -> np.ndarray:
@@ -158,7 +158,7 @@ def _window_block(values: np.ndarray, ks: tuple[int, ...]) -> np.ndarray:
     (n, c) block for ascending ks. Each sorted column sits between kmax -inf
     and kmax +inf; no minimum picks the +inf gap to a sentinel, so column
     ends need no masks. The framed columns are one flat run, scored in chunks
-    with kmax values of halo on both sides, as if in one run per column."""
+    of _window_block_values(ks) core positions, as if in one run per column."""
     n, c = values.shape
     kmax = ks[-1]
     framed = np.empty((n + 2 * kmax, c), order="F")
@@ -169,12 +169,12 @@ def _window_block(values: np.ndarray, ks: tuple[int, ...]) -> np.ndarray:
     column.sort(axis=0)
     flat = framed.ravel(order="F")
     size = flat.size
-    core = max(_window_block_values(ks) - 2 * kmax, kmax)  # at least kmax bounds the halo's share of the work
+    core = _window_block_values(ks)
     out = np.empty((len(ks), size))
     with np.errstate(invalid="ignore"):  # inf - inf between two sentinels; those positions are never read
         for lo in range(kmax, size - kmax, core):
             hi = min(lo + core, size - kmax)
-            out[:, lo:hi] = _window_per_sample(flat[lo - kmax : hi + kmax], ks)[:, kmax:-kmax]
+            out[:, lo:hi] = _window_per_sample(flat[lo - kmax : hi + kmax], ks)
     return out.reshape(len(ks), c, n + 2 * kmax)[:, :, kmax : kmax + n]
 
 

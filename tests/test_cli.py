@@ -194,20 +194,28 @@ def test_sweep_flat_csv_written_atomically(labeled_csv, tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["select", "--d", "3", "--write-matrix", "MISSING"],
-        ["select", "--d", "3", "--output", "MISSING"],
-        ["sweep", "--d-grid", "2", "--k-grid", "1", "--seeds", "0", "--output", "MISSING"],
+        ["select", "DATA", "--d", "3", "--write-matrix", "MISSING"],
+        ["select", "DATA", "--d", "3", "--output", "MISSING"],
+        ["evaluate", "DATA", "--d", "3", "--seeds", "0", "--output", "MISSING"],
+        ["sweep", "DATA", "--d-grid", "2", "--k-grid", "1", "--seeds", "0", "--output", "MISSING"],
+        ["bench", "--n-list", "150", "--m", "4", "--k", "3", "--reps", "1", "--output", "MISSING"],
     ],
-    ids=["select-write-matrix", "select-output", "sweep-output"],
+    ids=["select-write-matrix", "select-output", "evaluate-output", "sweep-output", "bench-output"],
 )
-def test_write_into_a_missing_directory_names_the_requested_path(labeled_csv, tmp_path, capsys, argv):
+def test_write_into_a_missing_directory_names_the_requested_path(labeled_csv, tmp_path, capsys, monkeypatch, argv):
+    """The output directory is checked before the input is read or any kernel runs."""
+    calls = []
+    monkeypatch.setattr(csufs.cli, "load_csv", lambda *args, **kwargs: calls.append("load_csv"))
+    monkeypatch.setattr(csufs.cli, "run_benchmark", lambda *args, **kwargs: calls.append("run_benchmark"))
     requested = tmp_path / "nodir" / "out.csv"
-    argv = [str(requested) if a == "MISSING" else a for a in argv]
-    code = main(argv[:1] + ["--input", str(labeled_csv), "--label-col", "class"] + argv[1:])
+    data = ["--input", str(labeled_csv), "--label-col", "class"]
+    argv = [arg for a in argv for arg in (data if a == "DATA" else [str(requested) if a == "MISSING" else a])]
+    code = main(argv)
     err = capsys.readouterr().err
     assert code == 1
     assert f"'{requested}'" in err
     assert ".tmp" not in err
+    assert calls == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
 
 

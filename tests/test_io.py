@@ -688,6 +688,19 @@ def test_write_to_missing_directory_raises_oserror(tmp_path):
         write_report(doc, tmp_path / "nope" / "eval.json")
 
 
+@pytest.mark.parametrize("parent", ["nope", "nope/deeper", "file", "file/deeper"])
+def test_require_directory_raises_what_a_write_raises(tmp_path, parent):
+    (tmp_path / "file").write_text("")
+    path = tmp_path / parent / "eval.json"
+    with pytest.raises(OSError) as written:
+        write_report(ReportDocument(payload=make_eval(), invocation={}), path)
+    with pytest.raises(OSError) as checked:
+        csufs.io.require_directory(path)
+    assert (checked.value.errno, str(checked.value)) == (written.value.errno, str(written.value))
+    csufs.io.require_directory(tmp_path / "eval.json")
+    csufs.io.require_directory("eval.json")  # a bare name lands in the working directory
+
+
 def test_no_stray_temp_files_after_write(tmp_path):
     doc = ReportDocument(payload=make_eval(), invocation={})
     write_report(doc, tmp_path / "eval.json")

@@ -253,15 +253,22 @@ def test_knn_distance_sums_default_budget_match_oracle():
 
 
 def count_kernel_runs(monkeypatch):
-    runs = []
+    """The core size of each _window_per_sample call, which must return sums
+    for at most _window_block_values(ks) core positions and read kmax values
+    of halo on each side of them."""
+    cores = []
     original = scoring._window_per_sample
 
     def counting(s, ks):
-        runs.append(s.size)
-        return original(s, ks)
+        sums = original(s, ks)
+        core = sums.shape[1]
+        assert core <= scoring._window_block_values(ks)
+        assert s.size == core + 2 * ks[-1]
+        cores.append(core)
+        return sums
 
     monkeypatch.setattr(scoring, "_window_per_sample", counting)
-    return runs
+    return cores
 
 
 def test_k_grid_on_a_column_cut_into_chunks(monkeypatch):
@@ -271,7 +278,7 @@ def test_k_grid_on_a_column_cut_into_chunks(monkeypatch):
     f = np.repeat(np.arange(-7.0, 8.0), 6)[np.random.default_rng(5).permutation(n)]
     X = np.column_stack([f, f * 0.37 + 1.0])
     runs = count_kernel_runs(monkeypatch)
-    for ks in ((1, 2, 3), (2, 5, 9), (1, 30, n - 1)):
+    for ks in ((1, 2, 3), (2, 5, 9), (1, 30, n - 1), (30, n - 1)):
         runs.clear()
         got = knn_distance_sums(X, ks)
         assert len(runs) >= 2 * 2  # every column spans at least two chunks
@@ -279,10 +286,16 @@ def test_k_grid_on_a_column_cut_into_chunks(monkeypatch):
         assert got[:, 0].tolist() == [knn_sum_oracle(f, k) for k in ks]
     runs.clear()
     knn_distance_sums(X, (1, 2, 3))
-    # a block holds 8 * 24 // 10 = 19 values: chunks of 13 positions and 3
-    # of halo on each side, seven chunks per column
-    assert len(runs) == 2 * 7
+    # a block holds 8 * 24 // 10 = 19 values: chunks of 19 core positions
+    # with 3 of halo on each side, five chunks per column
+    assert len(runs) == 2 * 5
     assert max(runs) == 19
+    runs.clear()
+    knn_distance_sums(X, (30, n - 1))
+    # 94 * 24 // 95 = 23 core positions with 89 of halo on each side: the
+    # halo outgrows the core, four chunks per column
+    assert len(runs) == 2 * 4
+    assert max(runs) == 23
 
 
 def test_trace_across_chunk_borders_is_exact_and_bounded(monkeypatch):
@@ -291,7 +304,7 @@ def test_trace_across_chunk_borders_is_exact_and_bounded(monkeypatch):
     # runs of equal values, so ties straddle every chunk border
     f = np.repeat(np.arange(-7.0, 8.0), 6)[np.random.default_rng(6).permutation(n)]
     runs = count_kernel_runs(monkeypatch)
-    for k in (1, 3, 8):  # up to the largest k whose chunk (k of core, 2k of halo) fits a block
+    for k in (1, 3, 8, 30, n - 1):  # 24 core positions per chunk at every k, past k = 24 too
         runs.clear()
         fast = knn_distance_trace(f, k)
         naive = knn_distance_trace(f, k, mode="naive")

@@ -142,12 +142,21 @@ def test_window_kernel_block_stays_within_the_naive_cap_at_large_k():
     """Past k = 56 a window chunk's k + 5 arrays would outgrow the naive
     kernel's block; the block shrinks instead, so at k = 400 the kernel
     holds one _BLOCK_ELEMENTS block plus the matrix's sorted copy, sums and
-    output."""
+    output. A chunk's core shrinks with it whatever its halo, so a column of
+    5000 at k = 2000, under 1000 core positions per chunk with 2000 of halo
+    on each side, holds one block plus a few framed-column buffers, by
+    knn_distance_sums and knn_distance_trace alike."""
     n, m, k = 4000, 8, 400
     values = np.random.default_rng(14).normal(size=(n, m))
     _, peak = traced_peak(knn_distance_sums, values, k)
     bound = scoring._BLOCK_ELEMENTS * 8 + 4 * n * m * 8 + SLACK
     assert peak <= bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
+    n, k = 5000, 2000
+    column = np.random.default_rng(16).normal(size=(n, 1))
+    for kernel, arg, buffers in ((knn_distance_sums, column, 4), (knn_distance_trace, column[:, 0], 6)):
+        _, peak = traced_peak(kernel, arg, k)
+        bound = scoring._BLOCK_ELEMENTS * 8 + buffers * (n + 2 * k) * 8 + SLACK
+        assert peak <= bound, f"{kernel.__name__}: peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
 
 
 def test_naive_kernel_holds_one_distance_block_at_a_time():
