@@ -35,7 +35,8 @@ commands() (the three workloads, the named-label copy, maxvar and all
 selects with --write-matrix, csufs and all evaluates) plus SMALL on the
 300 x 30 fixture: naive and all selects with --write-matrix, optimized
 and naive sweeps over a k grid with a duplicate and k = n - 1, maxvar
-and all sweeps, and a sweep at k = n that must fail with KTooLarge;
+and all sweeps, a sweep at k = n that must fail with KTooLarge, and a
+select without --d that must fail as flag misuse before it reads its input;
 WIDE on the 80 x 10000 fixture: a naive select with --write-matrix; and
 the same select --d 20 --write-matrix on three 3000 x 60 copies of one
 fixture laid out unlike the others: CRLF line ends and the class column
@@ -57,9 +58,10 @@ in every tree. Its stdout, stderr (the tree's src path written as <src>)
 and exit code are kept beside the files it wrote. Every tree is then
 compared with the first, file by file and byte by byte; only the
 "timestamp" line of a JSON report is left out. Exits 0 when every tree
-matches at every seed and every command exits as expected (0, or 1 for
-the KTooLarge and TooFewSamples runs), 1 naming each difference with its
-seed.
+matches at every seed and every command exits as expected (0, or what
+FAILS maps it to: 1 and an "error: KTooLarge:" or "error: TooFewSamples:"
+stderr, or 2 and a "usage error: --d is required" one), 1 naming each
+difference with its seed.
 
 Both trees run on one host: report bytes have not been shown to be the
 same across hosts, so no golden output is kept.
@@ -91,6 +93,7 @@ SMALL = {  # name -> CLI arguments after the shared input flags, on small.csv
                         "--output", "report.json"],
     "small_sweep_k_too_large": ["sweep", "--d-grid", "5", "--k-grid", "300", "--seeds", "0",
                                 "--output", "report.json"],
+    "small_select_no_d": ["select", "--output", "report.json"],
 }
 WIDE = {  # name -> CLI arguments after the shared input flags, on wide.csv
     "wide_select_naive": ["select", "--mode", "naive", "--d", "20", "--output", "report.json",
@@ -107,8 +110,12 @@ FIXTURES = {  # input -> its shape, (text before, first name) of its CRLF header
     "crlf_quoted.csv": (CRLF_SHAPE, ("\ufeff\r\n", '"f\r\n0"'), {"crlf_quoted_select": CRLF_SELECT}),
     "one_row.csv": ((1, *SMALL_SHAPE[1:]), None, {"one_row_select": ["select", "--d", "5", "--output", "report.json"]}),
 }
-# commands that must exit 1 naming this error; the rest exit 0
-FAILS = {"small_sweep_k_too_large": "KTooLarge", "one_row_select": "TooFewSamples"}
+# command -> the exit code and stderr prefix it must fail with; the rest exit 0
+FAILS = {
+    "small_sweep_k_too_large": (1, "error: KTooLarge:"),
+    "one_row_select": (1, "error: TooFewSamples:"),
+    "small_select_no_d": (2, "usage error: --d is required"),
+}
 INPUTS = Path("..", "..", "..", "inputs")  # from runs/TREE/COMMAND to the shared inputs
 
 
@@ -169,13 +176,13 @@ def run_tree(src: Path, runs: Path, commands: dict[str, list[str]]) -> None:
 
 
 def unexpected_exits(runs: Path, commands) -> list[str]:
-    """Each command whose exit code, or named error, is not the one FAILS expects."""
+    """Each command whose exit code, or stderr prefix, is not the one FAILS expects."""
     found = []
     for name in commands:
         code = int((runs / f"{name}.exit").read_text())
-        error = FAILS.get(name)
-        if code != (1 if error else 0) or (error and f"error: {error}:" not in (runs / f"{name}.stderr").read_text()):
-            found.append(f"{name}: exited {code}, expected {f'1 with {error}' if error else 0}")
+        expected, prefix = FAILS.get(name, (0, ""))
+        if code != expected or not (runs / f"{name}.stderr").read_text().startswith(prefix):
+            found.append(f"{name}: exited {code}, expected {expected}" + (f" with stderr {prefix!r}..." if prefix else ""))
     return found
 
 

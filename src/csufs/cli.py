@@ -1,7 +1,8 @@
 """Command-line front end: select, evaluate, sweep, bench.
 
 Exit codes: 0 success, 1 runtime/data errors (bad values, impossible k,
-kernel disagreement), 2 flag misuse.
+kernel disagreement, an unwritable output path), 2 flag misuse. The last
+two are reported before the input is read.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from .bench import run_benchmark
 from .data import Method
 from .errors import CsufsError, LabelColumnMissing
 from .evaluation import DEFAULT_SEEDS, EvalConfig, evaluate_selection, sweep
-from .io import ReportDocument, load_csv, require_directory, write_matrix_csv, write_report, write_sweep_csv
+from .io import ReportDocument, load_csv, require_writable, write_matrix_csv, write_report, write_sweep_csv
 from .kmeans import DEFAULT_CONV_TOL, DEFAULT_MAX_ITER
 from .preprocess import normalize_samples
 from .scoring import DEFAULT_K, MODE_METHODS, MODES, ScoringConfig, csufs, select_all, select_max_variance
@@ -179,9 +180,9 @@ def _eval_config(args: argparse.Namespace, labels, **stop_rules) -> EvalConfig:
 
 def _run_selection(args: argparse.Namespace, require_labels: bool = False):
     """Normalized input, labels and selection; select_all reports the raw matrix's variances."""
-    X, labels = _load(args, require_labels)
     if args.method != "all" and args.d is None:
         raise UsageError(f"--d is required for method {args.method!r}")
+    X, labels = _load(args, require_labels)
     result = select_all(X) if args.method == "all" else None
     X = normalize_samples(X)  # the raw matrix is released here
     if args.method == "maxvar":
@@ -217,13 +218,18 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _flat_path(output: Path) -> Path:
+    """Where a sweep writes its flat CSV: <stem>_flat.csv beside output."""
+    return output.with_name(output.stem + "_flat.csv")
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     X, labels = _load(args, require_labels=True)
     X = normalize_samples(X)  # the raw matrix is released here
     method = {"csufs": MODE_METHODS[args.mode], "maxvar": Method.MAX_VARIANCE, "all": Method.ALL_FEATURES}[args.method]
     report = sweep(X, labels, method, args.d_grid, args.k_grid, _eval_config(args, labels))
     write_report(ReportDocument(payload=report, invocation=_invocation(args)), args.output)
-    flat_path = args.output.with_name(args.output.stem + "_flat.csv")
+    flat_path = _flat_path(args.output)
     write_sweep_csv(flat_path, report)
     print(f"swept {len(report.cells)} cells ({len(report.d_values)} d values x {len(report.k_values)} k values)")
     print(f"report: {args.output}")
@@ -255,9 +261,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code is None else int(exc.code)
     try:
-        for path in (args.output, vars(args).get("write_matrix")):  # sweep's flat CSV lands beside --output
+        flat = [_flat_path(args.output)] if args.command == "sweep" else []
+        for path in (args.output, vars(args).get("write_matrix"), *flat):
             if path is not None:
-                require_directory(path)
+                require_writable(path)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -30,7 +30,6 @@ import math
 import mmap
 import os
 import shutil
-import stat
 import typing
 import warnings
 from dataclasses import dataclass, field
@@ -394,44 +393,46 @@ def _csv_lines(values: np.ndarray):
 
 def write_sweep_csv(path, report: SweepReport) -> None:
     """One `d,k,mean_acc,mean_nmi` line per sweep cell, floats at full round-trip precision."""
-    lines = [f"{c.d},{c.k},{c.report.mean_acc!r},{c.report.mean_nmi!r}\n" for c in report.cells]
-    _atomic_write_text(Path(path), ["d,k,mean_acc,mean_nmi\n", *lines])
-
-
-def _atomic_write_text(path: Path, chunks: typing.Iterable[str]) -> None:
-    """Write chunks to a temp file beside path, then rename it into place."""
     with _atomic_file(path) as fh:
-        fh.writelines(chunks)
+        fh.write("d,k,mean_acc,mean_nmi\n")
+        fh.writelines(f"{c.d},{c.k},{c.report.mean_acc!r},{c.report.mean_nmi!r}\n" for c in report.cells)
 
 
-def require_directory(path) -> None:
-    """Raise the OSError _atomic_file would raise on creating its temp file
-    beside path when path's directory is missing or is not a directory, so
-    a command can fail before it does any work."""
-    parent = os.path.dirname(path) or "."
+def require_writable(path) -> None:
+    """Raise what a write of path raises on its first step (_create_temp),
+    so a command can fail before any work; the temp file made is removed."""
+    fd, tmp = _create_temp(path)
+    os.close(fd)
+    os.unlink(tmp)
+
+
+def _create_temp(path) -> tuple[int, str]:
+    """(descriptor, name) of a new temp file beside path, with mode 0o666
+    less the umask as open() would make it (mkstemp: 0o600). A directory at
+    path, which os.replace could not replace (a link to one it can), raises
+    EISDIR first. An OSError names path, not the temp file."""
+    if os.path.isdir(path) and not os.path.islink(path):
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
     try:
-        is_dir = stat.S_ISDIR(os.stat(parent).st_mode)
+        return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, str(path)) from None
-    if not is_dir:
-        raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(path))
 
 
 @contextlib.contextmanager
-def _atomic_file(path: Path):
-    """A text handle on a new temp file beside path, renamed into place once
-    the block ends and removed if it raises. The temp file is created with
-    mode 0o666 less the umask, as open() creates a new file (mkstemp would
-    make it 0o600). An OSError creating it names path, not the temp file."""
-    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
-    try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, str(path)) from None
+def _atomic_file(path):
+    """A text handle on a new temp file beside path (see _create_temp),
+    renamed into place once the block ends and removed if it raises. A
+    failed rename names path, not the temp file."""
+    fd, tmp = _create_temp(path)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
@@ -525,7 +526,8 @@ def parse_report(text: str) -> ReportDocument:
 
 def write_report(doc: ReportDocument, path) -> None:
     """Serialize and atomically persist a report document."""
-    _atomic_write_text(Path(path), [serialize_report(doc)])
+    with _atomic_file(path) as fh:
+        fh.write(serialize_report(doc))
 
 
 def read_report(path) -> ReportDocument:

@@ -140,10 +140,20 @@ def test_k_too_large_exits_one_naming_the_error(labeled_csv, capsys):
     assert "KTooLarge" in capsys.readouterr().err
 
 
-def test_missing_d_is_flag_misuse(labeled_csv, capsys):
+def test_missing_d_is_flag_misuse(labeled_csv, tmp_path, capsys, monkeypatch):
     code = main(["select", "--input", str(labeled_csv), "--label-col", "class"])
     assert code == 2
     assert "--d" in capsys.readouterr().err
+    # --d is checked before the input is read, so a malformed CSV is never parsed
+    # and evaluate reports the missing --d before the missing --label-col
+    calls = []
+    monkeypatch.setattr(csufs.cli, "load_csv", lambda *args, **kwargs: calls.append("load_csv"))
+    malformed = tmp_path / "malformed.csv"
+    malformed.write_text("1,2\n3,x\n")
+    for command in ("select", "evaluate"):
+        assert main([command, "--input", str(malformed)]) == 2
+        assert capsys.readouterr().err == "usage error: --d is required for method 'csufs'\n"
+    assert calls == []
 
 
 def test_unknown_method_is_flag_misuse(labeled_csv, capsys):
@@ -191,32 +201,44 @@ def test_sweep_flat_csv_written_atomically(labeled_csv, tmp_path):
     assert (tmp_path / "sweep_flat.csv").read_bytes() == ("\n".join(expected) + "\n").encode()
 
 
+OUTPUT_COMMANDS = {  # id -> argv; DATA stands for the input flags, OUT for the output path
+    "select-write-matrix": ["select", "DATA", "--d", "3", "--write-matrix", "OUT"],
+    "select-output": ["select", "DATA", "--d", "3", "--output", "OUT"],
+    "evaluate-output": ["evaluate", "DATA", "--d", "3", "--seeds", "0", "--output", "OUT"],
+    "sweep-output": ["sweep", "DATA", "--d-grid", "2", "--k-grid", "1", "--seeds", "0", "--output", "OUT"],
+    "bench-output": ["bench", "--n-list", "150", "--m", "4", "--k", "3", "--reps", "1", "--output", "OUT"],
+}
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, out, directory, requested",
     [
-        ["select", "DATA", "--d", "3", "--write-matrix", "MISSING"],
-        ["select", "DATA", "--d", "3", "--output", "MISSING"],
-        ["evaluate", "DATA", "--d", "3", "--seeds", "0", "--output", "MISSING"],
-        ["sweep", "DATA", "--d-grid", "2", "--k-grid", "1", "--seeds", "0", "--output", "MISSING"],
-        ["bench", "--n-list", "150", "--m", "4", "--k", "3", "--reps", "1", "--output", "MISSING"],
+        *((argv, "nodir/out.csv", None, "nodir/out.csv") for argv in OUTPUT_COMMANDS.values()),
+        *((argv, "outdir", "outdir", "outdir") for argv in OUTPUT_COMMANDS.values()),
+        (OUTPUT_COMMANDS["sweep-output"], "r.json", "r_flat.csv", "r_flat.csv"),
     ],
-    ids=["select-write-matrix", "select-output", "evaluate-output", "sweep-output", "bench-output"],
+    ids=[*OUTPUT_COMMANDS, *(f"{name}-onto-a-directory" for name in OUTPUT_COMMANDS), "sweep-flat-csv-onto-a-directory"],
 )
-def test_write_into_a_missing_directory_names_the_requested_path(labeled_csv, tmp_path, capsys, monkeypatch, argv):
-    """The output directory is checked before the input is read or any kernel runs."""
+def test_write_into_a_missing_directory_names_the_requested_path(
+    labeled_csv, tmp_path, capsys, monkeypatch, argv, out, directory, requested
+):
+    """Every output path, a sweep's flat CSV included, is checked before the
+    input is read or any kernel runs: into a missing directory, or onto a
+    directory already there."""
     calls = []
     monkeypatch.setattr(csufs.cli, "load_csv", lambda *args, **kwargs: calls.append("load_csv"))
     monkeypatch.setattr(csufs.cli, "run_benchmark", lambda *args, **kwargs: calls.append("run_benchmark"))
-    requested = tmp_path / "nodir" / "out.csv"
+    if directory is not None:
+        (tmp_path / directory).mkdir()
     data = ["--input", str(labeled_csv), "--label-col", "class"]
-    argv = [arg for a in argv for arg in (data if a == "DATA" else [str(requested) if a == "MISSING" else a])]
+    argv = [arg for a in argv for arg in (data if a == "DATA" else [str(tmp_path / out) if a == "OUT" else a])]
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 1
-    assert f"'{requested}'" in err
+    assert f"'{tmp_path / requested}'" in err
     assert ".tmp" not in err
     assert calls == []
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+    assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(["data.csv", *filter(None, [directory])])
 
 
 def test_sweep_empty_grid_is_flag_misuse(labeled_csv, tmp_path, capsys):

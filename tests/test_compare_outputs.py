@@ -69,5 +69,23 @@ def test_a_failure_naming_another_error_is_named(tmp_path):
     (runs / "one_row_select.exit").write_text("1\n")
     (runs / "one_row_select.stderr").write_text("error: KTooLarge: k=5 needs at least k+1=6 samples, got 1\n")
     assert compare_outputs.unexpected_exits(runs, ["sweep", "one_row_select"]) == [
-        "one_row_select: exited 1, expected 1 with TooFewSamples"
+        "one_row_select: exited 1, expected 1 with stderr 'error: TooFewSamples:'..."
+    ]
+
+
+@pytest.mark.parametrize(
+    "code, stderr, found",
+    [
+        (2, "usage error: --d is required for method 'csufs'\n", []),
+        (1, "error: ParseError: row 1, column 1: cannot parse 'x'\n", ["exited 1, expected 2"]),
+        (2, "usage: csufs [-h] {select,evaluate,sweep,bench} ...\n", ["exited 2, expected 2"]),
+    ],
+    ids=["usage-error", "read-first", "argparse-error"],
+)
+def test_a_usage_error_must_exit_two_naming_the_flag(tmp_path, code, stderr, found):
+    runs = make_run(tmp_path, "a")
+    (runs / "small_select_no_d.exit").write_text(f"{code}\n")
+    (runs / "small_select_no_d.stderr").write_text(stderr)
+    assert compare_outputs.unexpected_exits(runs, ["sweep", "small_select_no_d"]) == [
+        f"small_select_no_d: {line} with stderr 'usage error: --d is required'..." for line in found
     ]

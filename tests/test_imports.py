@@ -41,11 +41,11 @@ def test_no_module_imports_a_private_name_from_another():
 def test_private_imports_sees_relative_and_absolute_forms():
     tree = ast.parse(
         "from .scoring import _prefix_selection, csufs\n"
-        "from csufs.io import _atomic_write_text\n"
+        "from csufs.io import _atomic_file\n"
         "from ._version import __version__\n"
         "from os import _exit\n"
     )
-    assert private_imports(tree) == ["scoring._prefix_selection", "csufs.io._atomic_write_text"]
+    assert private_imports(tree) == ["scoring._prefix_selection", "csufs.io._atomic_file"]
 
 
 PROCESS_CALLS = {"fork", "_exit", "kill", "waitpid"}

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import io
 import math
 import os
@@ -688,17 +689,70 @@ def test_write_to_missing_directory_raises_oserror(tmp_path):
         write_report(doc, tmp_path / "nope" / "eval.json")
 
 
-@pytest.mark.parametrize("parent", ["nope", "nope/deeper", "file", "file/deeper"])
-def test_require_directory_raises_what_a_write_raises(tmp_path, parent):
+@pytest.mark.parametrize(
+    "target, code",
+    [
+        ("nope/eval.json", errno.ENOENT),
+        ("nope/deeper/eval.json", errno.ENOENT),
+        ("file/eval.json", errno.ENOTDIR),
+        ("file/deeper/eval.json", errno.ENOTDIR),
+        ("dir", errno.EISDIR),
+        ("denied/eval.json", errno.EACCES),
+    ],
+    ids=["nope", "nope/deeper", "file", "file/deeper", "dir", "eacces"],
+)
+def test_require_writable_raises_what_a_write_raises(tmp_path, monkeypatch, target, code):
+    """The check runs the write's own first step: the same errno and text,
+    naming the requested path, and no file left behind. A directory that
+    refuses new files is simulated, since root may write anywhere."""
     (tmp_path / "file").write_text("")
-    path = tmp_path / parent / "eval.json"
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "denied").mkdir()
+    os_open = os.open
+
+    def open_unless_denied(name, *args, **kwargs):
+        if str(name).startswith(str(tmp_path / "denied")) and str(name).endswith(".tmp"):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), name)
+        return os_open(name, *args, **kwargs)
+
+    monkeypatch.setattr(csufs.io.os, "open", open_unless_denied)
+    before = sorted(tmp_path.rglob("*"))
+    path = tmp_path / target
     with pytest.raises(OSError) as written:
         write_report(ReportDocument(payload=make_eval(), invocation={}), path)
     with pytest.raises(OSError) as checked:
-        csufs.io.require_directory(path)
+        csufs.io.require_writable(path)
     assert (checked.value.errno, str(checked.value)) == (written.value.errno, str(written.value))
-    csufs.io.require_directory(tmp_path / "eval.json")
-    csufs.io.require_directory("eval.json")  # a bare name lands in the working directory
+    assert str(checked.value) == f"[Errno {code}] {os.strerror(code)}: '{path}'"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_require_writable_leaves_no_file(tmp_path, monkeypatch):
+    """Where the write would succeed the check passes and leaves nothing:
+    a new name, an existing file, a link to a directory (os.replace
+    replaces the link) and a bare name, which lands in the working directory."""
+    (tmp_path / "old.json").write_text("{}")
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "link").symlink_to(tmp_path / "dir")
+    before = sorted(tmp_path.rglob("*"))
+    monkeypatch.chdir(tmp_path)
+    for path in (tmp_path / "eval.json", tmp_path / "old.json", tmp_path / "link", "eval.json"):
+        csufs.io.require_writable(path)
+    assert sorted(tmp_path.rglob("*")) == before
+    write_report(ReportDocument(payload=make_eval(), invocation={}), "link")
+    assert (tmp_path / "link").is_file() and list((tmp_path / "dir").iterdir()) == []
+
+
+def test_a_failed_rename_names_the_path_and_leaves_no_file(tmp_path, monkeypatch):
+    def busy(src, dst):
+        raise OSError(errno.EBUSY, os.strerror(errno.EBUSY), src, None, dst)
+
+    monkeypatch.setattr(csufs.io.os, "replace", busy)
+    path = tmp_path / "eval.json"
+    with pytest.raises(OSError) as exc:
+        write_report(ReportDocument(payload=make_eval(), invocation={}), path)
+    assert str(exc.value) == f"[Errno {errno.EBUSY}] {os.strerror(errno.EBUSY)}: '{path}'"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_no_stray_temp_files_after_write(tmp_path):
@@ -779,9 +833,25 @@ def test_failed_streaming_write_leaves_no_file(tmp_path):
         yield "1.0\n"
         raise RuntimeError("formatting failed")
 
-    with pytest.raises(RuntimeError):
-        csufs.io._atomic_write_text(tmp_path / "w.csv", lines())
+    with pytest.raises(RuntimeError), csufs.io._atomic_file(tmp_path / "w.csv") as fh:
+        fh.writelines(lines())
     assert list(tmp_path.iterdir()) == []
+
+
+def test_write_matrix_csv_onto_a_directory_fails_before_any_fork(tmp_path, monkeypatch):
+    """A matrix that splits is refused at the write's first step, before any
+    row is formatted or any child forked, and nothing is left behind."""
+    forks = count_forks(monkeypatch, 3)
+    values = np.ones((1000, 2 * csufs.io._PART_CELLS // 1000))
+    write_matrix_csv(tmp_path / "w.csv", values)
+    assert forks.writes == [500]  # two parts where the write can go ahead: one here, one forked
+    target = tmp_path / "out"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError) as exc:
+        write_matrix_csv(target, values)
+    assert str(exc.value) == f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{target}'"
+    assert forks.writes == [500]
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["out", "w.csv"]
 
 
 EDGE_VALUES = [-0.0, 1e300, 5e-324, math.nan, math.inf, -math.inf, 0.1, 1.0 / 3.0]
