@@ -47,7 +47,12 @@ crlf_blank.csv has two blank lines before it; crlf_quoted.csv starts
 with a byte-order mark and one blank line, and its header's first name
 is quoted and holds a CRLF, so its header spans two lines. crlf.csv is
 also selected at --k 1000, where a window chunk's halo, 1000 values on
-each side, outgrows its 1990 core positions. Last,
+each side, outgrows its 1990 core positions. names_last.csv, a fourth
+3000 x 60 copy in perfbench's layout, writes its last tenth of class
+labels as names (class_0, class_1) and the rest as integers, so on such
+a host its first byte range reads the class column as numbers and its
+last as tokens, and the cell reader loads it; it is selected at --d 20.
+Last,
 one_row.csv holds the 300 x 30 fixture's recipe at one sample, and its
 select must fail with TooFewSamples: with the KTooLarge sweep above, it
 compares both kernel-argument errors the CLI can print.
@@ -70,6 +75,7 @@ same across hosts, so no golden output is kept.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import subprocess
 import sys
@@ -102,12 +108,43 @@ WIDE = {  # name -> CLI arguments after the shared input flags, on wide.csv
 CRLF_SHAPE = (3000, 2, 10, 50)  # about 3.5 MB written: over 2 x csufs.io._PART_BYTES
 CRLF_SELECT = ["select", "--d", "20", "--output", "report.json", "--write-matrix", "reduced.csv"]
 LARGE_K_SELECT = ["select", "--d", "20", "--k", "1000", "--output", "report.json", "--write-matrix", "reduced.csv"]
-FIXTURES = {  # input -> its shape, (text before, first name) of its CRLF header (None: perfbench's layout), commands
+
+
+def write_crlf_csv(path: Path, X, labels, lead: str, first_name: str) -> None:
+    """X and labels as a CSV with CRLF line ends, lead written before the
+    header, first_name as the header's first cell and the class column in
+    the middle of the features."""
+    mid = X.shape[1] // 2
+    names = [first_name, *(f"f{j}" for j in range(1, X.shape[1]))]
+    lines = [",".join([*names[:mid], "class", *names[mid:]])]
+    for row, label in zip(X.tolist(), labels.tolist()):
+        cells = list(map(repr, row))
+        lines.append(",".join([*cells[:mid], str(label), *cells[mid:]]))
+    path.write_bytes((lead + "\r\n".join(lines) + "\r\n").encode("utf-8"))
+
+
+def write_names_last_csv(path: Path, X, labels) -> None:
+    """X and labels in perfbench's layout (header f0..f{m-1},class, LF line
+    ends), the last tenth of the labels written as names (class_0, ...)
+    and the others as integers."""
+    named_from = len(labels) - len(labels) // 10
+    lines = [",".join([*(f"f{j}" for j in range(X.shape[1])), "class"])]
+    for i, (row, label) in enumerate(zip(X.tolist(), labels.tolist())):
+        lines.append(",".join([*map(repr, row), f"class_{label}" if i >= named_from else str(label)]))
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+
+
+FIXTURES = {  # input -> its shape, its writer(path, X, labels) (None: perfbench's), commands
     "small.csv": (SMALL_SHAPE, None, SMALL),
     "wide.csv": (WIDE_SHAPE, None, WIDE),
-    "crlf.csv": (CRLF_SHAPE, ("", "f0"), {"crlf_select": CRLF_SELECT, "crlf_select_large_k": LARGE_K_SELECT}),
-    "crlf_blank.csv": (CRLF_SHAPE, ("\r\n\r\n", "f0"), {"crlf_blank_select": CRLF_SELECT}),
-    "crlf_quoted.csv": (CRLF_SHAPE, ("\ufeff\r\n", '"f\r\n0"'), {"crlf_quoted_select": CRLF_SELECT}),
+    "crlf.csv": (CRLF_SHAPE, functools.partial(write_crlf_csv, lead="", first_name="f0"),
+                 {"crlf_select": CRLF_SELECT, "crlf_select_large_k": LARGE_K_SELECT}),
+    "crlf_blank.csv": (CRLF_SHAPE, functools.partial(write_crlf_csv, lead="\r\n\r\n", first_name="f0"),
+                       {"crlf_blank_select": CRLF_SELECT}),
+    "crlf_quoted.csv": (CRLF_SHAPE, functools.partial(write_crlf_csv, lead="\ufeff\r\n", first_name='"f\r\n0"'),
+                        {"crlf_quoted_select": CRLF_SELECT}),
+    "names_last.csv": (CRLF_SHAPE, write_names_last_csv,
+                       {"names_last_select": ["select", "--d", "20", "--output", "report.json"]}),
     "one_row.csv": ((1, *SMALL_SHAPE[1:]), None, {"one_row_select": ["select", "--d", "5", "--output", "report.json"]}),
 }
 # command -> the exit code and stderr prefix it must fail with; the rest exit 0
@@ -142,25 +179,9 @@ def command_set(memory_peaks) -> dict[str, list[str]]:
 
 def write_inputs(memory_peaks, inputs: Path, seed: int) -> None:
     memory_peaks.write_fixtures(inputs, seed)
-    for csv_name, (shape, layout, _) in FIXTURES.items():
+    for csv_name, (shape, write, _) in FIXTURES.items():
         X, labels = memory_peaks.fixtures.build(*shape, seed)
-        if layout is None:
-            memory_peaks.fixtures.write_csv(inputs / csv_name, X, labels)
-        else:
-            write_crlf_csv(inputs / csv_name, X, labels, *layout)
-
-
-def write_crlf_csv(path: Path, X, labels, lead: str, first_name: str) -> None:
-    """X and labels as a CSV with CRLF line ends, lead written before the
-    header, first_name as the header's first cell and the class column in
-    the middle of the features."""
-    mid = X.shape[1] // 2
-    names = [first_name, *(f"f{j}" for j in range(1, X.shape[1]))]
-    lines = [",".join([*names[:mid], "class", *names[mid:]])]
-    for row, label in zip(X.tolist(), labels.tolist()):
-        cells = list(map(repr, row))
-        lines.append(",".join([*cells[:mid], str(label), *cells[mid:]]))
-    path.write_bytes((lead + "\r\n".join(lines) + "\r\n").encode("utf-8"))
+        (write or memory_peaks.fixtures.write_csv)(inputs / csv_name, X, labels)
 
 
 def run_tree(src: Path, runs: Path, commands: dict[str, list[str]]) -> None:

@@ -131,6 +131,8 @@ def _deal(sizes: list, count: int) -> list:
 def _evaluate_all(X: Dataset, selections: list, truth: LabelVector, cfg: EvalConfig, method: Method) -> list:
     """evaluate_selection's report of each of selections, in order, dealt
     to parts as sweep says."""
+    import numpy.random  # kmeans seeds by it; loaded before any fit part forks, no child imports it (parts._fork)
+
     sizes = [len(columns) for columns in selections]
     values = X.n_samples * len(cfg.seeds) * sum(sizes)
     count = len(cut(len(selections), values // PART_VALUES)) - 1

@@ -56,34 +56,38 @@ def load_csv(path, has_header: bool = False, label_column: int | str | None = No
     as numbers are canonicalized numerically (so "1" and "1.0" coincide),
     otherwise as strings. Blank lines are skipped.
 
-    The body is parsed by np.loadtxt, and the label column's tokens, numbers
-    or names, are collected as they are read. This process reads the header
-    first; the bytes after it, of a file of at least 2 x _PART_BYTES, are
-    cut just after line ends into byte ranges of about equal size, at most
-    one per usable CPU and one per _PART_BYTES. Every range is parsed by
-    one routine: the first here, each other in a forked child. A range
-    whose child does not deliver is parsed here, and no other range is
-    parsed again. Any other file, and every file where os.fork is missing,
-    is one range. The result and every error are the same either way.
+    The body is parsed by np.loadtxt. This process reads the header first;
+    the bytes after it, of a file of at least 2 x _PART_BYTES, are cut just
+    after line ends into byte ranges of about equal size, at most one per
+    usable CPU and one per _PART_BYTES. Every range is parsed by one
+    routine: the first here, each other in a forked child. A range whose
+    child does not deliver is parsed here, and no other range is parsed
+    again. Any other file, and every file where os.fork is missing, is one
+    range. The result and every error are the same either way. Each range
+    returns its rows column-major without the label column, whose cells
+    come back as numbers where loadtxt reads them all as numbers and as
+    tokens otherwise; the blocks are stacked here, column by column, and
+    validate_dataset copies the stack into the Dataset.
 
     loadtxt reads a strict subset of the cells float() reads, to the same
-    bits, so whenever it rejects a range, the ranges differ in width, or the
-    file has no data rows or a header of the wrong width, the cell-by-cell
-    reader reads the whole file instead: it reads what loadtxt refuses
-    (quoted cells, "1_0", non-ASCII digits) and reports every error with its
-    row, column or line. loadtxt has no csv field-size limit, so a cell over
-    131072 characters loads where loadtxt reads the file; on the
-    cell-by-cell path it raises MalformedCsv.
+    bits, so whenever it rejects a range, the ranges differ in width, the
+    label column came back as numbers in some ranges and as tokens in
+    others, or the file has no data rows or a header of the wrong width,
+    the cell-by-cell reader reads the whole file instead: it reads what
+    loadtxt refuses (quoted cells, "1_0", non-ASCII digits) and reports
+    every error with its row, column or line. loadtxt has no csv
+    field-size limit, so a cell over 131072 characters loads where loadtxt
+    reads the file; on the cell-by-cell path it raises MalformedCsv.
     """
     path = Path(path)
-    header, tables, tokens = _parse_vectorized(path, has_header, label_column)
-    if tables is None:
+    header, blocks, labels = _parse_vectorized(path, has_header, label_column)
+    if blocks is None:
         return _load_csv_cells(path, has_header, label_column)
-    label_idx, feature_cols = _split_columns(label_column, header, tables[0].shape[1])
-    labels = None if label_idx is None else _canonical_labels(tokens)
-    table = _join_tables(tables, label_idx)  # empties tables, so no part outlives the join
+    label_idx, feature_cols = _split_columns(label_column, header, blocks[0].shape[1] + (labels is not None))
+    if label_idx is not None:  # float() of a number loadtxt read is the value it gave
+        labels = LabelVector.from_raw(labels) if isinstance(labels, np.ndarray) else _canonical_labels(labels)
     names = [header[j] for j in feature_cols] if header is not None else None
-    return validate_dataset(table, names), labels
+    return validate_dataset(_stack_blocks(blocks), names), labels
 
 
 # The least bytes a range holds. One range against two, load_csv medians on
@@ -94,19 +98,21 @@ _PART_BYTES = 1 << 20
 
 
 def _parse_vectorized(path: Path, has_header: bool, label_column):
-    """(header, float tables, label tokens) of a CSV, parsed by np.loadtxt
-    in one or more byte ranges (see load_csv): the non-empty ranges' tables
+    """(header, blocks, labels) of a CSV, parsed by np.loadtxt in one or more
+    byte ranges (see load_csv): the non-empty ranges' column-major blocks
     in file order, all of one width. This process reads the header (the
     first non-blank csv row) and resolves the label column; the ranges
     start where the header's last line ends (byte 0 without a header), and
     in_parts runs one _parse_range job per range, whose parts are read in
     range order up to the first rejected one. A label column that resolves
-    before parsing has its tokens collected (0.0 stands in the tables); any
-    other is parsed as numbers and tokens is None, so _split_columns
-    reports it as the cell reader would. The tables are None when the
-    cell-by-cell reader must decide: loadtxt rejected a range (a quoted
-    label included), the ranges differ in width, there are no data rows,
-    or the header width differs from the rows'."""
+    before parsing is left out of the blocks, and labels holds its values:
+    one float64 array when every range read them as numbers, one list of
+    str tokens when every range collected tokens. Any other label column
+    is parsed as numbers and labels is None, so _split_columns reports it
+    as the cell reader would. The blocks are None when the cell-by-cell
+    reader must decide: loadtxt rejected a range (a quoted label included),
+    the ranges differ in width or in how they read the labels, there are no
+    data rows, or the header width differs from the rows'."""
     with path.open("rb") as file:
         fd = file.fileno()
         size = os.fstat(fd).st_size
@@ -123,39 +129,40 @@ def _parse_vectorized(path: Path, has_header: bool, label_column):
             label_idx = None
         bounds = _range_bounds(fd, first, size)
         jobs = [functools.partial(_parse_range, fd, a, b, label_idx) for a, b in zip(bounds, bounds[1:])]
-        parts = []
+        blocks, labels = [], []
         with in_parts(jobs) as results:
-            for table, tokens in results:
-                if table is None:
+            for block, more in results:
+                if block is None:
                     return header, None, None
-                if table.size:  # a range of blank lines parses empty
-                    parts.append((table, tokens))
-    widths = {table.shape[1] for table, _ in parts}
+                if len(block):  # a range of blank lines has no rows; a row may have no cell left
+                    blocks.append(block)
+                    labels.append(more)
+    widths = {block.shape[1] + (label_idx is not None) for block in blocks}
     if len(widths) != 1 or (header is not None and len(header) not in widths):
         return header, None, None
-    tokens = None if parts[0][1] is None else list(itertools.chain.from_iterable(more for _, more in parts))
-    return header, [table for table, _ in parts], tokens
+    if label_idx is None:
+        return header, blocks, None
+    numeric = {isinstance(more, np.ndarray) for more in labels}
+    if len(numeric) != 1:  # "1" and "1.0" are one number but two tokens: the cell reader decides
+        return header, None, None
+    if numeric == {True}:
+        return header, blocks, np.concatenate(labels)
+    return header, blocks, list(itertools.chain.from_iterable(labels))
 
 
-def _join_tables(tables: list, label_idx: int | None) -> np.ndarray:
-    """The rows of tables, in order, as one table without column label_idx
-    (None: every column kept). Each table is copied once, straight into the
-    result, and dropped from the list as soon as it is; a lone table with
-    no label column is the result as it is."""
-    if len(tables) == 1 and label_idx is None:
-        return tables.pop()
-    width = tables[0].shape[1] - (label_idx is not None)
-    out = np.empty((sum(len(table) for table in tables), width))
+def _stack_blocks(blocks: list) -> np.ndarray:
+    """The rows of blocks, column-major tables of one width, in order, as one
+    column-major table. Each block is copied once, straight into the
+    result, and dropped from the list as soon as it is, so no range
+    outlives the stack; a lone block is the result as it is."""
+    if len(blocks) == 1:
+        return blocks.pop()
+    out = np.empty((sum(len(block) for block in blocks), blocks[0].shape[1]), order="F")
     row = 0
-    while tables:
-        table = tables.pop(0)
-        rows = out[row : row + len(table)]
-        if label_idx is None:
-            rows[...] = table
-        else:
-            rows[:, :label_idx] = table[:, :label_idx]
-            rows[:, label_idx:] = table[:, label_idx + 1 :]
-        row += len(table)
+    while blocks:
+        block = blocks.pop(0)
+        out[row : row + len(block)] = block
+        row += len(block)
     return out
 
 
@@ -203,19 +210,42 @@ class _RangeReader(RawIOBase):
 
 
 def _parse_range(fd: int, start: int, stop: int, label_idx: int | None):
-    """(table, tokens) of bytes [start, stop) of fd, which hold data rows and
-    blank lines only, in one np.loadtxt pass; the label column's tokens are
-    collected when label_idx is set. The table is None when loadtxt rejects
-    a row or a cell."""
-    tokens = None if label_idx is None else []
-    converters = None if label_idx is None else {label_idx: _token_collector(tokens)}
+    """(block, labels) of bytes [start, stop) of fd, which hold data rows and
+    blank lines only: its rows as a column-major float64 table without
+    column label_idx (None: every column kept), and that column's values.
+    np.loadtxt first reads every cell as a number, and labels is then a
+    float64 array; only when it rejects the range and label_idx is set does
+    a second pass collect the label column's tokens (see _token_collector),
+    and labels is then a list of str. The block is None when loadtxt
+    rejects a row or a cell, or a row has no column label_idx. A range of
+    blank lines gives a block of no rows, and labels is then not read."""
+    table, labels = _loadtxt(fd, start, stop, None), None
+    if table is None and label_idx is not None:
+        labels = []
+        table = _loadtxt(fd, start, stop, {label_idx: _token_collector(labels)})
+    if table is None:
+        return None, None
+    if label_idx is None or not len(table):
+        return np.asfortranarray(table), labels
+    if label_idx >= table.shape[1]:
+        return None, None  # rows without the label column, which a converter for it rejects
+    if labels is None:
+        labels = table[:, label_idx].copy()
+    block = np.empty((len(table), table.shape[1] - 1), order="F")
+    block[:, :label_idx] = table[:, :label_idx]
+    block[:, label_idx:] = table[:, label_idx + 1 :]
+    return block, labels
+
+
+def _loadtxt(fd: int, start: int, stop: int, converters) -> np.ndarray | None:
+    """Bytes [start, stop) of fd as one (rows, columns) np.loadtxt table, or
+    None when loadtxt rejects a row or a cell."""
     try:
         with _open_range(fd, start, stop) as fh, warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            table = np.loadtxt(fh, delimiter=",", comments=None, dtype=np.float64, ndmin=2, converters=converters)
+            return np.loadtxt(fh, delimiter=",", comments=None, dtype=np.float64, ndmin=2, converters=converters)
     except ValueError:  # a UnicodeDecodeError included
-        return None, None
-    return table, tokens
+        return None
 
 
 def _token_collector(tokens: list[str]):

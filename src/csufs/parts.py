@@ -139,12 +139,15 @@ def _fork(job):
     locks that no thread in the child will ever release. So a job must
     read and write only files of its own, start no thread, import nothing
     numpy has not loaded already (pickle is one it has), and return a
-    picklable result. The jobs today keep this contract. io._parse_range
-    parses a byte range with np.loadtxt; io._write_part formats rows with
-    repr into a part file; scoring.range_sums scores a column range by
-    either kernel with numpy's sort, abs, subtractions, additions, sums
-    and minimums, which take no lock and start no thread, and returns one
-    small array of sums. None of these calls BLAS. evaluation._evaluate_each
+    picklable result. A module a job needs that `import numpy` does not
+    load is imported by its caller before in_parts forks: kmeans seeds by
+    numpy.random's default_rng, so evaluation._evaluate_all loads it
+    before it forks the fit parts. io._parse_range parses a byte range
+    with np.loadtxt and copies its rows column-major; io._write_part
+    formats rows with repr into a part file; scoring.range_sums scores a
+    column range by either kernel with numpy's sort, abs, subtractions,
+    additions, sums and minimums, which take no lock and start no thread,
+    and returns one small array of sums. None of these calls BLAS. evaluation._evaluate_each
     fits k-means, whose products do call BLAS, and returns a list of
     EvalReports of plain numbers. It is safe because OpenBLAS registers a
     fork handler that stops its thread pool before each fork, so no BLAS

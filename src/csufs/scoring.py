@@ -129,7 +129,8 @@ def _window_per_sample(s: np.ndarray, ks: tuple[int, ...]) -> np.ndarray:
     kernel run for that k alone, so each row has the same bits."""
     kmax = ks[-1]
     stop = s.size - kmax  # the core is s[kmax:stop]
-    above = np.zeros((kmax + 1, stop - kmax))  # above[t]: summed gaps to the t positions above
+    above = np.empty((kmax + 1, stop - kmax))  # above[t]: summed gaps to the t positions above
+    above[0] = 0.0  # each later row is written whole by its subtraction
     below = np.zeros(stop - kmax)
     work = np.empty(stop - kmax)
     for t in range(1, kmax + 1):
@@ -301,14 +302,18 @@ def feature_variances(X: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return np.square(dev, out=dev).mean(axis=0), mu
 
 
-def score_all_features(X: Dataset, cfg: ScoringConfig | None = None, *, d: np.ndarray | None = None) -> FeatureScores:
+def score_all_features(
+    X: Dataset, cfg: ScoringConfig | None = None, *, d: np.ndarray | None = None, variances: tuple | None = None
+) -> FeatureScores:
     """Score every feature of an (already normalized) dataset. A caller that
     already holds cfg.k's distance sums of X, as a sweep over a k grid
-    does, passes them as d and the kernel is not run again."""
+    does, passes them as d and the kernel is not run again; one that holds
+    feature_variances(X) passes it as variances, and the columns are not
+    reduced again."""
     cfg = cfg or ScoringConfig()
     if d is None:
         d = knn_distance_sums(X.values, cfg.k, cfg.mode)
-    v, mu = feature_variances(X)
+    v, mu = feature_variances(X) if variances is None else variances
     cs = np.divide(d, v, out=np.full_like(d, np.inf), where=v > DEFAULT_VARIANCE_TOL)
     return FeatureScores(d=d, v=v, cs=cs, mu=mu, k_used=cfg.k)
 
@@ -376,13 +381,18 @@ def rankings(X: Dataset, method: Method, k_values) -> list[np.ndarray]:
     """Every feature index of the already-normalized X, best first, once per
     entry of k_values, in the order given and duplicates kept. For csufs one
     kernel pass computes the distance sums of the whole k grid, and each k
-    ranks the features from its own row; other methods rank once per grid."""
+    ranks the features from its own row, all by the same variances; other
+    methods rank once per grid."""
     mode = {csufs_method: kernel_mode for kernel_mode, csufs_method in MODE_METHODS.items()}.get(method)
     if mode is None:
         m = X.n_features
         return [select_max_variance(X, m).selected if method is Method.MAX_VARIANCE else np.arange(m)] * len(k_values)
     grid_sums = knn_distance_sums(X.values, k_values, mode)
-    return [score_all_features(X, ScoringConfig(k=k, mode=mode), d=row).ranking() for k, row in zip(k_values, grid_sums)]
+    variances = feature_variances(X)
+    return [
+        score_all_features(X, ScoringConfig(k=k, mode=mode), d=row, variances=variances).ranking()
+        for k, row in zip(k_values, grid_sums)
+    ]
 
 
 def _variance_scores(X: Dataset) -> FeatureScores:

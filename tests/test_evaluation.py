@@ -1,6 +1,9 @@
 import heapq
 import importlib
+import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -480,3 +483,42 @@ def test_sweep_from_two_floors_forks_one_fit_part_on_two_cpus(monkeypatch):
     assert forks.fits == dealt_longest_first(selections, 2)[1:]
     assert forks.kernels == []
     assert_no_children()
+
+
+# A fresh interpreter that loads no numpy.random before the sweep: its
+# 1000 x 40 matrix and labels come from np.sin, and its two selections of
+# 25 and 40 columns at 10 seeds cluster 650000 values, two fit parts on
+# two usable CPUs. Prints whether numpy.random was loaded before the sweep
+# and at each fork of a fit part.
+FORK_PROBE = """
+import json, sys
+import numpy as np
+import csufs, csufs.evaluation, csufs.parts
+loaded_first = "numpy.random" in sys.modules
+fork, at_forks = csufs.parts._fork, []
+
+def recording(job):
+    if job.func is csufs.evaluation._evaluate_each:
+        at_forks.append("numpy.random" in sys.modules)
+    return fork(job)
+
+csufs.parts.usable_cpus = lambda: 2
+csufs.parts._fork = recording
+labels = np.arange(1000) % 2
+X = np.sin(np.arange(40000.0).reshape(1000, 40) * 0.37) + labels[:, None] * (np.arange(40) < 4)
+truth = csufs.LabelVector.from_raw(labels)
+csufs.sweep(csufs.validate_dataset(X), truth, csufs.Method.CSUFS_OPTIMIZED, [25, 40], [5], csufs.EvalConfig(2))
+print(json.dumps({"loaded_first": loaded_first, "at_forks": at_forks}))
+"""
+
+
+def test_fit_part_forks_with_numpy_random_loaded():
+    """kmeans seeds by numpy.random, which `import numpy` does not load: a
+    fit part's child must not import it after the fork (parts._fork), so
+    the sweep loads it before it forks."""
+    if csufs.parts._blas_threads() is None:
+        pytest.skip("no OpenBLAS thread control in this process, so fits keep one part")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(csufs.__file__)))
+    out = subprocess.run([sys.executable, "-c", FORK_PROBE], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == {"loaded_first": False, "at_forks": [True]}

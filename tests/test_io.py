@@ -234,6 +234,30 @@ def test_string_labels_skip_the_cell_reader(tmp_path, monkeypatch):
     assert labels.n_classes == 2
 
 
+@pytest.mark.parametrize(
+    "text, collected",
+    [
+        ("a,class,b\n1,0,2\n3,1.0,4\n5,2e0,6\n", []),
+        ("a,class,b\n1,x,2\n3, y ,4\n5,x,6\n", ["x", "y", "x"]),
+    ],
+    ids=["numeric-labels", "named-labels"],
+)
+def test_only_labels_loadtxt_cannot_read_reach_the_token_collector(tmp_path, monkeypatch, text, collected):
+    """loadtxt reads a numeric label column as numbers, so no converter is
+    made for it; a named one is read again, with its tokens collected."""
+    count_forks(monkeypatch, 1)
+    factory, cells = csufs.io._token_collector, []
+
+    def spying(tokens):
+        collect = factory(tokens)
+        return lambda cell: cells.append(cell.strip()) or collect(cell)
+
+    monkeypatch.setattr(csufs.io, "_token_collector", spying)
+    path = write(tmp_path, text)
+    assert load_outcome(load_csv, path, True, "class") == load_outcome(_load_csv_cells, path, True, "class")
+    assert cells == collected
+
+
 # Cells the cell-by-cell reader parses like any number but np.loadtxt
 # refuses, and cells both refuse; each pushes load_csv onto the fallback.
 FLOAT_ONLY_CELLS = st.sampled_from(['"1"', "1_0", "\uff11", '" 2.5"'])
@@ -243,8 +267,17 @@ NUMBER_CELLS = st.one_of(
     st.integers(-(10**20), 10**20).map(str),
     st.sampled_from([" 1.5 ", "+.5", "5.", "-0.0", "1E3", "\t2", "5e-324", "1e+308", "-Infinity", "nan"]),
 )
-LABEL_CELLS = st.sampled_from(["1", "1.0", "2", "-0.0", "0", "2e0"])
-STRING_LABEL_CELLS = st.sampled_from(["a", "b", "1", "1.0", '"a"', " b "])
+# Label columns of each kind: the cells of every row, or, for
+# "numbers-then-names", of the rows before a drawn one and of the rows from it.
+LABEL_CELLS = {
+    "integer": st.integers(-3, 3).map(str),
+    "float-formatted": st.sampled_from(["1", "1.0", "2", "-0.0", "0", "2e0"]),
+    "named": st.sampled_from(["a", "b", " b ", "class_1"]),
+    "quoted": st.sampled_from(['"a"', '"1"', "a", "1"]),
+    "tokens": st.sampled_from(["a", "b", "1", "1.0", '"a"', " b "]),
+}
+LABEL_KINDS = st.sampled_from(["integer", "float-formatted", "float-formatted", "named", "quoted", "tokens",
+                               "numbers-then-names"])
 HEADER_NAMES = st.sampled_from(["a", '"a,b"', " c ", "class", "f0"])
 
 
@@ -253,20 +286,28 @@ def csv_files(draw):
     """(text, has_header, label_column): numeric CSV text, with each kind of
     dirt switched on in about one file of four: cells that only float()
     reads or that nothing reads, ragged rows and headers, whitespace-only
-    lines, "#"-prefixed lines and string labels."""
+    lines and "#"-prefixed lines. A label column, when there is one, is of
+    one kind of LABEL_KINDS: integers, numbers written as floats or as
+    integers ("1.0" beside "1"), names, names some of them quoted, a mix of
+    all of these, or integers up to a drawn row and names from it on."""
     some = st.sampled_from([False, False, False, True])
-    odd_cells, ragged, gap_lines, comments, string_labels = (draw(some) for _ in range(5))
+    odd_cells, ragged, gap_lines, comments = (draw(some) for _ in range(4))
     width = draw(st.integers(1, 4))
     label_at = draw(st.none() | st.integers(0, width - 1))
-    labels = STRING_LABEL_CELLS if string_labels else LABEL_CELLS
+    label_kind = draw(LABEL_KINDS)
+    first_name = draw(st.integers(0, 5))  # the first row of names in "numbers-then-names"
     cells = st.one_of(NUMBER_CELLS, NUMBER_CELLS, FLOAT_ONLY_CELLS, BAD_CELLS) if odd_cells else NUMBER_CELLS
     lines = []
     has_header = draw(st.booleans())
     if has_header:
         lines.append(",".join(draw(st.lists(HEADER_NAMES, min_size=width, max_size=width + 1 if ragged else width))))
-    for _ in range(draw(st.integers(0, 5))):
+    for i in range(draw(st.integers(0, 5))):
         if draw(st.integers(0, 4)) == 0:
             lines.append(draw(st.sampled_from(["", " ", "\t"]) if gap_lines else st.just("")))
+        if label_kind == "numbers-then-names":
+            labels = LABEL_CELLS["integer" if i < first_name else "named"]
+        else:
+            labels = LABEL_CELLS[label_kind]
         row_width = width + (draw(st.sampled_from([0] * 6 + [-1, 1])) if ragged else 0)
         row = ",".join(draw(labels if j == label_at else cells) for j in range(row_width))
         lines.append(("#" if comments and draw(st.booleans()) else "") + row)
@@ -291,13 +332,18 @@ def load_outcome(loader, path, has_header, label_column):
 
 
 @settings(deadline=None, max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(csv_files())
-def test_load_csv_matches_cell_reader(tmp_path, case):
+@given(csv_files(), st.integers(1, 3))
+def test_load_csv_matches_cell_reader(tmp_path, monkeypatch, case, cpus):
+    """On 1 to 3 usable CPUs, with _PART_BYTES at 1 so that any file of two
+    bytes or more may split."""
     text, has_header, label_column = case
     path = tmp_path / "data.csv"
     path.write_bytes(text.encode("utf-8"))
     expected = load_outcome(_load_csv_cells, path, has_header, label_column)
-    assert load_outcome(load_csv, path, has_header, label_column) == expected
+    with monkeypatch.context() as patch:
+        patch.setattr(csufs.io, "_PART_BYTES", 1)
+        count_forks(patch, cpus)
+        assert load_outcome(load_csv, path, has_header, label_column) == expected
 
 
 BOM = b"\xef\xbb\xbf"
@@ -411,31 +457,43 @@ def test_first_line_that_keeps_a_file_whole(tmp_path, forks, data, splits):
 
 @pytest.mark.parametrize("cpus", [1, 2, 3], ids=["1-cpu", "2-cpus", "3-cpus"])
 @pytest.mark.parametrize(
-    "data, has_header, label_column, error",
+    "data, has_header, label_column, outcome",
     [
-        pytest.param(b"\n\r\n\n0,1\n1,2\n3,4\n5,6\n7,8\n", True, None, None, id="blank-lines-before-header"),
-        pytest.param(b"0,1\r\n1,2\r\n3,4\r\n5,6\r\n7,8\r\n", True, None, None, id="crlf"),
-        pytest.param(b"0,1\n1,2\r3,4\n5,6\n7,8\n9,10\n", True, None, None, id="lone-cr-in-first-range"),
-        pytest.param(b"0,1\r1,2\n3,4\n5,6\n7,8\n", True, None, None, id="header-ended-by-lone-cr"),
-        pytest.param(BOM + b"0,1\n1,2\n3,4\n5,6\n7,8\n", True, None, None, id="byte-order-mark"),
-        pytest.param(b"x,class,y\r\n1,a,2\r\n3,b,4\r\n5,a,6\r\n7,c,8\r\n", True, "class", None, id="middle-label"),
+        pytest.param(b"x,class\n1.5,1\n2.5,0\n3.5,1\n4.5,-2\n", True, "class", "loadtxt", id="integer-labels"),
+        pytest.param(b"x,class\n1.5,1\n2.5,1.0\n3.5,2\n4.5,2e0\n", True, "class", "loadtxt",
+                     id="float-formatted-labels"),
+        pytest.param(b"x,class,y\n1,a,2\n3,b,4\n5,a,6\n7, c ,8\n", True, "class", "loadtxt", id="named-labels"),
+        # the cell reader unquotes "a" and reads every quoted file
+        pytest.param(b'x,class\n1,"a"\n2,b\n3,"a"\n4,b\n', True, "class", "cells", id="quoted-labels"),
+        # split at byte 20 or at bytes 12 and 24: the first range's labels read
+        # as numbers and a later one's as tokens, which the cell reader decides
+        pytest.param(b"x,class\n1,0\n2,1\n3,0\n4,b\n5,a\n6,b\n", True, "class", "cells-if-split",
+                     id="numbers-then-names"),
+        pytest.param(b"\n\r\n\n0,1\n1,2\n3,4\n5,6\n7,8\n", True, None, "loadtxt", id="blank-lines-before-header"),
+        pytest.param(b"0,1\r\n1,2\r\n3,4\r\n5,6\r\n7,8\r\n", True, None, "loadtxt", id="crlf"),
+        pytest.param(b"0,1\n1,2\r3,4\n5,6\n7,8\n9,10\n", True, None, "loadtxt", id="lone-cr-in-first-range"),
+        pytest.param(b"0,1\r1,2\n3,4\n5,6\n7,8\n", True, None, "loadtxt", id="header-ended-by-lone-cr"),
+        pytest.param(BOM + b"0,1\n1,2\n3,4\n5,6\n7,8\n", True, None, "loadtxt", id="byte-order-mark"),
+        pytest.param(b"x,class,y\r\n1,a,2\r\n3,b,4\r\n5,a,6\r\n7,c,8\r\n", True, "class", "loadtxt", id="middle-label"),
         # split at byte 8: the first range's rows hold the label alone, a
         # table of width 1 that must not pass for a range of blank lines
         pytest.param(b"a,a\n1\r1\n1,0.0\n", True, 0, RaggedRows, id="label-only-range"),
-        pytest.param(b'"a\nb",c\n1,2\n3,4\n5,6\n7,8\n', True, None, None, id="quoted-multi-line-header"),
-        pytest.param(b'"1\n2\n3\n4",5\n6,7\n8,9\n10,11\n', True, None, None, id="header-past-the-first-share"),
-        pytest.param(BOM + b'\r\n\r\n"0\r\n1",2\r\n1,2\r\n3,4\r\n5,6\r\n', True, None, None,
+        pytest.param(b'"a\nb",c\n1,2\n3,4\n5,6\n7,8\n', True, None, "loadtxt", id="quoted-multi-line-header"),
+        pytest.param(b'"1\n2\n3\n4",5\n6,7\n8,9\n10,11\n', True, None, "loadtxt", id="header-past-the-first-share"),
+        pytest.param(BOM + b'\r\n\r\n"0\r\n1",2\r\n1,2\r\n3,4\r\n5,6\r\n', True, None, "loadtxt",
                      id="bom-blank-crlf-quoted-header"),
         pytest.param(b"0,1\n", True, None, EmptyMatrix, id="header-only"),
         pytest.param(b"0,1", True, None, EmptyMatrix, id="header-only-no-final-newline"),
     ],
 )
-def test_split_load_case_matches_cell_reader(tmp_path, monkeypatch, cpus, data, has_header, label_column, error):
+def test_split_load_case_matches_cell_reader(tmp_path, monkeypatch, cpus, data, has_header, label_column, outcome):
     """Each case loads as the cell reader loads it whether or not it
-    splits, through loadtxt unless it is an error; it splits whenever more
-    than one CPU is usable and must_split says so, and no range starts
-    before the header's end. A numeric header read as a data row, or a
-    data row skipped with it, would change the outcome."""
+    splits: outcome is the error it raises, or which reader loads it
+    ("loadtxt", "cells", or "cells-if-split": the cell reader when the file
+    splits and loadtxt when it does not). It splits whenever more than one
+    CPU is usable and must_split says so, and no range starts before the
+    header's end. A numeric header read as a data row, or a data row
+    skipped with it, would change the outcome."""
     monkeypatch.setattr(csufs.io, "_PART_BYTES", 1)
     forks = count_forks(monkeypatch, cpus).loads
     fallbacks = []
@@ -444,8 +502,8 @@ def test_split_load_case_matches_cell_reader(tmp_path, monkeypatch, cpus, data, 
     path.write_bytes(data)
     expected = load_outcome(_load_csv_cells, path, has_header, label_column)
     assert load_outcome(load_csv, path, has_header, label_column) == expected
-    assert expected[0] is error if error else expected[2] is not None
-    assert bool(fallbacks) == (error is not None)
+    assert expected[0] is outcome if isinstance(outcome, type) else expected[2] is not None
+    assert bool(fallbacks) == (bool(forks) if outcome == "cells-if-split" else outcome != "loadtxt")
     assert bool(forks) == (cpus > 1 and must_split(data, has_header))
     assert all(start >= header_end(data, has_header) for start, _ in forks)
     if label_column == 0 and cpus > 1:

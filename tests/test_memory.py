@@ -1,9 +1,10 @@
 """Peak traced memory of whole CLI commands, from CSV on disk to report on disk.
 
 A command holds at most two matrix-sized buffers at once: while loading,
-the parsed table and its one label-free copy; after that, the normalized
-matrix and at most one copy taken from it. The written matrix is streamed a
-row at a time. Each command's tracemalloc peak must stay within C times the
+the parsed ranges' label-free blocks and the one table they are stacked
+into, then that table and the Dataset's copy of it; after that, the
+normalized matrix and at most one copy taken from it. The written matrix
+is streamed a row at a time. Each command's tracemalloc peak must stay within C times the
 feature matrix's bytes plus a small constant. Below the CLI, k-means and the
 evaluation of a few columns form no matrix-sized temporary at all.
 """
@@ -89,7 +90,7 @@ def traced_peak(fn, *args):
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_command_peak_stays_within_two_matrix_buffers(wide_csv, named_csv, tmp_path, capsys, monkeypatch, name):
     """Two usable CPUs, so the file loads in two ranges: the second range's
-    table is received from its child and joined to the first's. A written
+    block is received from its child and stacked under the first's. A written
     matrix is formatted in two parts too, the second by a forked child, and
     a csufs command's kernel scores the second half of the columns in one."""
     forks = count_forks(monkeypatch, 2)

@@ -236,6 +236,19 @@ def test_rankings_give_one_full_ranking_per_k_as_the_selectors_do(method):
         assert np.array_equal(ranking, expected)
 
 
+@pytest.mark.parametrize("method", [Method.CSUFS_OPTIMIZED, Method.CSUFS_NAIVE])
+def test_rankings_reduce_the_columns_once_per_k_grid(monkeypatch, method):
+    """The variances do not depend on k: a csufs k grid computes them once
+    and hands them to every k's score_all_features call."""
+    rng = np.random.default_rng(23)
+    X = normalize_samples(validate_dataset(rng.normal(size=(30, 6))))
+    variances, score, calls, scored = scoring.feature_variances, scoring.score_all_features, [], []
+    monkeypatch.setattr(scoring, "feature_variances", lambda X: calls.append(X) or variances(X))
+    monkeypatch.setattr(scoring, "score_all_features", lambda *args, **kwargs: scored.append(1) or score(*args, **kwargs))
+    assert len(scoring.rankings(X, method, [3, 1, 3])) == 3
+    assert len(calls) == 1 and len(scored) == 3
+
+
 def test_csufs_with_d_equal_m_is_a_permutation():
     rng = np.random.default_rng(13)
     X = validate_dataset(rng.normal(size=(30, 8)))
