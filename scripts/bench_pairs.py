@@ -25,9 +25,10 @@ medians over the first tree's interquartile range (null when that range is
 in ten and a gap wider than that range. Lower is better for every metric, as for every end-to-end metric in
 BENCHMARK.json.
 
-The comparison is stored in --out under the key "W seed S"; comparisons
-already in that file under other keys are kept, so one file can hold a
-workload's pairs on several seeds.
+The comparison is stored in --out under "comparisons", keyed "W seed S";
+comparisons already in that file under other keys, and the file's other
+top-level keys, are kept, so one file can hold a workload's pairs on
+several seeds beside other scripts' results.
 """
 
 from __future__ import annotations
@@ -154,8 +155,8 @@ def main() -> int:
             print(f"trace: {side}", file=sys.stderr, flush=True)
             comparison["trace"][side] = run(trees[side], args.workload, args.seed, args.seconds, trace=True)
 
-    doc = json.loads(args.out.read_text()) if args.out.exists() else {"comparisons": {}}
-    doc["comparisons"][f"{args.workload} seed {args.seed}"] = comparison
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    doc.setdefault("comparisons", {})[f"{args.workload} seed {args.seed}"] = comparison
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     for name, row in comparison["summary"].items():
         print(f"{name}: {base} {row[base]['median']:.4g}, {other} {row[other]['median']:.4g}, "

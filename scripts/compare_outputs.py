@@ -8,19 +8,22 @@ written once to a temp directory: the benchmark's fixtures at that seed
 (scripts/memory_peaks.py's write_fixtures), a 300 x 30 fixture from
 perfbench/fixtures.py for the slow and edge cases, and an 80 x 10000 one
 from the same recipe for the naive kernel on a wide matrix. The benchmark's
-fixtures are 11 MB and more, so csufs.io.load_csv splits them into byte
-ranges on a host with two usable CPUs, while the 300 x 30 fixture is one
-range: one run covers both sides of that choice. Likewise every reduced
-matrix written from a benchmark fixture (select_wide's 5000 x 100 and
-more) has at least 2 x csufs.io._PART_CELLS cells, so on such a host it
-is written in row ranges, while the 300 x 30 fixture's matrices, 9000
-cells at most, are written in one. And every csufs kernel run on a
-benchmark fixture (40000 x 25, 5000 x 500, 3000 x 200, at least
-2 x csufs.scoring.PART_VALUES values) scores its columns in ranges on
-such a host, while on the 300 x 30 fixture the kernel is one range.
-Either kernel shares that rule: the naive select on the 80 x 10000
-fixture (800000 values) scores its columns in two ranges on such a host,
-while every naive command on the 300 x 30 fixture is one range. A
+fixtures are 11 MB and more, so on a host with two usable CPUs
+csufs.io.load_csv parses them in two processes, in csufs.parts.PIECES
+byte ranges each that the processes claim as they go, while the 300 x 30
+fixture is one range: one run covers both sides of that choice. Likewise
+every reduced matrix written from a benchmark fixture (select_wide's
+5000 x 100 and more) has at least 2 x csufs.io._PART_CELLS cells, so on
+such a host it is written by two processes in row ranges, while the
+300 x 30 fixture's matrices, 9000 cells at most, are written in one. And
+every csufs kernel run on a benchmark fixture (40000 x 25, 5000 x 500,
+3000 x 200, at least 2 x csufs.scoring.PART_VALUES values) scores its
+columns in two processes, in column ranges, on such a host, while on the
+300 x 30 fixture the kernel is one range. Either kernel shares that rule:
+the naive select on the 80 x 10000 fixture (800000 values) scores its
+columns in two processes on such a host, while every naive command on
+the 300 x 30 fixture is one range. Which process runs which range changes
+from run to run; the outputs may not. A
 sweep deals its distinct selections' fits to parts from the same
 2 x csufs.scoring.PART_VALUES values, counted as values clustered
 (samples x selected columns x seeds, summed). On such a host the
@@ -50,15 +53,20 @@ also selected at --k 1000, where a window chunk's halo, 1000 values on
 each side, outgrows its 1990 core positions. names_last.csv, a fourth
 3000 x 60 copy in perfbench's layout, writes its last tenth of class
 labels as names (class_0, class_1) and the rest as integers, so on such
-a host its first byte range reads the class column as numbers and its
-last as tokens, and the cell reader loads it; it is selected at --d 20.
+a host its first byte range reads the class column as numbers (its first
+data row's label is a number) and its last as tokens, and the cell reader
+loads it; it is selected at --d 20. The named-label copy of sweep_kgrid
+starts with a name, so each of its ranges goes straight to the token
+pass.
 Last,
 one_row.csv holds the 300 x 30 fixture's recipe at one sample, and its
 select must fail with TooFewSamples: with the KTooLarge sweep above, it
 compares both kernel-argument errors the CLI can print.
 
 Each command runs once per tree as `python -m csufs.cli` in a fresh
-process, in that tree's own work directory, with the same relative paths
+process (which, in a tree whose cli has run, leaves by os._exit once its
+outputs are flushed, so that exit is compared too), in that tree's own
+work directory, with the same relative paths
 in every tree. Its stdout, stderr (the tree's src path written as <src>)
 and exit code are kept beside the files it wrote. Every tree is then
 compared with the first, file by file and byte by byte; only the

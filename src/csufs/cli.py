@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 runtime/data errors (bad values, impossible k,
 kernel disagreement, an unwritable output path), 2 flag misuse. The last
 two are reported before the input is read.
+
+main is the entry for a caller in the same process; run is the process
+entry of `python -m csufs.cli` and of the csufs script, which leaves as
+soon as main's outputs are flushed.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from .errors import CsufsError, LabelColumnMissing
 from .evaluation import DEFAULT_SEEDS, EvalConfig, evaluate_selection, sweep
 from .io import ReportDocument, load_csv, require_writable, write_matrix_csv, write_report, write_sweep_csv
 from .kmeans import DEFAULT_CONV_TOL, DEFAULT_MAX_ITER
+from .parts import leave
 from .preprocess import normalize_samples
 from .scoring import DEFAULT_K, MODE_METHODS, MODES, ScoringConfig, csufs, select_all, select_max_variance
 
@@ -277,5 +282,32 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> None:
+    """Run main on the command line and end the process with its code. Once
+    stdout and stderr are flushed, nothing is left for the interpreter's
+    teardown to do but free memory, so the process leaves by os._exit,
+    which skips it (parts.leave). It leaves by sys.exit instead when a
+    flush fails (the interpreter then reports it as usual) or a profiler or
+    tracer watches the process (which writes its results on the way out).
+    An exception main does not handle propagates, with its traceback, as
+    from main."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):  # a closed pipe or stream
+        sys.exit(code)
+    if _observed():
+        sys.exit(code)
+    leave(code)
+
+
+def _observed() -> bool:
+    """Whether a profiler or tracer is installed in this process."""
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+
+    tools = monitoring is not None and any(monitoring.get_tool(i) is not None for i in range(6))
+    return sys.getprofile() is not None or sys.gettrace() is not None or tools
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -140,7 +140,7 @@ def _evaluate_all(X: Dataset, selections: list, truth: LabelVector, cfg: EvalCon
     with one_blas_thread() if count > 1 else contextlib.nullcontext(False) as held:
         dealt = _deal(sizes, count if held else 1)
         jobs = [functools.partial(_evaluate_each, X, [selections[i] for i in part], truth, cfg, method) for part in dealt]
-        with in_parts(jobs) as parts:
+        with in_parts(jobs, len(jobs)) as parts:
             for part, part_reports in zip(dealt, parts):
                 for i, report in zip(part, part_reports):
                     reports[i] = report

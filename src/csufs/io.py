@@ -5,8 +5,9 @@ reference for whatever loadtxt refuses and for every error message. A file
 of at least 2 x _PART_BYTES is parsed in byte ranges cut at line ends, and
 a written matrix of at least 2 x _PART_CELLS cells is formatted in row
 ranges; the loaded dataset, labels and errors, and the written bytes, are
-the same for any number of ranges. How many ranges there are, which run in
-forked children and what happens to a lost one is decided in csufs.parts.
+the same for any number of ranges. How many processes run the ranges,
+which process runs which range and what happens to a lost one is decided
+in csufs.parts.
 
 Reports are JSON trees written atomically (temp file, then rename). A
 payload body is keyed by the field names of its result dataclass, so one
@@ -45,7 +46,7 @@ from .bench import BenchReport
 from .data import LabelVector, SelectionResult, is_integer, validate_dataset
 from .errors import EmptyMatrix, LabelColumnMissing, MalformedCsv, ParseError, RaggedRows
 from .evaluation import EvalReport, SweepReport
-from .parts import cut, in_parts
+from .parts import in_parts, pieces
 
 
 def load_csv(path, has_header: bool = False, label_column: int | str | None = None):
@@ -56,18 +57,19 @@ def load_csv(path, has_header: bool = False, label_column: int | str | None = No
     as numbers are canonicalized numerically (so "1" and "1.0" coincide),
     otherwise as strings. Blank lines are skipped.
 
-    The body is parsed by np.loadtxt. This process reads the header first;
-    the bytes after it, of a file of at least 2 x _PART_BYTES, are cut just
-    after line ends into byte ranges of about equal size, at most one per
-    usable CPU and one per _PART_BYTES. Every range is parsed by one
-    routine: the first here, each other in a forked child. A range whose
-    child does not deliver is parsed here, and no other range is parsed
-    again. Any other file, and every file where os.fork is missing, is one
-    range. The result and every error are the same either way. Each range
-    returns its rows column-major without the label column, whose cells
-    come back as numbers where loadtxt reads them all as numbers and as
-    tokens otherwise; the blocks are stacked here, column by column, and
-    validate_dataset copies the stack into the Dataset.
+    The body is parsed by np.loadtxt. This process reads the header and the
+    first data row first; the bytes after the header, of a file of at
+    least 2 x _PART_BYTES, are parsed by at most one process per usable CPU
+    and one per _PART_BYTES, this one and forked children, and are cut just
+    after line ends into byte ranges of about equal size, parts.PIECES per
+    process (see parts.in_parts). Every range is parsed by one routine. A
+    range whose child does not deliver is parsed here, and no other range
+    is parsed again. Any other file, and every file where os.fork is
+    missing, is one range. The result and every error are the same either
+    way. Each range returns its rows column-major without the label
+    column, whose cells come back as numbers where loadtxt reads them all
+    as numbers and as tokens otherwise; the blocks are stacked here, column
+    by column, and validate_dataset copies the stack into the Dataset.
 
     loadtxt reads a strict subset of the cells float() reads, to the same
     bits, so whenever it rejects a range, the ranges differ in width, the
@@ -90,10 +92,12 @@ def load_csv(path, has_header: bool = False, label_column: int | str | None = No
     return validate_dataset(_stack_blocks(blocks), names), labels
 
 
-# The least bytes a range holds. One range against two, load_csv medians on
-# 2 shared cores (17-digit cells): 4.5 / 7.5 ms at 0.25 MB, 12.1 / 11.8 ms at
-# 0.5 MB, 20.4 / 18.7 ms at 1 MB, 42.4 / 33.4 ms at 2 MB. The crossover is
-# near 0.5 MB, so the smallest file split, 2 MiB, saves about a fifth.
+# The least bytes per process that parses a file; a range, one of
+# parts.PIECES per process, may hold less. One process against two,
+# load_csv medians on 2 shared cores (17-digit cells): 4.5 / 7.5 ms at
+# 0.25 MB, 12.1 / 11.8 ms at 0.5 MB, 20.4 / 18.7 ms at 1 MB, 42.4 / 33.4 ms
+# at 2 MB. The crossover is near 0.5 MB, so the smallest file split, 2 MiB,
+# saves about a fifth.
 _PART_BYTES = 1 << 20
 
 
@@ -101,36 +105,40 @@ def _parse_vectorized(path: Path, has_header: bool, label_column):
     """(header, blocks, labels) of a CSV, parsed by np.loadtxt in one or more
     byte ranges (see load_csv): the non-empty ranges' column-major blocks
     in file order, all of one width. This process reads the header (the
-    first non-blank csv row) and resolves the label column; the ranges
-    start where the header's last line ends (byte 0 without a header), and
-    in_parts runs one _parse_range job per range, whose parts are read in
-    range order up to the first rejected one. A label column that resolves
-    before parsing is left out of the blocks, and labels holds its values:
-    one float64 array when every range read them as numbers, one list of
-    str tokens when every range collected tokens. Any other label column
-    is parsed as numbers and labels is None, so _split_columns reports it
-    as the cell reader would. The blocks are None when the cell-by-cell
+    first non-blank csv row) and resolves the label column, whose cell in
+    the first data row tells whether the label column holds names (see
+    _is_name); the ranges start where the header's last line ends (byte 0
+    without a header), and in_parts runs one _parse_range job per range,
+    whose results are read in range order up to the first rejected one. A
+    label column that resolves before parsing is left out of the blocks,
+    and labels holds its values: one float64 array when every range read
+    them as numbers, one list of str tokens when every range collected
+    tokens. Any other label column is parsed as numbers and labels is None,
+    so _split_columns reports it as the cell reader would. The blocks are None when the cell-by-cell
     reader must decide: loadtxt rejected a range (a quoted label included),
     the ranges differ in width or in how they read the labels, there are no
     data rows, or the header width differs from the rows'."""
     with path.open("rb") as file:
         fd = file.fileno()
         size = os.fstat(fd).st_size
-        header, first = None, 0
-        if has_header:
-            with _open_range(fd, 0, size) as fh:
-                read = []  # the lines the csv reader consumes: the header's and the blank ones before it
-                rows = _csv_rows(read.append(line) or line for line in fh)
+        header, first, named = None, 0, False
+        with _open_range(fd, 0, size) as fh:
+            read = []  # the lines the csv reader consumes: the header's and the blank ones before it
+            rows = _csv_rows(read.append(line) or line for line in fh)
+            if has_header:
                 header = next(([cell.strip() for cell in row] for _, row in rows), None)
-            first = len("".join(read).encode()) + 3 * (os.pread(fd, 3, 0) == codecs.BOM_UTF8)
-        try:
-            label_idx = None if label_column is None else _resolve_label_column(label_column, header, math.inf)
-        except LabelColumnMissing:
-            label_idx = None
-        bounds = _range_bounds(fd, first, size)
-        jobs = [functools.partial(_parse_range, fd, a, b, label_idx) for a, b in zip(bounds, bounds[1:])]
+                first = len("".join(read).encode()) + 3 * (os.pread(fd, 3, 0) == codecs.BOM_UTF8)
+            try:
+                label_idx = None if label_column is None else _resolve_label_column(label_column, header, math.inf)
+            except LabelColumnMissing:
+                label_idx = None
+            if label_idx is not None:
+                with contextlib.suppress(MalformedCsv):  # then the ranges and the cell reader decide
+                    named = _is_name(next(rows, (0, []))[1], label_idx)
+        workers, bounds = _range_bounds(fd, first, size)
+        jobs = [functools.partial(_parse_range, fd, a, b, label_idx, named) for a, b in zip(bounds, bounds[1:])]
         blocks, labels = [], []
-        with in_parts(jobs) as results:
+        with in_parts(jobs, workers) as results:
             for block, more in results:
                 if block is None:
                     return header, None, None
@@ -166,21 +174,22 @@ def _stack_blocks(blocks: list) -> np.ndarray:
     return out
 
 
-def _range_bounds(fd: int, first: int, size: int) -> list[int]:
-    """[first, ..., size]: where load_csv's byte ranges of fd start and end,
-    first being the byte just past the header. Each inner bound falls just
-    after the first "\\n" at or past both its share of the file (see
-    parts.cut) and the bound before it."""
-    shares = cut(size, size // _PART_BYTES)
+def _range_bounds(fd: int, first: int, size: int) -> tuple[int, list[int]]:
+    """(workers, [first, ..., size]): how many processes parse load_csv's
+    byte ranges of fd, and where the ranges start and end, first being the
+    byte just past the header. Each inner bound falls just after the first
+    "\\n" at or past both its piece of the file (see parts.pieces) and the
+    bound before it."""
+    workers, shares = pieces(size, size // _PART_BYTES)
     if len(shares) < 3:
-        return [first, size]
+        return 1, [first, size]
     bounds = [first]
     with mmap.mmap(fd, size, access=mmap.ACCESS_READ) as data:
         for share in shares[1:-1]:
             end = data.find(b"\n", max(share, bounds[-1])) + 1
             if bounds[-1] < end < size:
                 bounds.append(end)
-    return bounds + [size]
+    return workers, bounds + [size]
 
 
 def _open_range(fd: int, start: int, stop: int) -> TextIOWrapper:
@@ -209,17 +218,19 @@ class _RangeReader(RawIOBase):
         return len(data)
 
 
-def _parse_range(fd: int, start: int, stop: int, label_idx: int | None):
+def _parse_range(fd: int, start: int, stop: int, label_idx: int | None, named: bool):
     """(block, labels) of bytes [start, stop) of fd, which hold data rows and
     blank lines only: its rows as a column-major float64 table without
     column label_idx (None: every column kept), and that column's values.
-    np.loadtxt first reads every cell as a number, and labels is then a
-    float64 array; only when it rejects the range and label_idx is set does
-    a second pass collect the label column's tokens (see _token_collector),
-    and labels is then a list of str. The block is None when loadtxt
-    rejects a row or a cell, or a row has no column label_idx. A range of
-    blank lines gives a block of no rows, and labels is then not read."""
-    table, labels = _loadtxt(fd, start, stop, None), None
+    Unless named, np.loadtxt first reads every cell as a number, and labels
+    is then a float64 array; only when it rejects the range and label_idx is
+    set does a second pass collect the label column's tokens (see
+    _token_collector), and labels is then a list of str. A named label
+    column (see _is_name) goes straight to that pass, so each range is
+    parsed once. The block is None when loadtxt rejects a row or a cell, or
+    a row has no column label_idx. A range of blank lines gives a block of
+    no rows, and labels is then not read."""
+    table, labels = None if named else _loadtxt(fd, start, stop, None), None
     if table is None and label_idx is not None:
         labels = []
         table = _loadtxt(fd, start, stop, {label_idx: _token_collector(labels)})
@@ -235,6 +246,19 @@ def _parse_range(fd: int, start: int, stop: int, label_idx: int | None):
     block[:, :label_idx] = table[:, :label_idx]
     block[:, label_idx:] = table[:, label_idx + 1 :]
     return block, labels
+
+
+def _is_name(row: list[str], label_idx: int) -> bool:
+    """Whether row, a file's first data row as csv reads it, holds a cell at
+    label_idx that float() rejects. loadtxt reads a strict subset of what
+    float() reads, so it would reject that row's label as a number too."""
+    try:
+        float(row[label_idx])
+    except IndexError:
+        return False
+    except ValueError:
+        return True
+    return False
 
 
 def _loadtxt(fd: int, start: int, stop: int, converters) -> np.ndarray | None:
@@ -351,7 +375,8 @@ def _canonical_labels(tokens: list[str]) -> LabelVector:
     return LabelVector.from_raw(values)
 
 
-# The least cells a written part holds. One part against two,
+# The least cells per process that writes a matrix; a range, one of
+# parts.PIECES per process, may hold less. One process against two,
 # write_matrix_csv medians of 31 alternating calls on 2 shared cores (rows
 # of 100 unit-norm 17-digit values): 2.5 / 4.9 ms at 2000 cells, 6.0 / 6.8 ms
 # at 5000, 8.5 / 8.2 ms at 7500, 10.4 / 9.8 ms at 10000, 18.5 / 13.9 ms at
@@ -366,26 +391,26 @@ def write_matrix_csv(path, values, header=None) -> None:
     needs it (a comma, quote or line break inside a name), so the file reads
     back with load_csv.
 
-    A matrix of at least 2 x _PART_CELLS cells is cut into row ranges of
-    about equal size, at most one per usable CPU and one per _PART_CELLS;
-    any other matrix is one range. This process writes the header into the
-    temp file and flushes it, then writes the first range there while
-    in_parts forks a child for each other range, which writes it into a
-    part file of its own beside path;
-    the parts are then appended in order, a chunk at a time, and removed.
-    A range whose child does not deliver has its part file written here
-    instead. On any error every child is killed and every temp and part
-    file removed, leaving path untouched. The bytes written are the same
-    for any number of ranges. A matrix that is not 2-D, or a header whose
-    length is not the column count, raises ValueError before any file is
-    made.
+    A matrix of at least 2 x _PART_CELLS cells is written by at most one
+    process per usable CPU and one per _PART_CELLS, this one and forked
+    children, and is cut into row ranges of about equal size, parts.PIECES
+    per process; any other matrix is one range. This process writes the
+    header into the temp file and flushes it, then writes the first range
+    there; every other range is written, by whichever process in_parts
+    runs it in, into a part file of its own beside path, and the parts are then
+    appended in order, a chunk at a time, and removed. A range whose child
+    does not deliver has its part file written here instead. On any error
+    every child is killed and every temp and part file removed, leaving
+    path untouched. The bytes written are the same for any number of
+    ranges. A matrix that is not 2-D, or a header whose length is not the
+    column count, raises ValueError before any file is made.
     """
     path, values = Path(path), np.asarray(values)
     if values.ndim != 2:
         raise ValueError(f"values must be a 2-D matrix, got ndim={values.ndim}")
     if header is not None and len(header) != values.shape[1]:
         raise ValueError(f"got {len(header)} header names for {values.shape[1]} columns")
-    bounds = cut(len(values), values.size // _PART_CELLS)
+    workers, bounds = pieces(len(values), values.size // _PART_CELLS)
     stem = f"{path}.{os.urandom(6).hex()}"
     parts = [f"{stem}.{i}.part" for i in range(1, len(bounds) - 1)]
     try:
@@ -393,10 +418,10 @@ def write_matrix_csv(path, values, header=None) -> None:
             if header is not None:
                 csv.writer(fh, lineterminator="\n").writerow(header)
             fh.flush()  # before any child starts, so none holds a copy of it
-            jobs = [lambda: fh.writelines(_csv_lines(values[: bounds[1]]))]
+            jobs = [functools.partial(_write_rows, fh, values[: bounds[1]])]
             for part, start, stop in zip(parts, bounds[1:], bounds[2:]):
                 jobs.append(functools.partial(_write_part, part, values[start:stop]))
-            with in_parts(jobs) as written:
+            with in_parts(jobs, workers) as written:
                 next(written)  # the first range, formatted straight into fh
                 for part in written:
                     fh.flush()
@@ -412,8 +437,13 @@ def _write_part(path: str, values: np.ndarray) -> str:
     """path, once the CSV lines of values are written to it, replacing what
     a lost child may have left there."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_csv_lines(values))
+        _write_rows(fh, values)
     return path
+
+
+def _write_rows(fh, values: np.ndarray) -> None:
+    """The CSV lines of values, written into fh."""
+    fh.writelines(_csv_lines(values))
 
 
 def _csv_lines(values: np.ndarray):

@@ -23,11 +23,11 @@ below and kmax +inf above, so batched short columns, a long column and
 the trace alike are one flat run, scored in chunks that read kmax values
 of halo on each side and score only their core, within one block at any k.
 range_sums is the one path to either kernel over a range of columns. A
-matrix of at least 2 x PART_VALUES values is cut into contiguous column
-ranges, at most one per usable CPU and one per PART_VALUES values, and
-csufs.parts scores every range past the first in a forked child. A
-column's sums do not depend on the columns it shares a block with, so the
-bits are the same for any number of ranges.
+matrix of at least 2 x PART_VALUES values is scored by at most one process
+per usable CPU and one per PART_VALUES values, this one and forked
+children (csufs.parts), and cut into parts.PIECES contiguous column ranges
+per process. A column's sums do not depend on the columns it shares a
+block with, so the bits are the same for any number of ranges.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 
 from .data import Dataset, FeatureScores, Method, SelectionResult, require_integer
 from .errors import KTooLarge, TooFewSamples
-from .parts import cut, in_parts
+from .parts import in_parts, pieces
 from .preprocess import ensure_normalized
 
 DEFAULT_K = 5
@@ -179,8 +179,9 @@ def _window_block(values: np.ndarray, ks: tuple[int, ...]) -> np.ndarray:
     return out.reshape(len(ks), c, n + 2 * kmax)[:, :, kmax : kmax + n]
 
 
-# The least values a part holds: kernel values for either kernel, and values
-# clustered (samples x columns x seeds) for a sweep's fits. One part against
+# The least values per process: kernel values for either kernel, and values
+# clustered (samples x columns x seeds) for a sweep's fits. A kernel's column
+# range, one of parts.PIECES per process, may hold less. One process against
 # two, window-kernel knn_distance_sums medians of 15 calls at k = 5 on 2
 # shared cores, in a process holding 60 MB: 3.6 / 4.8 ms at 200000 values,
 # 5.2 / 5.7 ms at 300000, 8.7 / 7.5 ms at 500000, 9.8 / 8.0 ms at 600000.
@@ -327,14 +328,14 @@ def knn_distance_sums(values: np.ndarray, k, mode: str = "optimized") -> np.ndar
     in one pass: the window kernel takes as many whole framed columns per
     block as fit, at least one; the naive kernel one column at a time.
 
-    Either kernel cuts a matrix of at least 2 x PART_VALUES values into
-    contiguous column ranges of about equal width, at most one per usable
-    CPU and one per PART_VALUES values (csufs.parts.cut), each scored by
-    one range_sums call. This process scores the first range while a
-    forked child scores each other one; a range whose child does not
-    deliver is scored here. A smaller matrix is one range. The sums have
-    the same bits for any number of ranges. Every k is checked before any
-    child forks.
+    Either kernel scores a matrix of at least 2 x PART_VALUES values in at
+    most one process per usable CPU and one per PART_VALUES values, this
+    one and forked children, and cuts it into contiguous column ranges of
+    about equal width, parts.PIECES per process (csufs.parts.pieces), each
+    scored by one range_sums call in whichever process in_parts runs it
+    in; a range whose child does not deliver is scored here. A smaller
+    matrix is one range. The sums have the same bits for any number of
+    ranges. Every k is checked before any child forks.
     """
     values = _matrix(values)
     n, m = values.shape
@@ -342,9 +343,9 @@ def knn_distance_sums(values: np.ndarray, k, mode: str = "optimized") -> np.ndar
     ks = (k,) if single else tuple(k)
     grid = _kernel_grid(n, ks, mode)
     rows = np.empty((len(grid), m))
-    bounds = cut(m, n * m // PART_VALUES)
+    workers, bounds = pieces(m, n * m // PART_VALUES)
     jobs = [functools.partial(range_sums, values, a, b, grid, mode) for a, b in zip(bounds, bounds[1:])]
-    with in_parts(jobs) as parts:
+    with in_parts(jobs, workers) as parts:
         for a, b, sums in zip(bounds, bounds[1:], parts):
             rows[:, a:b] = sums
     rows = rows[[grid.index(kk) for kk in ks]]

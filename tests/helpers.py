@@ -1,6 +1,8 @@
 """Shared test oracles, written independently of the library kernels, and call counters."""
 
+import ast
 import itertools
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -32,46 +34,96 @@ def count_normalizations(monkeypatch):
 
 
 @dataclass
+class Split:
+    """One split stage's call to csufs.parts.in_parts: the processes it may
+    use, this one included, and what each of its pieces does, in order."""
+
+    workers: int
+    pieces: list
+
+
+@dataclass
 class Forks:
-    """What csufs.parts forked for csufs.io, csufs.scoring and
-    csufs.evaluation: the (start, stop) byte range of each load range, the
-    row count of each written matrix part, the (start, stop) column range
-    of each kernel part and, for each fit part, the column lists of the
-    selections it evaluates."""
+    """Each split (a call with more than one piece) that csufs.io,
+    csufs.scoring and csufs.evaluation hand csufs.parts, by stage: a load's
+    pieces are the (start, stop) byte ranges it parses, a written matrix's
+    the row count of each range, a kernel's the (start, stop) column range
+    each scores and a sweep's fits the column lists of the selections each
+    evaluates. children counts the children csufs.parts._fork was asked
+    for, all stages together."""
 
     loads: list = field(default_factory=list)
     writes: list = field(default_factory=list)
     kernels: list = field(default_factory=list)
     fits: list = field(default_factory=list)
+    children: int = 0
+
+
+def _piece(job) -> tuple[str, object]:
+    """(stage, what the job does) of one job of a split stage; any other
+    job fails the test."""
+    if job.func is csufs.io._parse_range:
+        return "loads", tuple(job.args[1:3])
+    if job.func in (csufs.io._write_rows, csufs.io._write_part):
+        return "writes", len(job.args[1])
+    if job.func is csufs.scoring.range_sums:
+        return "kernels", tuple(job.args[1:3])
+    assert job.func is csufs.evaluation._evaluate_each, f"unknown job {job!r}"
+    return "fits", [columns.tolist() for columns in job.args[1]]
 
 
 def count_forks(monkeypatch, cpus):
-    """Make csufs.parts see `cpus` usable CPUs and record each child it
-    forks, read off the job handed to csufs.parts._fork: the byte range a
-    load job parses, the row count a write job writes, the column range
-    a kernel job scores or the selections a fit job evaluates. Any other
-    job fails the test. Returns the Forks they land in."""
-    fork = csufs.parts._fork
+    """Make csufs.parts see `cpus` usable CPUs, record each split that a
+    stage hands csufs.parts.in_parts and count each child it forks. Returns
+    the Forks they land in."""
+    in_parts, fork = csufs.parts.in_parts, csufs.parts._fork
     forks = Forks()
 
-    def counting(job):
-        if job.func is csufs.io._parse_range:
-            _, start, stop, _ = job.args
-            forks.loads.append((start, stop))
-        elif job.func is csufs.io._write_part:
-            forks.writes.append(len(job.args[1]))
-        elif job.func is csufs.scoring.range_sums:
-            _, start, stop, _, _ = job.args
-            forks.kernels.append((start, stop))
-        else:
-            assert job.func is csufs.evaluation._evaluate_each, f"unknown job {job!r}"
-            _, selections, _, _, _ = job.args
-            forks.fits.append([columns.tolist() for columns in selections])
+    def recording(jobs, workers):
+        if len(jobs) > 1:
+            stages, pieces = zip(*map(_piece, jobs))
+            assert len(set(stages)) == 1, f"jobs of several stages {stages}"
+            getattr(forks, stages[0]).append(Split(workers, list(pieces)))
+        return in_parts(jobs, workers)
+
+    def forking(job):
+        forks.children += 1
         return fork(job)
 
+    for module in (csufs.io, csufs.scoring, csufs.evaluation):
+        monkeypatch.setattr(module, "in_parts", recording)
     monkeypatch.setattr(csufs.parts, "usable_cpus", lambda: cpus)
-    monkeypatch.setattr(csufs.parts, "_fork", counting)
+    monkeypatch.setattr(csufs.parts, "_fork", forking)
     return forks
+
+
+def tiles(pieces, start, stop) -> bool:
+    """Whether the (start, stop) ranges of pieces, in order, cover
+    [start, stop) once each: each starts where the one before stopped."""
+    ends = [start] + [b for _, b in pieces]
+    return bool(pieces) and [a for a, _ in pieces] == ends[:-1] and ends[-1] == stop
+
+
+def record_calls(monkeypatch, module, name, log, describe):
+    """Wrap module.name so that each call, here or in a forked child, appends
+    (pid, describe(*args)) to the file log; returns a function that reads
+    the records back, in the order they were made."""
+    original = getattr(module, name)
+
+    def recording(*args):
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, (repr((os.getpid(), describe(*args))) + "\n").encode())
+        finally:
+            os.close(fd)
+        return original(*args)
+
+    def read():
+        lines = log.read_text().splitlines() if log.exists() else []
+        return [ast.literal_eval(line) for line in lines]
+
+    monkeypatch.setattr(module, name, recording)
+    return read
 
 
 def knn_sum_oracle(f, k):

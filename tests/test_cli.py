@@ -1,4 +1,5 @@
 import os
+import pstats
 import re
 import stat
 import subprocess
@@ -468,3 +469,68 @@ def test_outputs_get_the_mode_open_gives_a_new_file(labeled_csv, tmp_path, umask
         os.umask(old)
     modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
     assert modes == {"sel.json": mode, "red.csv": mode, "sweep.json": mode, "sweep_flat.csv": mode}
+
+
+def python(*argv):
+    """`python argv` in a fresh interpreter that imports this checkout's csufs."""
+    src = str(Path(csufs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["select", "--label-col", "class", "--d", "3"], 0),
+        (["--help"], 0),
+        (["select", "--label-col", "class", "--d", "3", "--k", "500"], 1),
+        (["select", "--label-col", "class"], 2),
+    ],
+    ids=["select", "help", "k-too-large", "missing-d"],
+)
+def test_process_entry_exits_as_main_returns(labeled_csv, capsys, argv, code):
+    """run, the process entry, prints what main prints and exits with the
+    code main returns."""
+    if argv[0] == "select":
+        argv = [argv[0], "--input", str(labeled_csv), *argv[1:]]
+    assert main(argv) == code
+    expected = capsys.readouterr()
+    proc = python("-m", "csufs.cli", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, expected.out, expected.err)
+
+
+def run_probe(labeled_csv, body):
+    """A fresh interpreter that runs body and then csufs.cli.run() on a
+    select of labeled_csv."""
+    argv = ["csufs", "select", "--input", str(labeled_csv), "--label-col", "class", "--d", "2"]
+    probe = f"import atexit, sys\nimport csufs.cli\nsys.argv = {argv!r}\n{body}\ncsufs.cli.run()\n"
+    return python("-c", probe)
+
+
+def test_unexpected_exception_prints_its_traceback_and_exits_one(labeled_csv):
+    boom = "def boom(*args, **kwargs):\n    raise RuntimeError('boom')\ncsufs.cli.load_csv = boom"
+    proc = run_probe(labeled_csv, boom)
+    assert proc.returncode == 1
+    assert "Traceback (most recent call last)" in proc.stderr and proc.stderr.endswith("RuntimeError: boom\n")
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["plain", "traced"])
+def test_process_leaves_without_teardown_unless_traced(labeled_csv, traced):
+    """Once its outputs are flushed a plain run leaves by os._exit, so no
+    exit handler runs; under a tracer it leaves by sys.exit, so the
+    tracer's own exit work still runs."""
+    body = "atexit.register(lambda: print('teardown'))" + ("\nsys.settrace(lambda *args: None)" if traced else "")
+    proc = run_probe(labeled_csv, body)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("method=csufs_optimized selected 2 of 12 features\n")
+    assert proc.stdout.endswith("teardown\n") == traced
+
+
+def test_profiled_process_still_writes_its_profile(labeled_csv, tmp_path):
+    profile = tmp_path / "cli.prof"
+    argv = ["select", "--input", str(labeled_csv), "--label-col", "class", "--d", "2"]
+    proc = python("-m", "cProfile", "-o", str(profile), "-m", "csufs.cli", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("method=csufs_optimized selected 2 of 12 features\n")
+    stats = pstats.Stats(str(profile))
+    assert any(name == "main" and file.endswith("cli.py") for file, _, name in stats.stats)

@@ -24,7 +24,7 @@ from csufs import (
     sweep,
     validate_dataset,
 )
-from helpers import count_forks, count_normalizations, make_two_class_data
+from helpers import Split, count_forks, count_normalizations, make_two_class_data
 from test_parts import assert_no_children, fail_first_fork, truncate_pickles
 
 evaluation = importlib.import_module("csufs.evaluation")
@@ -377,8 +377,9 @@ def test_sweep_report_is_the_same_for_any_cpu_count(monkeypatch, fit_sized, cpus
     forks = count_forks(monkeypatch, cpus)
     assert sweep(Xn, truth, Method.CSUFS_OPTIMIZED, cfg=cfg, **FIT_GRID) == expected
     selections = distinct_selections(Xn, **FIT_GRID)
-    assert forks.fits == dealt_longest_first(selections, cpus)[1:]  # the caller evaluates part 0
-    assert forks.kernels == []
+    dealt = dealt_longest_first(selections, cpus)  # one part per process, the caller's first
+    assert forks.fits == ([Split(cpus, dealt)] if cpus > 1 else [])
+    assert forks.kernels == [] and forks.children == cpus - 1
     assert_no_children()
 
 
@@ -404,7 +405,7 @@ def test_lost_fit_part_gives_the_same_report(monkeypatch, fit_sized, lose):
     forks = count_forks(monkeypatch, 3)
     lose(monkeypatch)
     assert sweep(Xn, truth, Method.CSUFS_OPTIMIZED, cfg=cfg, **FIT_GRID) == expected
-    assert len(forks.fits) == 2
+    assert [(split.workers, len(split.pieces)) for split in forks.fits] == [(3, 3)] and forks.children == 2
     assert_no_children()
 
 
@@ -437,7 +438,7 @@ def test_fit_parts_run_on_one_blas_thread_which_is_restored_after(monkeypatch, f
         monkeypatch.setattr(evaluation, "evaluate_selection", recording)
         forks = count_forks(monkeypatch, 2)
         swept = sweep(Xn, truth, Method.CSUFS_OPTIMIZED, cfg=cfg, **FIT_GRID)
-        assert len(forks.fits) == 1
+        assert [(split.workers, len(split.pieces)) for split in forks.fits] == [(2, 2)] and forks.children == 1
         assert {cell.report.blas for cell in swept.cells} == {(True, 1), (False, 1)}
         assert get() == held
     finally:
@@ -480,8 +481,8 @@ def test_sweep_from_two_floors_forks_one_fit_part_on_two_cpus(monkeypatch):
     expected = one_part_sweep(monkeypatch, Xn, truth, cfg, d_values, [5])
     forks = count_forks(monkeypatch, 2)
     assert sweep(Xn, truth, Method.CSUFS_OPTIMIZED, d_values, [5], cfg) == expected
-    assert forks.fits == dealt_longest_first(selections, 2)[1:]
-    assert forks.kernels == []
+    assert forks.fits == [Split(2, dealt_longest_first(selections, 2))]
+    assert forks.kernels == [] and forks.children == 1
     assert_no_children()
 
 
@@ -497,10 +498,11 @@ import csufs, csufs.evaluation, csufs.parts
 loaded_first = "numpy.random" in sys.modules
 fork, at_forks = csufs.parts._fork, []
 
-def recording(job):
-    if job.func is csufs.evaluation._evaluate_each:
+def recording(work):  # a parts._work call: the jobs, the child's own job's index, the queue
+    jobs, (own,), _ = work.args
+    if jobs[own].func is csufs.evaluation._evaluate_each:
         at_forks.append("numpy.random" in sys.modules)
-    return fork(job)
+    return fork(work)
 
 csufs.parts.usable_cpus = lambda: 2
 csufs.parts._fork = recording

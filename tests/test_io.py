@@ -40,7 +40,7 @@ from csufs import (
     write_report,
 )
 from csufs.io import _load_csv_cells
-from helpers import count_forks
+from helpers import Split, count_forks, record_calls, tiles
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -234,6 +234,25 @@ def test_string_labels_skip_the_cell_reader(tmp_path, monkeypatch):
     assert labels.n_classes == 2
 
 
+@pytest.mark.parametrize("named", [False, True], ids=["numeric-labels", "named-labels"])
+def test_each_range_is_parsed_once(tmp_path, monkeypatch, named):
+    """The first data row's label cell tells the ranges how to read the
+    label column: numbers with no converter, or names with the token
+    collector. Either way each range, here or in a child, is one loadtxt
+    call."""
+    monkeypatch.setattr(csufs.io, "_PART_BYTES", 1)
+    forks = count_forks(monkeypatch, 2)
+    calls = record_calls(monkeypatch, csufs.io, "_loadtxt", tmp_path / "calls",
+                         lambda fd, a, b, converters: (a, b, converters is None))
+    prefix = "c" if named else ""
+    path = write(tmp_path, "x,class,y\n" + "".join(f"{i},{prefix}{i % 2},{-i}\n" for i in range(40)))
+    assert load_outcome(load_csv, path, True, "class") == load_outcome(_load_csv_cells, path, True, "class")
+    (split,) = forks.loads
+    assert len(split.pieces) == 2 * csufs.parts.PIECES
+    assert sorted((a, b) for _, (a, b, _) in calls()) == split.pieces
+    assert {plain for _, (_, _, plain) in calls()} == {not named}
+
+
 @pytest.mark.parametrize(
     "text, collected",
     [
@@ -362,17 +381,25 @@ def header_end(data: bytes, has_header: bool) -> int:
     return len(data) - len(text.encode()) + len("".join(lines[: reader.line_num]).encode())
 
 
-def must_split(data: bytes, has_header: bool) -> bool:
-    """A file with a "\\n" past both its middle and its header's end (its
-    last byte aside): with _PART_BYTES at 1 and two or three usable CPUs,
-    load_csv parses it in more than one range."""
-    return b"\n" in data[max(len(data) // 2, header_end(data, has_header)) : -1]
+def must_split(data: bytes, has_header: bool, cpus: int = 2) -> bool:
+    """A file with a "\\n" past both the end of its first piece and its
+    header's end (its last byte aside): with _PART_BYTES at 1 and cpus
+    usable CPUs, two or more, load_csv cuts it into
+    min(size, cpus x parts.PIECES) pieces and parses it in more than one
+    range. A "\\n" past the middle is enough for any cpus."""
+    count = max(1, min(len(data), cpus * csufs.parts.PIECES))
+    return b"\n" in data[max(len(data) // count, header_end(data, has_header)) : -1]
+
+
+def later_starts(splits) -> list[int]:
+    """Where every range but the first of each split load starts."""
+    return [start for split in splits for start, _ in split.pieces[1:]]
 
 
 @pytest.fixture(params=[2, 3], ids=["2-cpus", "3-cpus"])
 def forks(request, monkeypatch):
     """Any file of two bytes or more may split: _PART_BYTES is 1 and
-    request.param CPUs are usable. Returns the list of forked ranges."""
+    request.param CPUs are usable. Returns the list of split loads."""
     monkeypatch.setattr(csufs.io, "_PART_BYTES", 1)
     return count_forks(monkeypatch, request.param).loads
 
@@ -388,7 +415,9 @@ def test_split_load_matches_cell_reader(tmp_path, forks, case):
     expected = load_outcome(_load_csv_cells, path, has_header, label_column)
     assert load_outcome(load_csv, path, has_header, label_column) == expected
     assert forks or not must_split(data, has_header)
-    assert all(start >= header_end(data, has_header) and data[start - 1 : start] == b"\n" for start, _ in forks)
+    starts = later_starts(forks)
+    assert all(start >= header_end(data, has_header) and data[start - 1 : start] == b"\n" for start in starts)
+    assert all(tiles(split.pieces, header_end(data, has_header), len(data)) for split in forks)
 
 
 @pytest.mark.parametrize(
@@ -400,14 +429,16 @@ def test_split_load_matches_cell_reader(tmp_path, forks, case):
     ids=["middle", "last-two"],
 )
 def test_range_of_blank_lines_only(tmp_path, monkeypatch, data, blank):
+    """One range per process, so the ranges are the ones named."""
     monkeypatch.setattr(csufs.io, "_PART_BYTES", 1)
+    monkeypatch.setattr(csufs.parts, "PIECES", 1)
     forks = count_forks(monkeypatch, 3).loads
     path = tmp_path / "data.csv"
     path.write_bytes(data)
     expected = load_outcome(_load_csv_cells, path, False, None)
     assert load_outcome(load_csv, path, False, None) == expected
     assert expected[0] == (3 if data.endswith(b"5,6\n") else 2, 2)
-    assert [not data[start:stop].strip() for start, stop in forks] == blank
+    assert [not data[start:stop].strip() for split in forks for start, stop in split.pieces[1:]] == blank
 
 
 def test_split_right_after_crlf(tmp_path, forks):
@@ -417,7 +448,7 @@ def test_split_right_after_crlf(tmp_path, forks):
     expected = load_outcome(_load_csv_cells, path, True, None)
     assert load_outcome(load_csv, path, True, None) == expected
     assert expected[2] == ("a", "b")
-    assert forks and all(data[start - 2 : start] == b"\r\n" for start, _ in forks)
+    assert forks and all(data[start - 2 : start] == b"\r\n" for start in later_starts(forks))
 
 
 def test_byte_order_mark_file_splits(tmp_path, forks):
@@ -428,7 +459,7 @@ def test_byte_order_mark_file_splits(tmp_path, forks):
     expected = load_outcome(_load_csv_cells, plain, True, None)
     assert load_outcome(load_csv, marked, True, None) == expected
     assert load_outcome(_load_csv_cells, marked, True, None) == expected
-    assert forks and all(start > len(BOM) for start, _ in forks)
+    assert forks and all(start > len(BOM) for start in later_starts(forks))
 
 
 def test_named_label_column_splits(tmp_path, forks):
@@ -452,7 +483,7 @@ def test_first_line_that_keeps_a_file_whole(tmp_path, forks, data, splits):
     expected = load_outcome(_load_csv_cells, path, True, None)
     assert load_outcome(load_csv, path, True, None) == expected
     assert bool(forks) == splits
-    assert all(start >= header_end(data, True) for start, _ in forks)
+    assert all(start >= header_end(data, True) for start in later_starts(forks))
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3], ids=["1-cpu", "2-cpus", "3-cpus"])
@@ -469,6 +500,8 @@ def test_first_line_that_keeps_a_file_whole(tmp_path, forks, data, splits):
         # as numbers and a later one's as tokens, which the cell reader decides
         pytest.param(b"x,class\n1,0\n2,1\n3,0\n4,b\n5,a\n6,b\n", True, "class", "cells-if-split",
                      id="numbers-then-names"),
+        # the first data row's label is a name, so every range collects tokens
+        pytest.param(b"x,class\n1,a\n2,b\n3,a\n4,0\n5,1\n6,0\n", True, "class", "loadtxt", id="names-then-numbers"),
         pytest.param(b"\n\r\n\n0,1\n1,2\n3,4\n5,6\n7,8\n", True, None, "loadtxt", id="blank-lines-before-header"),
         pytest.param(b"0,1\r\n1,2\r\n3,4\r\n5,6\r\n7,8\r\n", True, None, "loadtxt", id="crlf"),
         pytest.param(b"0,1\n1,2\r3,4\n5,6\n7,8\n9,10\n", True, None, "loadtxt", id="lone-cr-in-first-range"),
@@ -491,8 +524,8 @@ def test_split_load_case_matches_cell_reader(tmp_path, monkeypatch, cpus, data, 
     splits: outcome is the error it raises, or which reader loads it
     ("loadtxt", "cells", or "cells-if-split": the cell reader when the file
     splits and loadtxt when it does not). It splits whenever more than one
-    CPU is usable and must_split says so, and no range starts before the
-    header's end. A numeric header read as a data row, or a data row
+    CPU is usable and must_split says so, the ranges cover the body once
+    each, and no range starts before the header's end. A numeric header read as a data row, or a data row
     skipped with it, would change the outcome."""
     monkeypatch.setattr(csufs.io, "_PART_BYTES", 1)
     forks = count_forks(monkeypatch, cpus).loads
@@ -504,10 +537,11 @@ def test_split_load_case_matches_cell_reader(tmp_path, monkeypatch, cpus, data, 
     assert load_outcome(load_csv, path, has_header, label_column) == expected
     assert expected[0] is outcome if isinstance(outcome, type) else expected[2] is not None
     assert bool(fallbacks) == (bool(forks) if outcome == "cells-if-split" else outcome != "loadtxt")
-    assert bool(forks) == (cpus > 1 and must_split(data, has_header))
-    assert all(start >= header_end(data, has_header) for start, _ in forks)
+    assert bool(forks) == (cpus > 1 and must_split(data, has_header, cpus))
+    body = header_end(data, has_header)
+    assert all(split.workers == cpus and tiles(split.pieces, body, len(data)) for split in forks)
     if label_column == 0 and cpus > 1:
-        assert forks[0][0] == 8
+        assert later_starts(forks)[0] == 8
 
 
 @pytest.mark.parametrize("short, forked", [(1, False), (0, True)], ids=["one-byte-short", "two-parts"])
@@ -520,7 +554,7 @@ def test_a_file_splits_from_two_parts(tmp_path, monkeypatch, short, forked):
     assert len(data) == 2 * csufs.io._PART_BYTES
     ds, _ = load_csv(path, has_header=True)
     assert ds.values.shape == (rows, 2)
-    assert len(forks) == forked
+    assert [(split.workers, len(split.pieces)) for split in forks] == [(2, 2 * csufs.parts.PIECES)] * forked
 
 
 def assert_no_children():
@@ -530,32 +564,35 @@ def assert_no_children():
 
 @pytest.fixture
 def split_file(tmp_path, monkeypatch):
-    """(path, its outcome through the cell reader) of a file that splits
-    into three ranges after its 10-byte header."""
+    """(path, its outcome through the cell reader) of a file that three
+    processes load, parts.PIECES ranges each, after its 10-byte header."""
     monkeypatch.setattr(csufs.io, "_PART_BYTES", 1)
     path = write(tmp_path, "a,class,b\n" + "".join(f"{i}.5,c{i % 3},{-i}\n" for i in range(60)))
     return path, load_outcome(_load_csv_cells, path, True, "class")
 
 
-def ranges_parsed_here(monkeypatch):
-    """Record the (start, stop) of each byte range this process parses, in
-    order; returns the list they land in. The header read parses no range."""
-    parent, parse_range, here = os.getpid(), csufs.io._parse_range, []
+def ranges_parsed(monkeypatch, tmp_path):
+    """Record the (start, stop) of each byte range that this process or a
+    child parses; returns a function giving (pid, range) of each, in order.
+    The header read parses no range."""
+    return record_calls(monkeypatch, csufs.io, "_parse_range", tmp_path / "parsed", lambda fd, a, b, *_: (a, b))
 
-    def parsing(fd, start, stop, label_idx):
-        if os.getpid() == parent:
-            here.append((start, stop))
-        return parse_range(fd, start, stop, label_idx)
 
-    monkeypatch.setattr(csufs.io, "_parse_range", parsing)
-    return here
+def one_split(forks, path):
+    """The pieces of the one split load of path, by three processes."""
+    (split,) = forks
+    assert split.workers == 3 and len(split.pieces) == 3 * csufs.parts.PIECES
+    assert tiles(split.pieces, 10, path.stat().st_size)
+    return split.pieces
 
 
 @pytest.mark.parametrize("fails_at", [0, 1], ids=["first-fork", "second-fork"])
-def test_range_whose_fork_fails_is_parsed_here(split_file, monkeypatch, fails_at):
+def test_range_whose_fork_fails_is_parsed_here(split_file, tmp_path, monkeypatch, fails_at):
+    """Every range is parsed once: this process parses the first range,
+    the own range of each child that did not start, and what it claims."""
     path, expected = split_file
-    forks = count_forks(monkeypatch, 3).loads
-    here = ranges_parsed_here(monkeypatch)
+    forks = count_forks(monkeypatch, 3)
+    parsed = ranges_parsed(monkeypatch, tmp_path)
     real_fork, calls = os.fork, []
 
     def fork():
@@ -566,15 +603,20 @@ def test_range_whose_fork_fails_is_parsed_here(split_file, monkeypatch, fails_at
 
     monkeypatch.setattr(os, "fork", fork)
     assert load_outcome(load_csv, path, True, "class") == expected
-    assert len(forks) == len(calls) == 2
-    assert here == [(10, forks[0][0])] + forks[fails_at:]  # its own range and each unforked one, each once
+    pieces = one_split(forks.loads, path)
+    assert forks.children == len(calls) == 2
+    assert sorted(piece for _, piece in parsed()) == pieces
+    here = [piece for pid, piece in parsed() if pid == os.getpid()]
+    assert here[0] == pieces[0] and set(pieces[1 + fails_at : 3]) <= set(here)
     assert_no_children()
 
 
-def test_range_whose_child_exits_before_it_writes_is_parsed_here(split_file, monkeypatch):
+def test_range_whose_child_exits_before_it_writes_is_parsed_here(split_file, tmp_path, monkeypatch):
+    """Each child exits on its own range, before it claims one: every range
+    is parsed here, once, the children's last."""
     path, expected = split_file
-    forks = count_forks(monkeypatch, 3).loads
-    here = ranges_parsed_here(monkeypatch)
+    forks = count_forks(monkeypatch, 3)
+    parsed = ranges_parsed(monkeypatch, tmp_path)
     parent, parse_range = os.getpid(), csufs.io._parse_range
 
     def parse(*args):
@@ -584,8 +626,10 @@ def test_range_whose_child_exits_before_it_writes_is_parsed_here(split_file, mon
 
     monkeypatch.setattr(csufs.io, "_parse_range", parse)
     assert load_outcome(load_csv, path, True, "class") == expected
-    assert len(forks) == 2
-    assert here == [(10, forks[0][0])] + forks
+    pieces = one_split(forks.loads, path)
+    assert forks.children == 2
+    assert [pid for pid, _ in parsed()] == [parent] * len(pieces)
+    assert [piece for _, piece in parsed()] == pieces[:1] + pieces[3:] + pieces[1:3]
     assert_no_children()
 
 
@@ -594,10 +638,12 @@ def test_range_whose_child_exits_before_it_writes_is_parsed_here(split_file, mon
     [lambda n: 0, lambda n: 1, lambda n: n // 2, lambda n: n - 1],
     ids=["empty", "one-byte", "half", "all-but-one"],
 )
-def test_range_whose_child_sends_a_truncated_pickle_is_parsed_here(split_file, monkeypatch, keep):
+def test_range_whose_child_sends_a_truncated_pickle_is_parsed_here(split_file, tmp_path, monkeypatch, keep):
+    """No child's results arrive, so every range a child parsed, its own and
+    those it claimed, is parsed again here, and every other range once."""
     path, expected = split_file
-    forks = count_forks(monkeypatch, 3).loads
-    here = ranges_parsed_here(monkeypatch)
+    forks = count_forks(monkeypatch, 3)
+    parsed = ranges_parsed(monkeypatch, tmp_path)
 
     def truncated(obj, file, protocol):
         data = pickle.dumps(obj, protocol=protocol)
@@ -605,8 +651,12 @@ def test_range_whose_child_sends_a_truncated_pickle_is_parsed_here(split_file, m
 
     monkeypatch.setattr(pickle, "dump", truncated)  # the children inherit it; this process only loads
     assert load_outcome(load_csv, path, True, "class") == expected
-    assert len(forks) == 2
-    assert here == [(10, forks[0][0])] + forks
+    pieces = one_split(forks.loads, path)
+    assert forks.children == 2
+    here = [piece for pid, piece in parsed() if pid == os.getpid()]
+    in_children = {piece for pid, piece in parsed() if pid != os.getpid()}
+    assert sorted(here) == pieces
+    assert set(pieces[1:3]) <= in_children
     assert_no_children()
 
 
@@ -620,7 +670,7 @@ def test_rejected_range_stops_the_load_and_kills_the_children(split_file, monkey
     path.write_text("".join(lines))
     expected = load_outcome(_load_csv_cells, path, True, "class")
     assert expected[1][:8] == np.float64(10.0).tobytes()
-    forks = count_forks(monkeypatch, 3).loads
+    forks = count_forks(monkeypatch, 3)
     parent, parse_range = os.getpid(), csufs.io._parse_range
 
     def parse(*args):
@@ -632,14 +682,14 @@ def test_rejected_range_stops_the_load_and_kills_the_children(split_file, monkey
     started = time.perf_counter()
     assert load_outcome(load_csv, path, True, "class") == expected
     assert time.perf_counter() - started < 30, "the children were waited for, not killed"
-    assert len(forks) == 2
+    assert [split.workers for split in forks.loads] == [3] and forks.children == 2
     assert_no_children()
 
 
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
 def test_error_in_own_range_kills_the_children(split_file, monkeypatch, error):
     path, _ = split_file
-    forks = count_forks(monkeypatch, 3).loads
+    forks = count_forks(monkeypatch, 3)
     parent, parse_range = os.getpid(), csufs.io._parse_range
 
     def parse(*args):
@@ -653,7 +703,7 @@ def test_error_in_own_range_kills_the_children(split_file, monkeypatch, error):
     with pytest.raises(error):
         load_csv(path, has_header=True, label_column="class")
     assert time.perf_counter() - started < 30, "the children were waited for, not killed"
-    assert len(forks) == 2
+    assert [split.workers for split in forks.loads] == [3] and forks.children == 2
     assert_no_children()
 
 
@@ -902,13 +952,15 @@ def test_write_matrix_csv_onto_a_directory_fails_before_any_fork(tmp_path, monke
     forks = count_forks(monkeypatch, 3)
     values = np.ones((1000, 2 * csufs.io._PART_CELLS // 1000))
     write_matrix_csv(tmp_path / "w.csv", values)
-    assert forks.writes == [500]  # two parts where the write can go ahead: one here, one forked
+    count = 2 * csufs.parts.PIECES
+    split = Split(2, [(i + 1) * 1000 // count - i * 1000 // count for i in range(count)])
+    assert forks.writes == [split] and forks.children == 1  # two processes where the write can go ahead
     target = tmp_path / "out"
     target.mkdir()
     with pytest.raises(IsADirectoryError) as exc:
         write_matrix_csv(target, values)
     assert str(exc.value) == f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{target}'"
-    assert forks.writes == [500]
+    assert forks.writes == [split] and forks.children == 1
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["out", "w.csv"]
 
 
@@ -936,7 +988,7 @@ def one_part_bytes(tmp_path, values, header):
 @pytest.fixture(params=[1, 2, 3], ids=["1-cpu", "2-cpus", "3-cpus"])
 def write_forks(request, monkeypatch):
     """Any matrix of two cells or more may split: _PART_CELLS is 1 and
-    request.param CPUs are usable. Returns the row count of each forked part."""
+    request.param CPUs are usable. Returns the list of split writes."""
     monkeypatch.setattr(csufs.io, "_PART_CELLS", 1)
     return count_forks(monkeypatch, request.param).writes
 
@@ -959,17 +1011,19 @@ def test_split_write_matches_one_part(tmp_path, write_forks, shape, header):
     write_matrix_csv(path, values, header=header)
     assert path.read_bytes() == expected
     assert EDGE_TOKENS <= set(expected.decode().replace("\n", ",").split(","))
-    parts = min(csufs.parts.usable_cpus(), shape[0])
-    assert len(write_forks) == parts - 1
-    assert sum(write_forks) == shape[0] - shape[0] // parts  # every row past the first part
+    workers = min(csufs.parts.usable_cpus(), shape[0])
+    count = min(shape[0], workers * csufs.parts.PIECES)
+    bounds = [i * shape[0] // count for i in range(count)] + [shape[0]]
+    rows = [b - a for a, b in zip(bounds, bounds[1:])]  # every row once
+    assert write_forks == ([Split(workers, rows)] if workers > 1 else [])
     assert [p.name for p in tmp_path.iterdir()] == ["w.csv"]
 
 
 @pytest.fixture
 def split_write(tmp_path, monkeypatch):
     """(values, header, the bytes of their one-part write) of a matrix that
-    splits into three parts at three CPUs."""
-    values, header = edge_matrix(9, 4), ["a", "b", "c", "d"]
+    three processes write at three CPUs, in ranges of two rows."""
+    values, header = edge_matrix(6 * csufs.parts.PIECES, 4), ["a", "b", "c", "d"]
     expected = one_part_bytes(tmp_path, values, header)
     monkeypatch.setattr(csufs.io, "_PART_CELLS", 1)
     return values, header, expected
@@ -993,7 +1047,7 @@ def break_formatting(monkeypatch, in_child=None, in_parent=None):
 @pytest.mark.parametrize("fails_at", [0, 1], ids=["first-fork", "second-fork"])
 def test_writer_fork_failure_writes_the_part_here(tmp_path, split_write, monkeypatch, fails_at):
     values, header, expected = split_write
-    forks = count_forks(monkeypatch, 3).writes
+    forks = count_forks(monkeypatch, 3)
     real_fork, calls = os.fork, []
 
     def fork():
@@ -1005,7 +1059,7 @@ def test_writer_fork_failure_writes_the_part_here(tmp_path, split_write, monkeyp
     monkeypatch.setattr(os, "fork", fork)
     write_matrix_csv(tmp_path / "w.csv", values, header=header)
     assert (tmp_path / "w.csv").read_bytes() == expected
-    assert len(forks) == len(calls) == 2
+    assert [split.workers for split in forks.writes] == [3] and forks.children == len(calls) == 2
     assert_no_children()
     assert [p.name for p in tmp_path.iterdir()] == ["w.csv"]
 
@@ -1017,11 +1071,11 @@ def test_writer_fork_failure_writes_the_part_here(tmp_path, split_write, monkeyp
 )
 def test_writer_child_that_dies_midway_has_its_part_written_here(tmp_path, split_write, monkeypatch, die):
     values, header, expected = split_write
-    forks = count_forks(monkeypatch, 3).writes
+    forks = count_forks(monkeypatch, 3)
     break_formatting(monkeypatch, in_child=die)
     write_matrix_csv(tmp_path / "w.csv", values, header=header)
     assert (tmp_path / "w.csv").read_bytes() == expected
-    assert len(forks) == 2
+    assert [split.workers for split in forks.writes] == [3] and forks.children == 2
     assert_no_children()
     assert [p.name for p in tmp_path.iterdir()] == ["w.csv"]
 
@@ -1029,7 +1083,7 @@ def test_writer_child_that_dies_midway_has_its_part_written_here(tmp_path, split
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
 def test_error_while_writing_kills_the_children_and_leaves_no_file(tmp_path, split_write, monkeypatch, error):
     values, header, _ = split_write
-    forks = count_forks(monkeypatch, 3).writes
+    forks = count_forks(monkeypatch, 3)
     path = tmp_path / "w.csv"
     path.write_text("old\n")
 
@@ -1041,7 +1095,7 @@ def test_error_while_writing_kills_the_children_and_leaves_no_file(tmp_path, spl
     with pytest.raises(error):
         write_matrix_csv(path, values, header=header)
     assert time.perf_counter() - started < 30, "the children were waited for, not killed"
-    assert len(forks) == 2
+    assert [split.workers for split in forks.writes] == [3] and forks.children == 2
     assert_no_children()
     assert [p.name for p in tmp_path.iterdir()] == ["w.csv"]
     assert path.read_text() == "old\n"

@@ -15,7 +15,7 @@ from csufs import (
     knn_distance_sums,
     knn_distance_trace,
 )
-from helpers import count_forks, knn_sum_oracle, knn_sum_oracle_py
+from helpers import Split, count_forks, knn_sum_oracle, knn_sum_oracle_py, tiles
 from test_parts import assert_no_children, fail_first_fork, truncate_pickles
 
 
@@ -412,8 +412,10 @@ def test_kernel_parts_give_the_same_bits_for_any_cpu_count(monkeypatch, split_ma
     sums = knn_distance_sums(values, k, mode=mode)
     assert sums.shape == expected.shape and sums.tobytes() == expected.tobytes()
     m = values.shape[1]
-    bounds = [i * m // cpus for i in range(cpus)] + [m]
-    assert forks.kernels == list(zip(bounds[1:-1], bounds[2:]))
+    count = min(m, cpus * csufs.parts.PIECES)
+    bounds = [i * m // count for i in range(count)] + [m]
+    assert forks.kernels == ([Split(cpus, list(zip(bounds, bounds[1:])))] if cpus > 1 else [])
+    assert forks.children == cpus - 1
     assert_no_children()
 
 
@@ -433,7 +435,8 @@ def test_lost_kernel_part_gives_the_same_sums(monkeypatch, split_matrices, lose,
     forks = count_forks(monkeypatch, 3)
     lose(monkeypatch)
     assert knn_distance_sums(values, (7, 3, 7), mode=mode).tobytes() == expected.tobytes()
-    assert len(forks.kernels) == 2
+    assert [split.workers for split in forks.kernels] == [3] and forks.children == 2
+    assert tiles(forks.kernels[0].pieces, 0, values.shape[1])
     assert_no_children()
 
 

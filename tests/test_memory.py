@@ -14,6 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import csufs.parts
 import csufs.scoring as scoring
 from csufs import (
     EvalConfig,
@@ -26,7 +27,7 @@ from csufs import (
     validate_dataset,
 )
 from csufs.cli import main
-from helpers import count_forks
+from helpers import Split, count_forks, tiles
 
 N, M = 2600, 500  # 10.4 MB of float64 features, 9.0 MB of CSV
 MATRIX_BYTES = N * M * 8
@@ -89,10 +90,11 @@ def traced_peak(fn, *args):
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_command_peak_stays_within_two_matrix_buffers(wide_csv, named_csv, tmp_path, capsys, monkeypatch, name):
-    """Two usable CPUs, so the file loads in two ranges: the second range's
-    block is received from its child and stacked under the first's. A written
-    matrix is formatted in two parts too, the second by a forked child, and
-    a csufs command's kernel scores the second half of the columns in one."""
+    """Two usable CPUs, so the file loads in two processes, parts.PIECES
+    ranges each: the blocks of the ranges a child parses are received from
+    it and stacked with the others. A written matrix is formatted by two
+    processes too, and a csufs command's kernel scores its columns in two,
+    one child each time."""
     forks = count_forks(monkeypatch, 2)
     source = named_csv if name.endswith("named_labels") else wide_csv
     argv = COMMANDS[name][:1] + ["--input", str(source), "--label-col", "class"] + COMMANDS[name][1:]
@@ -100,10 +102,15 @@ def test_command_peak_stays_within_two_matrix_buffers(wide_csv, named_csv, tmp_p
     argv += ["--output", str(tmp_path / "report.json")]
     code, peak = traced_peak(main, argv)
     assert code == 0, capsys.readouterr().err
-    assert len(forks.loads) == 1
-    assert len(forks.writes) == (1 if "--write-matrix" in argv else 0)
-    assert forks.kernels == ([] if "--method" in argv else [(M // 2, M)])
+    pieces = 2 * csufs.parts.PIECES
+    assert [(split.workers, len(split.pieces)) for split in forks.loads] == [(2, pieces)]
+    assert tiles(forks.loads[0].pieces, forks.loads[0].pieces[0][0], source.stat().st_size)
+    assert [split.workers for split in forks.writes] == ([2] if "--write-matrix" in argv else [])
+    assert all(sum(split.pieces) == N and len(split.pieces) == pieces for split in forks.writes)
+    bounds = [i * M // pieces for i in range(pieces)] + [M]
+    assert forks.kernels == ([] if "--method" in argv else [Split(2, list(zip(bounds, bounds[1:])))])
     assert forks.fits == []  # 2600 x 60 x 1 values clustered at most (sweep_kgrid), under 2 x PART_VALUES
+    assert forks.children == len(forks.loads) + len(forks.writes) + len(forks.kernels)
     assert peak <= C * MATRIX_BYTES + SLACK, f"peak {peak / MATRIX_BYTES:.2f}x the matrix"
 
 
