@@ -52,12 +52,12 @@ is quoted and holds a CRLF, so its header spans two lines. crlf.csv is
 also selected at --k 1000, where a window chunk's halo, 1000 values on
 each side, outgrows its 1990 core positions. names_last.csv, a fourth
 3000 x 60 copy in perfbench's layout, writes its last tenth of class
-labels as names (class_0, class_1) and the rest as integers, so on such
-a host its first byte range reads the class column as numbers (its first
-data row's label is a number) and its last as tokens, and the cell reader
-loads it; it is selected at --d 20. The named-label copy of sweep_kgrid
-starts with a name, so each of its ranges goes straight to the token
-pass.
+labels as names (class_0, class_1) and the rest as integers. Its first
+data row's label is a number, so every byte range reads the class column
+as numbers, loadtxt rejects the range that holds the names, and the
+cell reader loads the file on any host; it is selected at --d 20. The
+named-label copy of sweep_kgrid starts with a name, so each of its
+ranges collects the class column's tokens.
 Last,
 one_row.csv holds the 300 x 30 fixture's recipe at one sample, and its
 select must fail with TooFewSamples: with the KTooLarge sweep above, it

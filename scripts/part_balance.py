@@ -6,10 +6,12 @@ and each split stage's busy time per process.
         [--pieces 1,2,4,8] [--seed N] [--reps R] [--out BENCH_part_queue.json]
 
 The three perfbench workloads' fixtures (perfbench/fixtures.py at the seed
-given) are written to a temp directory. Each workload's command then runs R
-times per source tree (default: this checkout's src), the trees taking turns
-within each repetition, and R times more on the --probe tree (default: the
-last --src) at each parts.PIECES value of --pieces, the values taking turns.
+given) are written to a temp directory by scripts/memory_peaks.py's
+write_fixtures, and their commands are its commands(). Each workload's
+command then runs R times per source tree (default: this checkout's src),
+the trees taking turns within each repetition, and R times more on the
+--probe tree (default: the last --src) at each parts.PIECES value of
+--pieces, the values taking turns.
 
 Every run is one fresh CLI process, spawned by a small launcher that imports
 only os, subprocess, sys and time and reports the spawn-to-exit wall time.
@@ -113,21 +115,14 @@ MS = 1000.0
 
 def workloads(work: Path, seed: int) -> dict[str, list[str]]:
     """Each perfbench workload's CLI arguments, its fixture at seed written
-    to work as NAME.csv."""
-    sys.dont_write_bytecode = True  # leave no cache files under perfbench/
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import fixtures
-    from run import WORKLOADS, cli_argv
+    to work as NAME.csv by scripts/memory_peaks.py, which brings
+    perfbench's fixtures and harness."""
+    sys.dont_write_bytecode = True  # leave no cache files under perfbench/ or scripts/
+    sys.path.insert(0, str(ROOT / "scripts"))
+    import memory_peaks
 
-    out = {}
-    for wl in WORKLOADS.values():
-        X, labels = fixtures.build(wl.n, wl.classes, wl.informative, wl.noise, seed)
-        fixtures.write_csv(work / f"{wl.name}.csv", X, labels)
-        del X, labels
-        argv = cli_argv(wl)
-        argv[argv.index("input.csv")] = f"{wl.name}.csv"
-        out[wl.name] = argv
-    return out
+    memory_peaks.write_fixtures(work, seed)
+    return {name: argv for name, (argv, _) in memory_peaks.commands().items() if name in memory_peaks.WORKLOADS}
 
 
 def one_run(argv: list[str], src: str, work: Path, pieces: int | None) -> dict:

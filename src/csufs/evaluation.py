@@ -23,7 +23,7 @@ from .data import Dataset, LabelVector, Method, require_integer, require_integer
 from .errors import LengthMismatch
 from .kmeans import DEFAULT_CONV_TOL, DEFAULT_MAX_ITER, kmeans
 from .metrics import clustering_accuracy, normalized_mutual_information
-from .parts import cut, in_parts, one_blas_thread
+from .parts import in_parts, one_blas_thread, workers
 from .preprocess import ensure_normalized
 from .scoring import PART_VALUES, rankings
 
@@ -135,7 +135,7 @@ def _evaluate_all(X: Dataset, selections: list, truth: LabelVector, cfg: EvalCon
 
     sizes = [len(columns) for columns in selections]
     values = X.n_samples * len(cfg.seeds) * sum(sizes)
-    count = len(cut(len(selections), values // PART_VALUES)) - 1
+    count = workers(len(selections), values // PART_VALUES)
     reports = [None] * len(selections)
     with one_blas_thread() if count > 1 else contextlib.nullcontext(False) as held:
         dealt = _deal(sizes, count if held else 1)

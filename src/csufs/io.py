@@ -62,34 +62,36 @@ def load_csv(path, has_header: bool = False, label_column: int | str | None = No
     least 2 x _PART_BYTES, are parsed by at most one process per usable CPU
     and one per _PART_BYTES, this one and forked children, and are cut just
     after line ends into byte ranges of about equal size, parts.PIECES per
-    process (see parts.in_parts). Every range is parsed by one routine. A
-    range whose child does not deliver is parsed here, and no other range
-    is parsed again. Any other file, and every file where os.fork is
-    missing, is one range. The result and every error are the same either
-    way. Each range returns its rows column-major without the label
-    column, whose cells come back as numbers where loadtxt reads them all
-    as numbers and as tokens otherwise; the blocks are stacked here, column
-    by column, and validate_dataset copies the stack into the Dataset.
+    process (see parts.in_parts). Every range is parsed by one routine, in
+    one loadtxt pass. A range whose child does not deliver is parsed here,
+    and no other range is parsed again. Any other file, and every file
+    where os.fork is missing, is one range. The result and every error are
+    the same either way. The first data row's label cell decides how every
+    range reads the label column: as tokens when float() rejects that cell
+    (a name), as numbers otherwise. Each range returns its rows
+    column-major without the label column; the blocks are concatenated
+    here into one column-major table, and validate_dataset copies it into
+    the Dataset.
 
     loadtxt reads a strict subset of the cells float() reads, to the same
-    bits, so whenever it rejects a range, the ranges differ in width, the
-    label column came back as numbers in some ranges and as tokens in
-    others, or the file has no data rows or a header of the wrong width,
-    the cell-by-cell reader reads the whole file instead: it reads what
-    loadtxt refuses (quoted cells, "1_0", non-ASCII digits) and reports
-    every error with its row, column or line. loadtxt has no csv
-    field-size limit, so a cell over 131072 characters loads where loadtxt
-    reads the file; on the cell-by-cell path it raises MalformedCsv.
+    bits, so whenever it rejects a range (a label column read as numbers
+    that holds a name or "1_0" included), the ranges differ in width, or
+    the file has no data rows or a header of the wrong width, the
+    cell-by-cell reader reads the whole file instead: it reads what loadtxt
+    refuses (quoted cells, "1_0", non-ASCII digits) and reports every error
+    with its row, column or line. loadtxt has no csv field-size limit, so a
+    cell over 131072 characters loads where loadtxt reads the file; on the
+    cell-by-cell path it raises MalformedCsv.
     """
     path = Path(path)
-    header, blocks, labels = _parse_vectorized(path, has_header, label_column)
-    if blocks is None:
+    header, table, labels = _parse_vectorized(path, has_header, label_column)
+    if table is None:
         return _load_csv_cells(path, has_header, label_column)
-    label_idx, feature_cols = _split_columns(label_column, header, blocks[0].shape[1] + (labels is not None))
+    label_idx, feature_cols = _split_columns(label_column, header, table.shape[1] + (labels is not None))
     if label_idx is not None:  # float() of a number loadtxt read is the value it gave
         labels = LabelVector.from_raw(labels) if isinstance(labels, np.ndarray) else _canonical_labels(labels)
     names = [header[j] for j in feature_cols] if header is not None else None
-    return validate_dataset(_stack_blocks(blocks), names), labels
+    return validate_dataset(table, names), labels
 
 
 # The least bytes per process that parses a file; a range, one of
@@ -102,22 +104,23 @@ _PART_BYTES = 1 << 20
 
 
 def _parse_vectorized(path: Path, has_header: bool, label_column):
-    """(header, blocks, labels) of a CSV, parsed by np.loadtxt in one or more
+    """(header, table, labels) of a CSV, parsed by np.loadtxt in one or more
     byte ranges (see load_csv): the non-empty ranges' column-major blocks
-    in file order, all of one width. This process reads the header (the
-    first non-blank csv row) and resolves the label column, whose cell in
-    the first data row tells whether the label column holds names (see
-    _is_name); the ranges start where the header's last line ends (byte 0
+    in file order, all of one width, as one column-major table. This
+    process reads the header (the first non-blank csv row) and resolves the
+    label column, whose cell in the first data row decides whether every
+    range collects the label column's tokens (see _is_name) or reads it as
+    numbers; the ranges start where the header's last line ends (byte 0
     without a header), and in_parts runs one _parse_range job per range,
     whose results are read in range order up to the first rejected one. A
-    label column that resolves before parsing is left out of the blocks,
-    and labels holds its values: one float64 array when every range read
-    them as numbers, one list of str tokens when every range collected
-    tokens. Any other label column is parsed as numbers and labels is None,
-    so _split_columns reports it as the cell reader would. The blocks are None when the cell-by-cell
-    reader must decide: loadtxt rejected a range (a quoted label included),
-    the ranges differ in width or in how they read the labels, there are no
-    data rows, or the header width differs from the rows'."""
+    label column that resolves before parsing is left out of the table,
+    and labels holds its values: one list of str tokens when it holds
+    names, one float64 array otherwise. Any other label column is parsed
+    as numbers and labels is None, so _split_columns reports it as the cell
+    reader would. The table is None when the cell-by-cell reader must
+    decide: loadtxt rejected a range (a quoted label included), the ranges
+    differ in width, there are no data rows, or the header width differs
+    from the rows'."""
     with path.open("rb") as file:
         fd = file.fileno()
         size = os.fstat(fd).st_size
@@ -149,29 +152,12 @@ def _parse_vectorized(path: Path, has_header: bool, label_column):
     if len(widths) != 1 or (header is not None and len(header) not in widths):
         return header, None, None
     if label_idx is None:
-        return header, blocks, None
-    numeric = {isinstance(more, np.ndarray) for more in labels}
-    if len(numeric) != 1:  # "1" and "1.0" are one number but two tokens: the cell reader decides
-        return header, None, None
-    if numeric == {True}:
-        return header, blocks, np.concatenate(labels)
-    return header, blocks, list(itertools.chain.from_iterable(labels))
-
-
-def _stack_blocks(blocks: list) -> np.ndarray:
-    """The rows of blocks, column-major tables of one width, in order, as one
-    column-major table. Each block is copied once, straight into the
-    result, and dropped from the list as soon as it is, so no range
-    outlives the stack; a lone block is the result as it is."""
-    if len(blocks) == 1:
-        return blocks.pop()
-    out = np.empty((sum(len(block) for block in blocks), blocks[0].shape[1]), order="F")
-    row = 0
-    while blocks:
-        block = blocks.pop(0)
-        out[row : row + len(block)] = block
-        row += len(block)
-    return out
+        labels = None
+    elif named:
+        labels = list(itertools.chain.from_iterable(labels))
+    else:
+        labels = np.concatenate(labels)
+    return header, blocks[0] if len(blocks) == 1 else np.concatenate(blocks), labels
 
 
 def _range_bounds(fd: int, first: int, size: int) -> tuple[int, list[int]]:
@@ -220,20 +206,16 @@ class _RangeReader(RawIOBase):
 
 def _parse_range(fd: int, start: int, stop: int, label_idx: int | None, named: bool):
     """(block, labels) of bytes [start, stop) of fd, which hold data rows and
-    blank lines only: its rows as a column-major float64 table without
-    column label_idx (None: every column kept), and that column's values.
-    Unless named, np.loadtxt first reads every cell as a number, and labels
-    is then a float64 array; only when it rejects the range and label_idx is
-    set does a second pass collect the label column's tokens (see
-    _token_collector), and labels is then a list of str. A named label
-    column (see _is_name) goes straight to that pass, so each range is
-    parsed once. The block is None when loadtxt rejects a row or a cell, or
-    a row has no column label_idx. A range of blank lines gives a block of
-    no rows, and labels is then not read."""
-    table, labels = None if named else _loadtxt(fd, start, stop, None), None
-    if table is None and label_idx is not None:
-        labels = []
-        table = _loadtxt(fd, start, stop, {label_idx: _token_collector(labels)})
+    blank lines only, read by one np.loadtxt pass: its rows as a
+    column-major float64 table without column label_idx (None: every column
+    kept), and that column's values. When named (see _is_name), the pass
+    collects the label column's tokens (see _token_collector) and labels is
+    a list of str; otherwise every cell is read as a number and labels is a
+    float64 array. The block is None when loadtxt rejects a row or a cell,
+    or a row has no column label_idx. A range of blank lines gives a block
+    of no rows, and labels is then not read."""
+    labels = [] if named else None
+    table = _loadtxt(fd, start, stop, None if labels is None else {label_idx: _token_collector(labels)})
     if table is None:
         return None, None
     if label_idx is None or not len(table):

@@ -1,6 +1,6 @@
 """Work cut into pieces, run by this process and forked children.
 
-This module decides how many workers and pieces there are (cut, pieces),
+This module decides how many workers and pieces there are (workers, pieces),
 runs them (in_parts) and has the one policy for a lost piece: a piece
 whose result does not come back from a child (the child did not start,
 sent a short pickle, exited non-zero or was killed) is done again in the
@@ -37,17 +37,11 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def cut(total: int, limit: int) -> list[int]:
-    """[0, ..., total]: where the equal shares of total start and end when
-    it is cut into parts: one per usable CPU, at most limit and at most
-    total, so no share is empty unless total is 0, and at least one; one
-    part where os.fork is missing. Share i starts at i * total // count."""
-    count = max(1, min(usable_cpus(), limit, total)) if hasattr(os, "fork") else 1
-    return _shares(total, count)
-
-
-def _shares(total: int, count: int) -> list[int]:
-    return [i * total // count for i in range(count)] + [total]
+def workers(total: int, limit: int) -> int:
+    """How many processes share total items: one per usable CPU, at most
+    limit and at most total, and at least one; one where os.fork is
+    missing."""
+    return max(1, min(usable_cpus(), limit, total)) if hasattr(os, "fork") else 1
 
 
 # Pieces per worker. A split stage cuts its work into PIECES equal pieces
@@ -67,14 +61,15 @@ QUEUE_MAX = 512 // _RECORD
 
 
 def pieces(total: int, limit: int) -> tuple[int, list[int]]:
-    """(workers, bounds): workers is cut(total, limit)'s part count, and
-    bounds, [0, ..., total], cut total into PIECES equal pieces per worker,
-    at most total and at most workers + QUEUE_MAX, when there are two
-    workers or more, and into one piece otherwise. So a floor that limits
-    the workers does not limit the pieces: a piece may hold less."""
-    workers = len(cut(total, limit)) - 1
-    count = min(total, workers * PIECES, workers + QUEUE_MAX) if workers > 1 else 1
-    return workers, _shares(total, count)
+    """(count, bounds): count is workers(total, limit), and bounds, [0, ...,
+    total], cut total into PIECES equal pieces per worker, at most total
+    and at most count + QUEUE_MAX, when there are two workers or more, and
+    into one piece otherwise; piece i starts at i * total // its pieces. So
+    a floor that limits the workers does not limit the pieces: a piece may
+    hold less."""
+    count = workers(total, limit)
+    cuts = min(total, count * PIECES, count + QUEUE_MAX) if count > 1 else 1
+    return count, [i * total // cuts for i in range(cuts)] + [total]
 
 
 @contextlib.contextmanager
@@ -255,7 +250,7 @@ def _fork(job):
     never flushes buffers it inherited; a caller still flushes its own
     files before entering in_parts, so no child holds a copy of unwritten
     bytes.
-    cut and pieces make one worker where os.fork is missing.
+    workers and pieces make one worker where os.fork is missing.
     """
     try:
         read_end, write_end = os.pipe()

@@ -234,23 +234,30 @@ def test_string_labels_skip_the_cell_reader(tmp_path, monkeypatch):
     assert labels.n_classes == 2
 
 
-@pytest.mark.parametrize("named", [False, True], ids=["numeric-labels", "named-labels"])
-def test_each_range_is_parsed_once(tmp_path, monkeypatch, named):
+@pytest.mark.parametrize("labels, plain, cells", [
+    (lambda i: f"{i % 2}", True, False),
+    (lambda i: f"c{i % 2}", False, False),
+    (lambda i: f"c{i % 2}" if i >= 35 else f"{i % 2}", True, True),
+], ids=["numeric-labels", "named-labels", "numbers-then-names"])
+def test_each_range_is_parsed_once(tmp_path, monkeypatch, labels, plain, cells):
     """The first data row's label cell tells the ranges how to read the
     label column: numbers with no converter, or names with the token
     collector. Either way each range, here or in a child, is one loadtxt
-    call."""
+    call; a range that holds a name after a numeric first row is rejected,
+    and the cell reader loads the file."""
     monkeypatch.setattr(csufs.io, "_PART_BYTES", 1)
     forks = count_forks(monkeypatch, 2)
     calls = record_calls(monkeypatch, csufs.io, "_loadtxt", tmp_path / "calls",
                          lambda fd, a, b, converters: (a, b, converters is None))
-    prefix = "c" if named else ""
-    path = write(tmp_path, "x,class,y\n" + "".join(f"{i},{prefix}{i % 2},{-i}\n" for i in range(40)))
+    fallbacks = []
+    monkeypatch.setattr(csufs.io, "_load_csv_cells", lambda *args: fallbacks.append(args) or _load_csv_cells(*args))
+    path = write(tmp_path, "x,class,y\n" + "".join(f"{i},{labels(i)},{-i}\n" for i in range(40)))
     assert load_outcome(load_csv, path, True, "class") == load_outcome(_load_csv_cells, path, True, "class")
     (split,) = forks.loads
     assert len(split.pieces) == 2 * csufs.parts.PIECES
     assert sorted((a, b) for _, (a, b, _) in calls()) == split.pieces
-    assert {plain for _, (_, _, plain) in calls()} == {not named}
+    assert {p for _, (_, _, p) in calls()} == {plain}
+    assert bool(fallbacks) == cells
 
 
 @pytest.mark.parametrize(
@@ -263,7 +270,8 @@ def test_each_range_is_parsed_once(tmp_path, monkeypatch, named):
 )
 def test_only_labels_loadtxt_cannot_read_reach_the_token_collector(tmp_path, monkeypatch, text, collected):
     """loadtxt reads a numeric label column as numbers, so no converter is
-    made for it; a named one is read again, with its tokens collected."""
+    made for it; a named one, whose first cell float() rejects, is read
+    with its tokens collected in the same pass."""
     count_forks(monkeypatch, 1)
     factory, cells = csufs.io._token_collector, []
 
@@ -496,10 +504,11 @@ def test_first_line_that_keeps_a_file_whole(tmp_path, forks, data, splits):
         pytest.param(b"x,class,y\n1,a,2\n3,b,4\n5,a,6\n7, c ,8\n", True, "class", "loadtxt", id="named-labels"),
         # the cell reader unquotes "a" and reads every quoted file
         pytest.param(b'x,class\n1,"a"\n2,b\n3,"a"\n4,b\n', True, "class", "cells", id="quoted-labels"),
-        # split at byte 20 or at bytes 12 and 24: the first range's labels read
-        # as numbers and a later one's as tokens, which the cell reader decides
-        pytest.param(b"x,class\n1,0\n2,1\n3,0\n4,b\n5,a\n6,b\n", True, "class", "cells-if-split",
-                     id="numbers-then-names"),
+        # the first data row's label is a number, so every range reads the
+        # labels as numbers; loadtxt rejects the names, on any CPU count
+        pytest.param(b"x,class\n1,0\n2,1\n3,0\n4,b\n5,a\n6,b\n", True, "class", "cells", id="numbers-then-names"),
+        # likewise "1_0", which float() reads as 10 and loadtxt rejects
+        pytest.param(b"x,class\n1,0\n2,1_0\n3,0\n4,1\n5,0\n", True, "class", "cells", id="numbers-then-float-only"),
         # the first data row's label is a name, so every range collects tokens
         pytest.param(b"x,class\n1,a\n2,b\n3,a\n4,0\n5,1\n6,0\n", True, "class", "loadtxt", id="names-then-numbers"),
         pytest.param(b"\n\r\n\n0,1\n1,2\n3,4\n5,6\n7,8\n", True, None, "loadtxt", id="blank-lines-before-header"),
@@ -522,8 +531,7 @@ def test_first_line_that_keeps_a_file_whole(tmp_path, forks, data, splits):
 def test_split_load_case_matches_cell_reader(tmp_path, monkeypatch, cpus, data, has_header, label_column, outcome):
     """Each case loads as the cell reader loads it whether or not it
     splits: outcome is the error it raises, or which reader loads it
-    ("loadtxt", "cells", or "cells-if-split": the cell reader when the file
-    splits and loadtxt when it does not). It splits whenever more than one
+    ("loadtxt" or "cells"), on every CPU count. It splits whenever more than one
     CPU is usable and must_split says so, the ranges cover the body once
     each, and no range starts before the header's end. A numeric header read as a data row, or a data row
     skipped with it, would change the outcome."""
@@ -536,7 +544,7 @@ def test_split_load_case_matches_cell_reader(tmp_path, monkeypatch, cpus, data, 
     expected = load_outcome(_load_csv_cells, path, has_header, label_column)
     assert load_outcome(load_csv, path, has_header, label_column) == expected
     assert expected[0] is outcome if isinstance(outcome, type) else expected[2] is not None
-    assert bool(fallbacks) == (bool(forks) if outcome == "cells-if-split" else outcome != "loadtxt")
+    assert bool(fallbacks) == (outcome != "loadtxt")
     assert bool(forks) == (cpus > 1 and must_split(data, has_header, cpus))
     body = header_end(data, has_header)
     assert all(split.workers == cpus and tiles(split.pieces, body, len(data)) for split in forks)

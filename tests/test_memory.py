@@ -1,7 +1,7 @@
 """Peak traced memory of whole CLI commands, from CSV on disk to report on disk.
 
 A command holds at most two matrix-sized buffers at once: while loading,
-the parsed ranges' label-free blocks and the one table they are stacked
+the parsed ranges' label-free blocks and the one table they are concatenated
 into, then that table and the Dataset's copy of it; after that, the
 normalized matrix and at most one copy taken from it. The written matrix
 is streamed a row at a time. Each command's tracemalloc peak must stay within C times the
@@ -92,7 +92,7 @@ def traced_peak(fn, *args):
 def test_command_peak_stays_within_two_matrix_buffers(wide_csv, named_csv, tmp_path, capsys, monkeypatch, name):
     """Two usable CPUs, so the file loads in two processes, parts.PIECES
     ranges each: the blocks of the ranges a child parses are received from
-    it and stacked with the others. A written matrix is formatted by two
+    it and concatenated with the others. A written matrix is formatted by two
     processes too, and a csufs command's kernel scores its columns in two,
     one child each time."""
     forks = count_forks(monkeypatch, 2)

@@ -1,5 +1,5 @@
 """csufs.parts on toy jobs: results in order, the claim queue, the lost-part
-policy, killing the children, and where cut and pieces place the shares."""
+policy, killing the children, and where workers and pieces place the shares."""
 
 import functools
 import os
@@ -10,7 +10,7 @@ import time
 import pytest
 
 import csufs.parts
-from csufs.parts import QUEUE_MAX, cut, in_parts, one_blas_thread, pieces
+from csufs.parts import QUEUE_MAX, in_parts, one_blas_thread, pieces, workers
 
 
 def assert_no_children():
@@ -238,9 +238,9 @@ def test_pieces_cut_each_worker_share_into_equal_pieces(monkeypatch, cpus):
     monkeypatch.setattr(csufs.parts, "usable_cpus", lambda: cpus)
     for total in range(40):
         for limit in range(-1, 5):
-            workers, bounds = pieces(total, limit)
-            assert workers == len(cut(total, limit)) - 1
-            count = min(total, workers * csufs.parts.PIECES) if workers > 1 else 1
+            count, bounds = pieces(total, limit)
+            assert count == workers(total, limit)
+            count = min(total, count * csufs.parts.PIECES) if count > 1 else 1
             assert len(bounds) - 1 == count
             assert bounds[0] == 0 and bounds[-1] == total
             sizes = [b - a for a, b in zip(bounds, bounds[1:])]
@@ -250,36 +250,39 @@ def test_pieces_cut_each_worker_share_into_equal_pieces(monkeypatch, cpus):
 def test_pieces_never_queue_more_than_the_queue_holds(monkeypatch):
     monkeypatch.setattr(csufs.parts, "usable_cpus", lambda: 4)
     monkeypatch.setattr(csufs.parts, "PIECES", 10 * QUEUE_MAX)
-    workers, bounds = pieces(10**6, 10**6)
-    assert workers == 4 and len(bounds) - 1 == workers + QUEUE_MAX
+    count, bounds = pieces(10**6, 10**6)
+    assert count == 4 and len(bounds) - 1 == count + QUEUE_MAX
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
 def test_cut_gives_equal_shares_up_to_the_cpus_and_the_limit(monkeypatch, cpus):
+    """With PIECES at 1, each worker's share is one piece, and the pieces
+    are equal shares of total."""
     monkeypatch.setattr(csufs.parts, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(csufs.parts, "PIECES", 1)
     for total in range(13):
         for limit in range(-1, 7):
-            bounds = cut(total, limit)
-            assert len(bounds) - 1 == max(1, min(cpus, limit, total))
-            assert bounds[0] == 0 and bounds[-1] == total
-            sizes = [b - a for a, b in zip(bounds, bounds[1:])]
-            assert min(sizes) >= 0 and max(sizes) - min(sizes) <= 1
+            count = max(1, min(cpus, limit, total))
+            assert workers(total, limit) == count
+            assert pieces(total, limit) == (count, [i * total // count for i in range(count)] + [total])
 
 
 @pytest.mark.parametrize("total, limit, bounds", [(3, 10, [0, 1, 2, 3]), (0, 5, [0, 0])], ids=["three-items", "none"])
 def test_cut_never_gives_more_parts_than_items(monkeypatch, total, limit, bounds):
     monkeypatch.setattr(csufs.parts, "usable_cpus", lambda: 4)
-    assert cut(total, limit) == bounds
+    assert workers(total, limit) == len(bounds) - 1
+    assert pieces(total, limit)[1] == bounds
 
 
 def test_cut_never_exceeds_the_usable_cpus():
-    assert len(cut(1000, 1000)) - 1 <= csufs.parts.usable_cpus()
+    assert workers(1000, 1000) <= csufs.parts.usable_cpus()
 
 
 def test_cut_gives_one_part_without_fork(monkeypatch):
     monkeypatch.setattr(csufs.parts, "usable_cpus", lambda: 4)
     monkeypatch.delattr(os, "fork")
-    assert cut(10, 5) == [0, 10]
+    assert workers(10, 5) == 1
+    assert pieces(10, 5) == (1, [0, 10])
 
 
 def blas_threads_or_skip():
