@@ -10,11 +10,10 @@ tree, with that tree's own perfbench/run.py and src/; the first tree runs
 first in odd pairs and the second in even ones. The script refuses to run
 unless the two perfbench/ directories are byte-identical (caches aside), so
 both sides are measured by the same benchmark, and unless both src/
-directories are free of bytecode caches: a tree holding them is spared
-compiling its modules in every process, while with PYTHONDONTWRITEBYTECODE
-set the other never gets them; that showed as 10-25 ms of setup_s on this
-benchmark. With --trace, one
-`--trace 1` run per tree follows the pairs.
+directories are free of bytecode caches (launch.cached): a tree holding
+them is spared compiling its modules in every process, which showed as
+10-25 ms of setup_s on this benchmark. With --trace, one `--trace 1` run
+per tree follows the pairs.
 
 Every run's stdout lines and result line are kept. For each metric of the
 result lines, each tree's median, quartiles, minimum and maximum over the
@@ -22,8 +21,8 @@ pairs where both runs were correct are written, with the number of those
 pairs the second tree won (ties count for neither), the gap between the
 medians over the first tree's interquartile range (null when that range is
 0), and whether a gain may be claimed: at least ten such pairs, nine wins
-in ten and a gap wider than that range. Lower is better for every metric, as for every end-to-end metric in
-BENCHMARK.json.
+in ten and a gap wider than that range. Lower is better for every metric,
+as for every end-to-end metric in BENCHMARK.json.
 
 The comparison is stored in --out under "comparisons", keyed "W seed S";
 comparisons already in that file under other keys, and the file's other
@@ -35,10 +34,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+import launch
 
 IGNORED_DIRS = {"__pycache__", ".work"}  # run.py's work directories and bytecode caches
 MIN_PAIRS = 10  # the fewest pairs a gain may be claimed from
@@ -58,16 +58,7 @@ def refusal(trees: dict[str, Path]) -> str | None:
     (base, a), (other, b) = trees.items()
     if tree_files(a / "perfbench") != tree_files(b / "perfbench"):
         return f"{base} and {other} hold different perfbench/ directories"
-    cached = [str(p) for root in (a, b) for p in sorted((root / "src").rglob("__pycache__"))]
-    if cached:
-        return f"remove the bytecode caches first: {' '.join(cached)}"
-    return None
-
-
-def spread(values: list[float]) -> dict[str, float]:
-    """Median, quartiles (inclusive method), minimum and maximum of values."""
-    q1, q3 = values * 2 if len(values) == 1 else statistics.quantiles(values, n=4, method="inclusive")[::2]
-    return {"median": statistics.median(values), "q1": q1, "q3": q3, "min": min(values), "max": max(values)}
+    return launch.cached([a / "src", b / "src"])
 
 
 def summarize(pairs: list[dict[str, dict | None]], base: str, other: str) -> dict[str, dict]:
@@ -83,7 +74,7 @@ def summarize(pairs: list[dict[str, dict | None]], base: str, other: str) -> dic
         a = [p[base]["metrics"][name]["value"] for p in usable]
         b = [p[other]["metrics"][name]["value"] for p in usable]
         wins = sum(y < x for x, y in zip(a, b))
-        base_spread, other_spread = spread(a), spread(b)
+        base_spread, other_spread = launch.spread(a), launch.spread(b)
         iqr = base_spread["q3"] - base_spread["q1"]
         gap = base_spread["median"] - other_spread["median"]
         out[name] = {
@@ -121,7 +112,7 @@ def main() -> int:
     parser.add_argument("--trace", action="store_true", help="also one --trace 1 run per tree after the pairs")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to store the comparison in")
     args = parser.parse_args()
-    trees = {name: Path(path).resolve() for name, path in (spec.split("=", 1) for spec in args.tree)}
+    trees = launch.trees(args.tree)
     if len(trees) != 2 or args.pairs < 1:
         parser.error("give exactly two --tree NAME=PATH and at least one pair")
     base, other = trees
@@ -155,9 +146,7 @@ def main() -> int:
             print(f"trace: {side}", file=sys.stderr, flush=True)
             comparison["trace"][side] = run(trees[side], args.workload, args.seed, args.seconds, trace=True)
 
-    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc.setdefault("comparisons", {})[f"{args.workload} seed {args.seed}"] = comparison
-    args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    launch.store(args.out, {f"{args.workload} seed {args.seed}": comparison}, under="comparisons")
     for name, row in comparison["summary"].items():
         print(f"{name}: {base} {row[base]['median']:.4g}, {other} {row[other]['median']:.4g}, "
               f"{other} better in {row[f'{other}_better_pairs']}, claimable {row['gain_claimable']}")

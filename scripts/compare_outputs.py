@@ -4,12 +4,11 @@
     python3 scripts/compare_outputs.py --src parent=PATH --src change=src [--seed N ...]
 
 For each seed given (--seed once per seed; default 0), the inputs are
-written once to a temp directory: the benchmark's fixtures at that seed
-(scripts/memory_peaks.py's write_fixtures), a 300 x 30 fixture from
-perfbench/fixtures.py for the slow and edge cases, and an 80 x 10000 one
-from the same recipe for the naive kernel on a wide matrix. The benchmark's
-fixtures are 11 MB and more, so on a host with two usable CPUs
-csufs.io.load_csv parses them in two processes, in csufs.parts.PIECES
+written once to a temp directory: launch.py's fixtures at that seed, a
+300 x 30 one from perfbench/fixtures.py for the slow and edge cases, and an
+80 x 10000 one from the same recipe for the naive kernel on a wide matrix.
+The benchmark's fixtures are 11 MB and more, so on a host with two usable
+CPUs csufs.io.load_csv parses them in two processes, in csufs.parts.PIECES
 byte ranges each that the processes claim as they go, while the 300 x 30
 fixture is one range: one run covers both sides of that choice. Likewise
 every reduced matrix written from a benchmark fixture (select_wide's
@@ -33,13 +32,11 @@ parts, and so do the sweep_kgrid command and its named-label copy
 distinct rankings or more: four at seed 0, three at seed 9, and one at
 seed 5, where they are one part. Every SMALL sweep (54000 values at
 most) is one part.
-The command set is memory_peaks.py's
-commands() (the three workloads, the named-label copy, maxvar and all
-selects with --write-matrix, csufs and all evaluates) plus SMALL on the
-300 x 30 fixture: naive and all selects with --write-matrix, optimized
-and naive sweeps over a k grid with a duplicate and k = n - 1, maxvar
-and all sweeps, a sweep at k = n that must fail with KTooLarge, and a
-select without --d that must fail as flag misuse before it reads its input;
+The command set is launch.commands() plus SMALL on the 300 x 30 fixture:
+naive and all selects with --write-matrix, optimized and naive sweeps
+over a k grid with a duplicate and k = n - 1, maxvar and all sweeps, a
+sweep at k = n that must fail with KTooLarge, and a select without --d
+that must fail as flag misuse before it reads its input;
 WIDE on the 80 x 10000 fixture: a naive select with --write-matrix; and
 the same select --d 20 --write-matrix on three 3000 x 60 copies of one
 fixture laid out unlike the others: CRLF line ends and the class column
@@ -57,17 +54,16 @@ data row's label is a number, so every byte range reads the class column
 as numbers, loadtxt rejects the range that holds the names, and the
 cell reader loads the file on any host; it is selected at --d 20. The
 named-label copy of sweep_kgrid starts with a name, so each of its
-ranges collects the class column's tokens.
-Last,
-one_row.csv holds the 300 x 30 fixture's recipe at one sample, and its
-select must fail with TooFewSamples: with the KTooLarge sweep above, it
-compares both kernel-argument errors the CLI can print.
+ranges collects the class column's tokens. Last, one_row.csv holds the
+300 x 30 fixture's recipe at one sample, and its select must fail with
+TooFewSamples: with the KTooLarge sweep above, it compares both
+kernel-argument errors the CLI can print.
 
 Each command runs once per tree as `python -m csufs.cli` in a fresh
-process (which, in a tree whose cli has run, leaves by os._exit once its
-outputs are flushed, so that exit is compared too), in that tree's own
-work directory, with the same relative paths
-in every tree. Its stdout, stderr (the tree's src path written as <src>)
+process, with launch.env's environment (in a tree whose cli has run, it
+leaves by os._exit once its outputs are flushed, so that exit is compared
+too), in that tree's own work directory, with the same relative paths in
+every tree. Its stdout, stderr (the tree's src path written as <src>)
 and exit code are kept beside the files it wrote. Every tree is then
 compared with the first, file by file and byte by byte; only the
 "timestamp" line of a JSON report is left out. Exits 0 when every tree
@@ -90,7 +86,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+import launch
+
 SMALL_SHAPE = (300, 3, 5, 25)  # fixtures.build's n, classes, informative, noise
 WIDE_SHAPE = (80, 2, 10, 9990)  # 800000 values: over 2 x csufs.scoring.PART_VALUES
 SMALL = {  # name -> CLI arguments after the shared input flags, on small.csv
@@ -164,19 +161,10 @@ FAILS = {
 INPUTS = Path("..", "..", "..", "inputs")  # from runs/TREE/COMMAND to the shared inputs
 
 
-def _memory_peaks():
-    """scripts/memory_peaks.py, which brings perfbench's fixtures and harness."""
-    sys.dont_write_bytecode = True  # leave no cache files under perfbench/ or scripts/
-    sys.path.insert(0, str(ROOT / "scripts"))
-    import memory_peaks
-
-    return memory_peaks
-
-
-def command_set(memory_peaks) -> dict[str, list[str]]:
+def command_set() -> dict[str, list[str]]:
     """name -> CLI argv, input paths relative to the command's work directory."""
     out = {}
-    for name, (argv, _) in memory_peaks.commands().items():
+    for name, (argv, _) in launch.commands().items():
         i = argv.index("--input") + 1
         out[name] = [*argv[:i], str(INPUTS / argv[i]), *argv[i + 1:]]
     for csv_name, (_, _, commands) in FIXTURES.items():
@@ -185,16 +173,9 @@ def command_set(memory_peaks) -> dict[str, list[str]]:
     return out
 
 
-def write_inputs(memory_peaks, inputs: Path, seed: int) -> None:
-    memory_peaks.write_fixtures(inputs, seed)
-    for csv_name, (shape, write, _) in FIXTURES.items():
-        X, labels = memory_peaks.fixtures.build(*shape, seed)
-        (write or memory_peaks.fixtures.write_csv)(inputs / csv_name, X, labels)
-
-
 def run_tree(src: Path, runs: Path, commands: dict[str, list[str]]) -> None:
     """Run every command under src, each in runs/NAME, keeping its streams as runs/NAME.stdout etc."""
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = launch.env(src)
     for name, argv in commands.items():
         cwd = runs / name
         cwd.mkdir(parents=True)
@@ -240,10 +221,13 @@ def differences(a: Path, b: Path) -> list[str]:
 def compare_seed(trees: dict[str, Path], work: Path, seed: int) -> tuple[int, list[str]]:
     """Run the command set on seed's inputs under every tree, in work; the
     number of commands and each difference or unexpected exit found."""
-    (work / "inputs").mkdir(parents=True)
-    memory_peaks = _memory_peaks()
-    write_inputs(memory_peaks, work / "inputs", seed)
-    commands = command_set(memory_peaks)
+    inputs = work / "inputs"
+    inputs.mkdir(parents=True)
+    launch.write_fixtures(inputs, seed)
+    for csv_name, (shape, write, _) in FIXTURES.items():
+        X, labels = launch.fixtures.build(*shape, seed)
+        (write or launch.fixtures.write_csv)(inputs / csv_name, X, labels)
+    commands = command_set()
     for name, src in trees.items():
         print(f"seed {seed}: running {len(commands)} commands under {name} ({src})", file=sys.stderr, flush=True)
         run_tree(src, work / "runs" / name, commands)
@@ -259,7 +243,7 @@ def main() -> int:
     parser.add_argument("--src", action="append", required=True, help="NAME=PATH of a src directory holding csufs")
     parser.add_argument("--seed", type=int, action="append", help="fixture seed, once per seed to check (default 0)")
     args = parser.parse_args()
-    trees = {name: Path(path).resolve() for name, path in (spec.split("=", 1) for spec in args.src)}
+    trees = launch.trees(args.src)
     if len(trees) < 2:
         parser.error("give at least two --src trees to compare")
     seeds = args.seed or [0]

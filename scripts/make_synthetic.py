@@ -9,12 +9,9 @@ benchmark's own, perfbench/fixtures.py.
 """
 
 import argparse
-import sys
 from pathlib import Path
 
-sys.dont_write_bytecode = True  # leave no cache files under perfbench/
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-import fixtures  # noqa: E402
+from launch import fixtures
 
 
 def main():

@@ -5,21 +5,21 @@ and each split stage's busy time per process.
     python3 scripts/part_balance.py [--src NAME=PATH ...] [--probe NAME] \\
         [--pieces 1,2,4,8] [--seed N] [--reps R] [--out BENCH_part_queue.json]
 
-The three perfbench workloads' fixtures (perfbench/fixtures.py at the seed
-given) are written to a temp directory by scripts/memory_peaks.py's
-write_fixtures, and their commands are its commands(). Each workload's
-command then runs R times per source tree (default: this checkout's src),
-the trees taking turns within each repetition, and R times more on the
---probe tree (default: the last --src) at each parts.PIECES value of
---pieces, the values taking turns.
+The benchmark's fixtures at the seed given are written to a temp directory
+by launch.write_fixtures. Each perfbench workload's command in
+launch.commands() then runs R times per source tree (default: this
+checkout's src), the trees taking turns within each repetition, and R times
+more on the --probe tree (default: the last --src) at each parts.PIECES
+value of --pieces, the values taking turns. A tree whose src holds bytecode
+caches is refused, as scripts/bench_pairs.py refuses it: it imports faster.
 
-Every run is one fresh CLI process, spawned by a small launcher that imports
-only os, subprocess, sys and time and reports the spawn-to-exit wall time.
-The CLI process runs PROBE (argv: the log file, a PIECES value or "-",
-then the CLI's arguments), which wraps each split stage's jobs (io's load
-and write, scoring's kernel, evaluation's fits), so that every job appends
-its process id, start and end (time.perf_counter, one clock for every
-process on the host) to a log, and wraps cli.main to log when it returns.
+Every run is one fresh CLI process, spawned by launch.py's small launcher,
+whose spawn and exit times give the wall time. The CLI process runs PROBE
+(argv: the log file, a PIECES value or "-", then the CLI's arguments),
+which wraps each split stage's jobs (io's load and write, scoring's
+kernel, evaluation's fits), so that every job appends its process id,
+start and end (time.perf_counter, one clock for every process on the
+host) to a log, and wraps cli.main to log when it returns.
 It then leaves as `python -m csufs.cli` leaves in that tree: through
 cli.run where the tree has it, through sys.exit(main()) otherwise. The exit
 phase is the time from main's return to the launcher seeing the process end.
@@ -37,18 +37,13 @@ file (such as the comparisons scripts/bench_pairs.py stores) are kept.
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import platform
 import statistics
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
-ROOT = Path(__file__).resolve().parent.parent
+import launch
 
 PROBE = """
 import functools, os, sys, time
@@ -103,39 +98,19 @@ if hasattr(csufs.cli, "run"):
     csufs.cli.run()
 sys.exit(csufs.cli.main())
 """
-LAUNCHER = (
-    "import os, subprocess, sys, time\n"
-    "start = time.perf_counter()\n"
-    "p = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
-    "_, status, usage = os.wait4(p.pid, 0)\n"
-    "print(os.waitstatus_to_exitcode(status), start, time.perf_counter())\n"
-)
 MS = 1000.0
+QUARTILES = ("q1", "median", "q3")  # of launch.spread, as written
 
 
-def workloads(work: Path, seed: int) -> dict[str, list[str]]:
-    """Each perfbench workload's CLI arguments, its fixture at seed written
-    to work as NAME.csv by scripts/memory_peaks.py, which brings
-    perfbench's fixtures and harness."""
-    sys.dont_write_bytecode = True  # leave no cache files under perfbench/ or scripts/
-    sys.path.insert(0, str(ROOT / "scripts"))
-    import memory_peaks
-
-    memory_peaks.write_fixtures(work, seed)
-    return {name: argv for name, (argv, _) in memory_peaks.commands().items() if name in memory_peaks.WORKLOADS}
-
-
-def one_run(argv: list[str], src: str, work: Path, pieces: int | None) -> dict:
+def one_run(argv: list[str], src: Path, work: Path, pieces: int | None) -> dict:
     """One CLI run of argv with src's csufs through PROBE: its wall and exit
     phase in ms, and per split stage, in order, each process's busy time
     and end in ms and the slowest process's end past the mean end."""
     log = work / "probe.log"
     log.unlink(missing_ok=True)
     probe = [sys.executable, "-c", PROBE, str(log), "-" if pieces is None else str(pieces), *argv]
-    out = subprocess.run([sys.executable, "-c", LAUNCHER, *probe], cwd=work, env=dict(os.environ, PYTHONPATH=src),
-                         capture_output=True, text=True, check=True)
-    code, start, stop = out.stdout.split()
-    if code != "0":
+    code, _, start, stop = launch.spawn(probe, src, work)
+    if code != 0:
         raise SystemExit(f"{argv[0]} exited {code} under {src}")
     starts, jobs, main_end = {}, {}, None
     for fields in (line.split() for line in log.read_text().splitlines()):
@@ -159,25 +134,17 @@ def one_run(argv: list[str], src: str, work: Path, pieces: int | None) -> dict:
             "end_ms": [round(ends[pid] * MS, 2) for pid in order],
             "slowest_past_mean_ms": round((max(ends.values()) - statistics.mean(ends.values())) * MS, 2),
         })
-    return {"wall_ms": (float(stop) - float(start)) * MS, "exit_ms": (float(stop) - main_end) * MS, "stages": stages}
-
-
-def quartiles(values) -> list[float]:
-    """[first quartile, median, third quartile] of values (inclusive method)."""
-    values = list(values)
-    if len(values) == 1:
-        return values * 3
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return [round(q1, 2), round(q2, 2), round(q3, 2)]
+    return {"wall_ms": (stop - start) * MS, "exit_ms": (stop - main_end) * MS, "stages": stages}
 
 
 def summarize(runs: list[dict]) -> dict:
     """Medians over runs of one workload and tree, with the quartiles of the
     wall time and of each stage's slowest process past the mean."""
+    wall = launch.spread(r["wall_ms"] for r in runs)
     out = {
         "runs": len(runs),
-        "wall_ms": round(statistics.median(r["wall_ms"] for r in runs), 1),
-        "wall_ms_quartiles": quartiles(r["wall_ms"] for r in runs),
+        "wall_ms": round(wall["median"], 1),
+        "wall_ms_quartiles": [round(wall[q], 2) for q in QUARTILES],
         "exit_ms": round(statistics.median(r["exit_ms"] for r in runs), 2),
         "exit_ms_all": [round(r["exit_ms"], 2) for r in runs],
         "stages": [],
@@ -185,13 +152,14 @@ def summarize(runs: list[dict]) -> dict:
     for i, first in enumerate(runs[0]["stages"]):
         same = [r["stages"][i] for r in runs if len(r["stages"]) > i and r["stages"][i]["stage"] == first["stage"]]
         processes = min(len(s["busy_ms"]) for s in same)
+        lead = launch.spread(s["slowest_past_mean_ms"] for s in same)
         out["stages"].append({
             "stage": first["stage"],
             "processes": processes,
             "busy_ms": [round(statistics.median(s["busy_ms"][p] for s in same), 2) for p in range(processes)],
             "end_ms": [round(statistics.median(s["end_ms"][p] for s in same), 2) for p in range(processes)],
-            "slowest_past_mean_ms": round(statistics.median(s["slowest_past_mean_ms"] for s in same), 2),
-            "slowest_past_mean_ms_quartiles": quartiles(s["slowest_past_mean_ms"] for s in same),
+            "slowest_past_mean_ms": round(lead["median"], 2),
+            "slowest_past_mean_ms_quartiles": [round(lead[q], 2) for q in QUARTILES],
         })
     return out
 
@@ -203,10 +171,11 @@ def main() -> int:
     parser.add_argument("--pieces", default="1,2,4,8", help="comma-separated parts.PIECES values to probe; '' for none")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--reps", type=int, default=9)
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_part_queue.json")
+    parser.add_argument("--out", type=Path, default=launch.ROOT / "BENCH_part_queue.json")
     args = parser.parse_args()
-    trees = dict(spec.split("=", 1) for spec in (args.src or [f"change={ROOT / 'src'}"]))
-    trees = {name: str(Path(path).resolve()) for name, path in trees.items()}
+    trees = launch.trees(args.src)
+    if reason := launch.cached(trees.values()):
+        parser.error(reason)
     probe = args.probe or list(trees)[-1]
     values = [int(v) for v in args.pieces.split(",") if v]
     exits: dict[str, dict[str, list]] = {}
@@ -214,7 +183,9 @@ def main() -> int:
     load = [os.getloadavg()]
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for workload, argv in workloads(work, args.seed).items():
+        launch.write_fixtures(work, args.seed)
+        for workload in launch.WORKLOADS:
+            argv, _ = launch.commands()[workload]
             for rep in range(args.reps):
                 names = list(trees) if rep % 2 == 0 else list(trees)[::-1]
                 for name in names:
@@ -225,19 +196,13 @@ def main() -> int:
                     probes.setdefault(workload, {}).setdefault(pieces, []).append(got)
                 print(workload, "rep", rep + 1, file=sys.stderr, flush=True)
     load.append(os.getloadavg())
-    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc["part_balance"] = {
-        "seed": args.seed,
-        "reps": args.reps,
-        "trees": sorted(trees),
-        "probe_tree": probe,
-        "pieces": values,
-        "host": {"python": platform.python_version(), "numpy": np.__version__, "nproc": os.cpu_count(),
-                 "loadavg_before_after": load},
+    doc = {
+        "part_balance": {"seed": args.seed, "reps": args.reps, "trees": sorted(trees), "probe_tree": probe,
+                         "pieces": values, "host": launch.host(loadavg_before_after=load)},
+        "exit_phase": {w: {name: summarize(runs) for name, runs in by.items()} for w, by in exits.items()},
+        "pieces_probe": {w: {str(p): summarize(runs) for p, runs in by.items()} for w, by in probes.items()},
     }
-    doc["exit_phase"] = {w: {name: summarize(runs) for name, runs in by.items()} for w, by in exits.items()}
-    doc["pieces_probe"] = {w: {str(p): summarize(runs) for p, runs in by.items()} for w, by in probes.items()}
-    args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    launch.store(args.out, doc)
     for w, by in doc["exit_phase"].items():
         for name, row in by.items():
             stages = "; ".join(f"{s['stage']} end {s['end_ms']} past mean {s['slowest_past_mean_ms']}"

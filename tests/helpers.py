@@ -1,10 +1,13 @@
-"""Shared test oracles, written independently of the library kernels, and call counters."""
+"""Shared test oracles, written independently of the library kernels, call
+counters, and the loader of the scripts under test."""
 
 import ast
+import importlib
 import itertools
 import os
 import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -13,6 +16,15 @@ import csufs.io
 import csufs.parts
 import csufs.preprocess
 import csufs.scoring
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    """scripts/NAME.py as a module, with scripts/ on sys.path for its `import launch`."""
+    if str(SCRIPTS) not in sys.path:
+        sys.path.insert(0, str(SCRIPTS))
+    return importlib.import_module(name)
 
 
 def count_normalizations(monkeypatch):

@@ -1,14 +1,11 @@
 """scripts/bench_pairs.py's summary and its refusal of unfair trees, on hand-made run lists and directories."""
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
-spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
-bench_pairs = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(bench_pairs)
+from helpers import load_script
+
+bench_pairs = load_script("bench_pairs")
+launch = load_script("launch")
 
 
 def result(wall_rel, correct=True, peak=100.0):
@@ -22,10 +19,10 @@ def pairs_of(parent, change):
 
 
 def test_spread_of_ten_runs():
-    assert bench_pairs.spread([float(v) for v in range(10, 0, -1)]) == {
+    assert launch.spread([float(v) for v in range(10, 0, -1)]) == {
         "median": 5.5, "q1": 3.25, "q3": 7.75, "min": 1.0, "max": 10.0
     }
-    assert bench_pairs.spread([2.0]) == {"median": 2.0, "q1": 2.0, "q3": 2.0, "min": 2.0, "max": 2.0}
+    assert launch.spread([2.0]) == {"median": 2.0, "q1": 2.0, "q3": 2.0, "min": 2.0, "max": 2.0}
 
 
 def test_clear_gain_is_claimable():

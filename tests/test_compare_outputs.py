@@ -1,14 +1,12 @@
 """scripts/compare_outputs.py's comparison, on small hand-made run directories."""
 
-import importlib.util
 from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "compare_outputs.py"
-spec = importlib.util.spec_from_file_location("compare_outputs", SCRIPT)
-compare_outputs = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(compare_outputs)
+from helpers import load_script
+
+compare_outputs = load_script("compare_outputs")
 
 REPORT = '{\n "kind": "sweep",\n "timestamp": "2024-01-01T00:00:00+00:00",\n "payload": {"acc": 0.5}\n}\n'
 

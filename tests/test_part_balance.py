@@ -1,18 +1,17 @@
 """scripts/part_balance.py's per-run timing on a small CLI run, and its
 summary, on hand-made runs."""
 
-import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import csufs.parts
+from helpers import load_script
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "part_balance.py"
-spec = importlib.util.spec_from_file_location("part_balance", SCRIPT)
-part_balance = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(part_balance)
-SRC = str(Path(csufs.__file__).resolve().parents[1])
+part_balance = load_script("part_balance")
+SRC = Path(csufs.__file__).resolve().parents[1]
 
 
 def stage(name, ends):
@@ -43,3 +42,17 @@ def test_one_run_times_the_exit_and_each_split_stage(tmp_path):
     for s in got["stages"]:
         assert 1 <= len(s["busy_ms"]) <= 2 and len(s["end_ms"]) == len(s["busy_ms"])
         assert s["slowest_past_mean_ms"] >= 0
+
+
+def test_a_tree_holding_bytecode_caches_is_refused(tmp_path, monkeypatch, capsys):
+    """It imports faster than the benchmark's runs do, so its wall times
+    would not compare with another tree's; nothing is run or written."""
+    cache = tmp_path / "src" / "csufs" / "__pycache__"
+    cache.mkdir(parents=True)
+    out = tmp_path / "out.json"
+    monkeypatch.setattr(sys, "argv", ["part_balance.py", "--src", f"change={tmp_path / 'src'}", "--out", str(out)])
+    with pytest.raises(SystemExit) as refused:
+        part_balance.main()
+    assert refused.value.code == 2
+    assert f"error: remove the bytecode caches first: {cache}" in capsys.readouterr().err
+    assert not out.exists()
