@@ -33,7 +33,8 @@ distinct rankings or more: four at seed 0, three at seed 9, and one at
 seed 5, where they are one part. Every SMALL sweep (54000 values at
 most) is one part.
 The command set is launch.commands() plus SMALL on the 300 x 30 fixture:
-naive and all selects with --write-matrix, optimized and naive sweeps
+naive and all selects with --write-matrix, a naive evaluate that sets
+k-means's stop rules (--max-iter 5, --conv-tol 0), optimized and naive sweeps
 over a k grid with a duplicate and k = n - 1, maxvar and all sweeps, a
 sweep at k = n that must fail with KTooLarge, and a select without --d
 that must fail as flag misuse before it reads its input;
@@ -94,6 +95,8 @@ SMALL = {  # name -> CLI arguments after the shared input flags, on small.csv
     "small_select_naive": ["select", "--mode", "naive", "--d", "10", "--output", "report.json",
                            "--write-matrix", "reduced.csv"],
     "small_select_all": ["select", "--method", "all", "--output", "report.json", "--write-matrix", "reduced.csv"],
+    "small_evaluate_stop_rules": ["evaluate", "--mode", "naive", "--d", "10", "--seeds", "0..2", "--max-iter", "5",
+                                  "--conv-tol", "0", "--output", "report.json"],
     "small_sweep_kgrid": ["sweep", "--d-grid", "5,10", "--k-grid", "7,3,7,299,1", "--seeds", "0..2",
                           "--output", "report.json"],
     "small_sweep_kgrid_naive": ["sweep", "--mode", "naive", "--d-grid", "5,10", "--k-grid", "7,3,7,299,1",

@@ -1,7 +1,8 @@
 """Seeded clustering evaluation over selected feature subsets.
 
 evaluate_selection clusters one column list once per seed and scores the
-labels against the truth. A sweep evaluates each distinct column list of
+labels against the truth. Every fit runs on one BLAS thread, held by
+csufs.kmeans.kmeans_fit. A sweep evaluates each distinct column list of
 its grid once. It deals them to parts (csufs.parts), longest first, each
 to the part holding the fewest columns so far, when its fits hold at least
 2 x scoring.PART_VALUES values clustered (samples x columns x seeds), the
@@ -13,7 +14,6 @@ evaluations.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 from dataclasses import dataclass
 
@@ -137,7 +137,7 @@ def _evaluate_all(X: Dataset, selections: list, truth: LabelVector, cfg: EvalCon
     values = X.n_samples * len(cfg.seeds) * sum(sizes)
     count = workers(len(selections), values // PART_VALUES)
     reports = [None] * len(selections)
-    with one_blas_thread() if count > 1 else contextlib.nullcontext(False) as held:
+    with one_blas_thread() as held:  # a forked fit part starts on one thread
         dealt = _deal(sizes, count if held else 1)
         jobs = [functools.partial(_evaluate_each, X, [selections[i] for i in part], truth, cfg, method) for part in dealt]
         with in_parts(jobs, len(jobs)) as parts:
@@ -189,12 +189,11 @@ def sweep(
     differ by at most the longest selection. There is at most one part per
     usable CPU and one per scoring.PART_VALUES values clustered, and one
     where the loaded BLAS cannot be held to one thread
-    (csufs.parts.one_blas_thread), which it is while more than one part
-    runs. A part whose child does not deliver is evaluated here. The
-    reports have the same bits for any number of parts: the fits are the
-    same calls, and OpenBLAS on one thread has given the same products as
-    its thread pool in every check so far (tests/test_evaluation.py,
-    scripts/compare_outputs.py).
+    (csufs.parts.one_blas_thread). Every fit runs on one BLAS thread
+    (csufs.kmeans.kmeans_fit), and the parts are forked while it is held,
+    so each child starts on one thread. A part whose child does not
+    deliver is evaluated here. The reports have the same bits for any
+    number of parts: the fits are the same calls on one thread each.
     """
     method = Method(method)
     d_values, k_values = require_integers("d_values", d_values, 1), require_integers("k_values", k_values, 1)

@@ -3,6 +3,22 @@
 Runs are fully reproducible: every random draw comes from a generator
 seeded per call, assignment ties fall to the lowest cluster id, and
 clusters that lose all members are re-seeded deterministically.
+
+Every fit runs on one BLAS thread: kmeans_fit holds the OpenBLAS that
+numpy loaded to one thread (csufs.parts.one_blas_thread) for its
+plus-plus start and its Lloyd loop, whose products are csufs's only BLAS
+calls, and restores the thread count after. So `evaluate`, a sweep in one
+part or in several, and a library call all fit the same way, and no fit
+spins a pool of BLAS threads on cores that other processes hold. On 2
+cores beside two busy processes, `csufs evaluate --d 100 --seeds 0..9` on
+sweep_grid's fixture took a median 2.9 s with its fits on the pool and
+0.69 s on one thread. On idle cores the pool is faster only for wide fits:
+over select_wide's 500 columns they took 1.1-1.4x as long on one thread,
+and `evaluate --method all` took a median 1.11 s end to end, against
+1.06 s on the pool; at 100 columns the command was level. Holding and
+restoring costs about 3.5 us a fit. Where no OpenBLAS control is found,
+nothing is changed. One thread gives the products the bits of the pool
+(tests/test_kmeans.py's references run on the pool).
 """
 
 from __future__ import annotations
@@ -13,6 +29,7 @@ import numpy as np
 
 from .data import LabelVector, require_integer
 from .errors import NonFiniteEntry, TooFewSamples
+from .parts import one_blas_thread
 
 DEFAULT_MAX_ITER = 300
 DEFAULT_CONV_TOL = 1e-4
@@ -83,7 +100,8 @@ def kmeans_fit(
     NonFiniteEntry at the first row holding one, a finite row whose squared
     norm overflows ValueError.
     n_clusters and max_iter must be positive integers and seed a
-    non-negative one (a bool is not an integer).
+    non-negative one (a bool is not an integer). The start and the
+    iterations run on one BLAS thread (see the module docstring).
     """
     X = np.asarray(X_sub, dtype=np.float64)
     if X.ndim != 2:
@@ -104,51 +122,52 @@ def kmeans_fit(
         if bad.size:
             raise NonFiniteEntry(row, int(bad[0]))
         raise ValueError(f"row {row}'s squared norm overflows")
-    centers = _plusplus_init(X, n_clusters, x_sq, rng)
-    ids = np.arange(n_clusters)
-    labels = np.full(n, -1, dtype=np.int64)
-    history: list[float] = []
-    prev_inertia = np.inf
-    n_iter = 0
-    for n_iter in range(1, max_iter + 1):
-        d2 = _squared_distances(X, centers, x_sq)
-        own = d2.min(axis=0)
-        # a point's label counts the leading clusters it is not nearest to:
-        # argmin's lowest id on a tie, without argmin's strided scan
-        behind = d2[0] != own
-        new_labels = behind.astype(np.int64)
-        for row in d2[1:-1]:
-            behind &= row != own
-            new_labels += behind
-        counts = np.bincount(new_labels, minlength=n_clusters)
-        empty = np.flatnonzero(counts == 0)
-        if empty.size:
-            # claim mask, not own itself: keeps picks distinct even when
-            # every distance is zero, and keeps the inertia sum finite
-            claim = own.copy()
-            for c in empty:
-                far = int(claim.argmax())
-                new_labels[far] = c
-                claim[far] = -np.inf
-                own[far] = 0.0
-                centers[c] = X[far]
+    with one_blas_thread():
+        centers = _plusplus_init(X, n_clusters, x_sq, rng)
+        ids = np.arange(n_clusters)
+        labels = np.full(n, -1, dtype=np.int64)
+        history: list[float] = []
+        prev_inertia = np.inf
+        n_iter = 0
+        for n_iter in range(1, max_iter + 1):
+            d2 = _squared_distances(X, centers, x_sq)
+            own = d2.min(axis=0)
+            # a point's label counts the leading clusters it is not nearest to:
+            # argmin's lowest id on a tie, without argmin's strided scan
+            behind = d2[0] != own
+            new_labels = behind.astype(np.int64)
+            for row in d2[1:-1]:
+                behind &= row != own
+                new_labels += behind
             counts = np.bincount(new_labels, minlength=n_clusters)
-        inertia = float(own.sum())
-        history.append(inertia)
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-        if np.isfinite(prev_inertia):
-            if prev_inertia <= 0.0:
-                break  # objective already zero, nothing can improve
-            if (prev_inertia - inertia) / prev_inertia < conv_tol:
+            empty = np.flatnonzero(counts == 0)
+            if empty.size:
+                # claim mask, not own itself: keeps picks distinct even when
+                # every distance is zero, and keeps the inertia sum finite
+                claim = own.copy()
+                for c in empty:
+                    far = int(claim.argmax())
+                    new_labels[far] = c
+                    claim[far] = -np.inf
+                    own[far] = 0.0
+                    centers[c] = X[far]
+                counts = np.bincount(new_labels, minlength=n_clusters)
+            inertia = float(own.sum())
+            history.append(inertia)
+            if np.array_equal(new_labels, labels):
                 break
-        prev_inertia = inertia
-        # every cluster's sum in one product with the one-hot membership
-        # matrix; a relocation can steal a singleton's only member, so an
-        # empty cluster keeps its old center instead of averaging nothing
-        sums = (labels == ids[:, np.newaxis]).astype(np.float64) @ X
-        np.divide(sums, counts[:, np.newaxis], out=centers, where=(counts > 0)[:, np.newaxis])
+            labels = new_labels
+            if np.isfinite(prev_inertia):
+                if prev_inertia <= 0.0:
+                    break  # objective already zero, nothing can improve
+                if (prev_inertia - inertia) / prev_inertia < conv_tol:
+                    break
+            prev_inertia = inertia
+            # every cluster's sum in one product with the one-hot membership
+            # matrix; a relocation can steal a singleton's only member, so an
+            # empty cluster keeps its old center instead of averaging nothing
+            sums = (labels == ids[:, np.newaxis]).astype(np.float64) @ X
+            np.divide(sums, counts[:, np.newaxis], out=centers, where=(counts > 0)[:, np.newaxis])
     return KMeansResult(
         labels=labels,
         centers=centers,

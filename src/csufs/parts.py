@@ -8,13 +8,17 @@ caller, and no other piece is. The caller runs the first piece and child i
 the i-th, one per worker; every later piece is claimed from one queue by
 whichever process is free first, so a process slowed by its host takes
 fewer pieces instead of holding up the stage. The callers only say what a
-piece does and the least work worth a worker of its own. Pieces that call
-BLAS (a sweep's k-means fits) run inside one_blas_thread, which holds the
-loaded OpenBLAS to one thread while the children live, so that two
-processes do not each spin a pool of BLAS threads on the same cores; where
-it cannot, such a caller keeps one worker. The pin is load-bearing: forking
-fit parts without it took sweep_grid's wall_rel from 1.321 to 3.235 (raw
-wall_s 0.40 s to 0.71-4.80 s, better in 0 of 6 pairs on 2 shared cores).
+piece does and the least work worth a worker of its own.
+
+Every fit runs on one BLAS thread: one_blas_thread holds the loaded
+OpenBLAS to one thread, and csufs.kmeans.kmeans_fit, whose products are the
+only BLAS calls, runs inside it, so that no two processes (nor a fit and a
+busy host) each spin a pool of BLAS threads on the same cores. A caller
+that forks fit pieces (a sweep) holds it around the fork too, so each
+child starts on one thread; where it cannot be held, such a caller keeps
+one worker. The pin is load-bearing: forking fit parts without it took
+sweep_grid's wall_rel from 1.321 to 3.235 (raw wall_s 0.40 s to 0.71-4.80
+s, better in 0 of 6 pairs on 2 shared cores).
 
 A profile or trace of the caller sees only the pieces it runs itself: what
 a child does is outside it. A child ends through leave, which skips the
@@ -23,6 +27,7 @@ too, once its outputs are flushed.
 """
 
 import contextlib
+import ctypes
 import functools
 import os
 import pickle
@@ -178,8 +183,6 @@ def _blas_threads():
     paths = sorted({f[5].rstrip("\n") for f in fields if len(f) == 6 and "openblas" in os.path.basename(f[5])})
     if not paths:
         return None
-    import ctypes  # only a process that finds a library needs it
-
     for path in paths:
         try:
             lib = ctypes.CDLL(path)
@@ -202,13 +205,19 @@ def one_blas_thread():
     """Hold the loaded OpenBLAS to one thread for the block; yields whether
     it could (False where _blas_threads finds none, and then nothing is
     changed). The count it had is restored when the block ends, by an
-    exception too."""
+    exception too. A count already at one is left alone: OpenBLAS stops its
+    pool before each fork, and a set call restarts it, whose new thread then
+    spins about 0.13 s of CPU with no work, in the caller and in each child
+    that fits while a sweep's fit parts run."""
     threads = _blas_threads()
     if threads is None:
         yield False
         return
     get, put = threads
     before = get()
+    if before == 1:
+        yield True
+        return
     put(1)
     try:
         yield True
@@ -242,7 +251,8 @@ def _fork(job):
     numbers. It is safe because OpenBLAS registers a fork handler that
     stops its thread pool before each fork, so no BLAS lock is held across
     it, and because its caller forks inside one_blas_thread: the child
-    inherits one BLAS thread and runs every product in its own thread, next
+    inherits one BLAS thread, and every fit holds it there
+    (kmeans.kmeans_fit), so it runs every product in its own thread, next
     to a caller doing the same.
 
     The child always leaves through leave (os._exit) in a finally, so it

@@ -18,6 +18,7 @@ from csufs import (
     ScoringConfig,
     evaluate_selection,
     kmeans,
+    kmeans_fit,
     normalize_samples,
     score_all_features,
     select_max_variance,
@@ -28,6 +29,7 @@ from helpers import Split, count_forks, count_normalizations, make_two_class_dat
 from test_parts import assert_no_children, fail_first_fork, truncate_pickles
 
 evaluation = importlib.import_module("csufs.evaluation")
+kmeans_module = importlib.import_module("csufs.kmeans")
 
 
 @pytest.fixture(scope="module")
@@ -418,7 +420,13 @@ def test_sweep_keeps_one_part_without_blas_thread_control(monkeypatch, fit_sized
     assert forks.fits == []
 
 
-def test_fit_parts_run_on_one_blas_thread_which_is_restored_after(monkeypatch, fit_sized):
+@pytest.mark.parametrize("path", ["split-sweep", "one-part-sweep", "evaluate", "kmeans_fit"])
+def test_fit_parts_run_on_one_blas_thread_which_is_restored_after(monkeypatch, fit_sized, path):
+    """Every fit reads one BLAS thread, in the caller and in a forked fit
+    part, and the caller's count is back after: a sweep in two parts, a
+    sweep below the floor (one part), the `evaluate` command's
+    evaluate_selection and a bare kmeans_fit, which gives the same result
+    where no OpenBLAS control is found."""
     threads = csufs.parts._blas_threads()
     if threads is None:
         pytest.skip("no OpenBLAS thread control in this process")
@@ -428,19 +436,42 @@ def test_fit_parts_run_on_one_blas_thread_which_is_restored_after(monkeypatch, f
     try:
         held = get()  # 2, or fewer where OpenBLAS was built for fewer
         Xn, truth, cfg = fit_sized
-        original, parent = evaluation.evaluate_selection, os.getpid()
+        parent, seen = os.getpid(), []
+        distances, evaluate = kmeans_module._squared_distances, evaluation.evaluate_selection
 
-        def recording(*args, **kwargs):
-            report = original(*args, **kwargs)
-            report.blas = (os.getpid() == parent, get())  # not a field, so == ignores it
+        def reading(*args):  # inside a fit: in the caller or not, and on how many BLAS threads
+            seen.append((os.getpid() == parent, get()))
+            return distances(*args)
+
+        def recording(*args, **kwargs):  # brings what a fit part's fits read back to the caller
+            start = len(seen)
+            report = evaluate(*args, **kwargs)
+            report.blas = set(seen[start:])  # not a field, so == ignores it
             return report
 
+        monkeypatch.setattr(kmeans_module, "_squared_distances", reading)
         monkeypatch.setattr(evaluation, "evaluate_selection", recording)
         forks = count_forks(monkeypatch, 2)
-        swept = sweep(Xn, truth, Method.CSUFS_OPTIMIZED, cfg=cfg, **FIT_GRID)
-        assert [(split.workers, len(split.pieces)) for split in forks.fits] == [(2, 2)] and forks.children == 1
-        assert {cell.report.blas for cell in swept.cells} == {(True, 1), (False, 1)}
+        if path == "split-sweep":
+            swept = sweep(Xn, truth, Method.CSUFS_OPTIMIZED, cfg=cfg, **FIT_GRID)
+            assert [(split.workers, len(split.pieces)) for split in forks.fits] == [(2, 2)] and forks.children == 1
+        elif path == "one-part-sweep":
+            small, small_truth, _ = floor_sized(60, [2, 4, 12])
+            swept = sweep(small, small_truth, Method.CSUFS_OPTIMIZED, [2, 4, 12], [5], cfg)
+            assert forks.fits == [] and forks.children == 0
+        elif path == "evaluate":
+            evaluate_selection(Xn, range(20), truth, cfg)
+        else:
+            fit = kmeans_fit(Xn.values, 4, 3)
+        observed = set().union(*(cell.report.blas for cell in swept.cells)) if "sweep" in path else set(seen)
+        assert observed == ({(True, 1), (False, 1)} if path == "split-sweep" else {(True, 1)})
         assert get() == held
+        if path == "kmeans_fit":
+            monkeypatch.setattr(csufs.parts, "_blas_threads", lambda: None)
+            unpinned = kmeans_fit(Xn.values, 4, 3)  # on the pool of held threads
+            assert np.array_equal(unpinned.labels, fit.labels) and np.array_equal(unpinned.centers, fit.centers)
+            assert (unpinned.inertia_history, unpinned.n_iter) == (fit.inertia_history, fit.n_iter)
+            assert seen[-1] == (True, held)
     finally:
         put(before)
 

@@ -307,6 +307,21 @@ def test_one_blas_thread_restores_the_count_after_an_error():
         put(before)
 
 
+def test_one_blas_thread_leaves_a_count_of_one_alone(monkeypatch):
+    """A set call restarts a pool that a fork stopped, so a count already
+    at one is not set, on entry or on exit; any other count is set to one
+    and back."""
+    count, sets = [1], []
+    monkeypatch.setattr(csufs.parts, "_blas_threads", lambda: (lambda: count[0], sets.append))
+    with one_blas_thread() as pinned:
+        assert pinned and sets == []
+    assert sets == []
+    count[0] = 3
+    with one_blas_thread():
+        assert sets == [1]
+    assert sets == [1, 3]
+
+
 def test_one_blas_thread_yields_false_without_a_library(monkeypatch):
     monkeypatch.setattr(csufs.parts, "_blas_threads", lambda: None)
     with one_blas_thread() as pinned:
